@@ -7,6 +7,7 @@ environment variable (default 1); it never changes the output.
 """
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -57,10 +58,14 @@ def write_records(records, fmt: str, out):
             out.write(_record_line_json(r) + "\n")
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """The --out file (closed on exit), or stdout when no path is given."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="\n") as out:
+        yield out
 
 
 def _common_flags(parser, trials=10, n=8, d=1, f_name="euclid-norm"):
@@ -86,12 +91,8 @@ def _config(args) -> ExperimentConfig:
 
 def _run_ratio(args, stream, **kwargs):
     records = stream(_config(args), **kwargs)
-    out, should_close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_records(records, args.fmt, out)
-    finally:
-        if should_close:
-            out.close()
     return 0
 
 
@@ -116,8 +117,7 @@ def cmd_ratio_normal(args):
 
 
 def cmd_transference_check(args):
-    out, should_close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         worst = 0.0
         for index, (it, h, name, v, k0) in enumerate(
             suite.conjugation_instances(args.seed, args.trials)
@@ -141,16 +141,12 @@ def cmd_transference_check(args):
                     f"sup|xi_n - f_k0/2|={format_float(rep.symbol_sup_difference)}\n"
                 )
         return 0 if worst <= args.tolerance else 1
-    finally:
-        if should_close:
-            out.close()
 
 
 def cmd_deleeuw_sweep(args):
     sizes = tuple(int(s) for s in args.sizes.split(","))
     results = suite.deleeuw_ratios(args.seed, sizes=sizes, signals=args.trials, d=args.d)
-    out, should_close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write("signal," + ",".join(f"N={s}" for s in sizes) + ",spread\n")
         worst = 1.0
         for index, ratios in enumerate(results):
@@ -163,9 +159,6 @@ def cmd_deleeuw_sweep(args):
             )
         out.write(f"max-spread,{format_float(worst)}\n")
         return 0 if worst < 2.0 else 1
-    finally:
-        if should_close:
-            out.close()
 
 
 def cmd_periodization(args):
@@ -180,22 +173,17 @@ def cmd_periodization(args):
         coeffs[frequency_index(np.array([0, 1]), n_grid)] = 0.3
     w = signal_from_coefficients(coeffs)
     result = periodization_probe(w, args.l, args.radius, args.step)
-    out, should_close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(f"ratio={format_float(result.ratio)}\n")
         out.write(f"weak-ratio={format_float(result.weak_ratio)}\n")
         out.write(f"truncation-bound={format_float(result.truncation_bound)}\n")
         out.write(f"step={format_float(result.step)}\n")
         out.write(f"points-per-axis={result.points_per_axis}\n")
         return 0 if abs(result.ratio - 1.0) <= 0.05 else 1
-    finally:
-        if should_close:
-            out.close()
 
 
 def cmd_contraction_test(args):
-    out, should_close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         failures = 0
         for name in contraction_names(args.d):
             f = builtin_function(name, args.d)
@@ -213,20 +201,13 @@ def cmd_contraction_test(args):
                 )
         out.write(f"violations={failures}\n")
         return 0 if failures == 0 else 1
-    finally:
-        if should_close:
-            out.close()
 
 
 def cmd_identity_suite(args):
     report = suite.run_identity_suite(args.seed, tolerance_scale=args.tolerance_scale)
     text = canonical_json(report) + "\n"
-    out, should_close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(text)
-    finally:
-        if should_close:
-            out.close()
     return 0 if report["all_passed"] else 1
 
 

@@ -91,13 +91,13 @@ def _map_trials(fn, trials):
         return list(pool.map(fn, range(trials)))
 
 
-def _random_hermitian(n, rng):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (z + z.conj().T) / 2.0
-
-
 def _random_matrix(n, rng):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _random_hermitian(n, rng):
+    z = _random_matrix(n, rng)
+    return (z + z.conj().T) / 2.0
 
 
 def _summarize(records, config, trial_records):

@@ -21,11 +21,10 @@ from .rng import generator
 class BuiltinFunction:
     """A named function together with its exact Lipschitz constant (or None)."""
 
-    def __init__(self, name, func, lipschitz, integer_valued):
+    def __init__(self, name, func, lipschitz):
         self.name = name
         self.func = func
         self.lipschitz = lipschitz  # None when no exact constant is known
-        self.integer_valued = integer_valued
 
     def __call__(self, lam):
         return self.func(np.asarray(lam, dtype=float))
@@ -38,44 +37,31 @@ def _coordinate(k):
 def builtin_function(name: str, d: int) -> BuiltinFunction:
     """Resolve a CLI function name for dimension d."""
     if name == "identity":
-        return BuiltinFunction(name, _coordinate(1), 1.0, True)
+        return BuiltinFunction(name, _coordinate(1), 1.0)
     if name == "abs":
-        return BuiltinFunction(name, lambda lam: abs(float(lam[0])), 1.0, True)
+        return BuiltinFunction(name, lambda lam: abs(float(lam[0])), 1.0)
     if name == "euclid-norm":
-        return BuiltinFunction(
-            name, lambda lam: float(np.linalg.norm(lam)), 1.0, d == 1
-        )
+        return BuiltinFunction(name, lambda lam: float(np.linalg.norm(lam)), 1.0)
     if name == "max-abs":
-        return BuiltinFunction(
-            name, lambda lam: float(np.max(np.abs(lam))), 1.0, True
-        )
+        return BuiltinFunction(name, lambda lam: float(np.max(np.abs(lam))), 1.0)
     if name == "max-abs-scaled":
         root = float(np.sqrt(d))
         return BuiltinFunction(
-            name, lambda lam: float(np.max(np.abs(lam))) / root, 1.0 / root, d == 1
+            name, lambda lam: float(np.max(np.abs(lam))) / root, 1.0 / root
         )
     if name.startswith("coordinate:"):
         k = int(name.split(":", 1)[1])
         if not 1 <= k <= d:
             raise ValueError(f"coordinate index {k} outside 1..{d}")
-        return BuiltinFunction(name, _coordinate(k), 1.0, True)
+        return BuiltinFunction(name, _coordinate(k), 1.0)
     if name == "crease":
         u = np.full(d, 1.0 / np.sqrt(d))
-        return BuiltinFunction(
-            name, lambda lam: abs(float(lam @ u) - 0.5), 1.0, False
-        )
+        return BuiltinFunction(name, lambda lam: abs(float(lam @ u) - 0.5), 1.0)
     if name.startswith("poly:"):
         coeffs = [float(c) for c in name.split(":", 1)[1].split(",")]
         poly = np.polynomial.Polynomial(coeffs)
-        return BuiltinFunction(name, lambda lam: float(poly(lam[0])), None, False)
+        return BuiltinFunction(name, lambda lam: float(poly(lam[0])), None)
     raise ValueError(f"unknown function name {name!r}")
-
-
-def experiment_function_names(d: int):
-    """The function set swept by the ratio experiments for dimension d."""
-    names = ["identity", "abs", "euclid-norm", "max-abs", "max-abs-scaled", "crease"]
-    names += [f"coordinate:{k}" for k in range(2, d + 1)]
-    return names
 
 
 def contraction_names(d: int):
@@ -83,6 +69,10 @@ def contraction_names(d: int):
     names = ["identity", "abs", "euclid-norm", "max-abs", "max-abs-scaled", "crease"]
     names += [f"coordinate:{k}" for k in range(2, d + 1)]
     return names
+
+
+# The ratio experiments sweep exactly the built-in contractions.
+experiment_function_names = contraction_names
 
 
 def lipschitz_lower_bound(f, d, box=1.0, samples=2000, seed=0):

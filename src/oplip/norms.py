@@ -15,14 +15,20 @@ from .errors import BadExponentError, NegativeTimeError
 
 @dataclass
 class SingularValueProfile:
-    """Descending nonnegative values with positive step weights."""
+    """Descending nonnegative values with positive step weights.
+
+    A scalar weight is a constant step weight; it is kept as a read-only
+    broadcast view, so equal-cell grid profiles allocate no weight array.
+    """
 
     values: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.ndim == 0:
+            self.weights = np.broadcast_to(self.weights, self.values.shape)
         if self.values.ndim != 1 or self.values.shape != self.weights.shape:
             raise ValueError("values and weights must be 1-d and of equal length")
         if self.values.size and np.any(np.diff(self.values) > 0):

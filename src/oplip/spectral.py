@@ -125,7 +125,7 @@ class JointSpectrum:
         return self.eigenvalues.shape[1]
 
 
-def validate_joint_spectrum(js, tol=RECONSTRUCTION_TOL):
+def validate_joint_spectrum(js):
     """Check unitarity, joint diagonality and reconstruction of a JointSpectrum."""
     U = js.basis
     n = U.shape[0]
@@ -139,10 +139,10 @@ def validate_joint_spectrum(js, tol=RECONSTRUCTION_TOL):
     for k, m in enumerate(js.provenance.matrices):
         rot = U.conj().T @ m.data @ U
         off = rot - np.diag(np.diag(rot))
-        if _frob(off) > max(tol, DIAG_TOL) * _frob(m.data):
+        if _frob(off) > DIAG_TOL * _frob(m.data):
             raise ValueError(f"matrix {k} is not diagonal in the joint basis")
         recon = (U * js.eigenvalues[:, k]) @ U.conj().T
-        if _frob(m.data - recon) > max(tol, RECONSTRUCTION_TOL) * max(_frob(m.data), 1e-300):
+        if _frob(m.data - recon) > RECONSTRUCTION_TOL * max(_frob(m.data), 1e-300):
             if _frob(m.data) == 0.0 and _frob(recon) == 0.0:
                 continue
             raise ValueError(f"matrix {k} fails reconstruction from the spectrum")
@@ -289,9 +289,7 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
     phases = phases / np.abs(phases)
     U = U / phases[np.newaxis, :]
 
-    js = JointSpectrum(basis=U, eigenvalues=table, provenance=tup)
-    validate_joint_spectrum(js, tol)
-    return js
+    return JointSpectrum(basis=U, eigenvalues=table, provenance=tup)
 
 
 def apply_function(js: JointSpectrum, f) -> HermitianMatrix:

@@ -21,6 +21,13 @@ from .doi import (
     perturbation_residual,
     symbol_product_check,
 )
+from .errors import GuardViolationError
+from .experiments import (
+    ExperimentConfig,
+    _random_hermitian,
+    _random_matrix,
+    commutator_ratio,
+)
 from .functions import builtin_function, contraction_names, experiment_function_names
 from .norms import (
     matrix_trace_norm,
@@ -73,15 +80,6 @@ class CheckResult:
 
 def _rel(diff, ref) -> float:
     return float(diff / (1.0 + ref))
-
-
-def _random_matrix(n, rng):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def _random_hermitian(n, rng):
-    z = _random_matrix(n, rng)
-    return (z + z.conj().T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -575,66 +573,61 @@ def contraction_rounding_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
     return violations, checked
 
 
+def _cone_deviation(radius, d):
+    """max |g(delta, m) - delta_k0 m / |delta|^2| over the contraction cone.
+
+    The cells are delta in [-2r, 2r]^d, delta != 0, and integers m with
+    m^2 <= |delta|^2, for every k0.  There the smoothing argument is
+    |delta|^2 / (|delta|^2 + m^2) >= 1/2, so the smoothing function is the
+    identity and the normalized symbol reduces to the divided difference.
+    """
+    deltas = _box_points(2 * radius, d)
+    dist2 = np.sum(deltas * deltas, axis=-1)
+    mmax = math.isqrt(int(np.max(dist2)))
+    m_axis = np.arange(-mmax, mmax + 1)
+    cell_delta, cell_m = np.nonzero(
+        (m_axis[None, :] ** 2 <= dist2[:, None]) & (dist2[:, None] > 0)
+    )
+    delta, m, denom = deltas[cell_delta], m_axis[cell_m], dist2[cell_delta]
+    points = np.column_stack([delta, m]).astype(float)
+    worst = 0.0
+    for k0 in range(1, d + 1):
+        gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), points)
+        worst = max(worst, float(np.max(np.abs(gv - delta[:, k0 - 1] * m / denom))))
+    return worst
+
+
 def symbol_agreement_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
-                           names=None, block=4_000_000):
+                           names=None):
     """max |g(i-j, h(i)-h(j)) - h_k0(i, j)| over lattice box pairs.
 
     The left side travels through the normalized homogeneous symbol with its
     smoothing function; the right side is the divided difference evaluated on
-    the lattice.  Both sides depend only on the pair difference (delta, m), so
-    the deviation is tabulated once on that superset and gathered over the
-    realized pairs of each rounded contraction.
+    the lattice.  Both depend only on the pair difference (delta, m).  A
+    rounded contraction h has |h(i) - h(j)| <= |i - j|, so every realized pair
+    lies in the cone m^2 <= |delta|^2 with delta in [-2r, 2r]^d.  The deviation
+    is therefore taken over the whole cone, once per d, and each rounded h only
+    has to pass the exact integer verdict of :func:`contraction_check`.  That
+    verdict is exhaustive for d <= 2 only, so d >= 3 raises, as does an h that
+    fails it: the cone would not be known to cover its pairs.
     """
     worst = 0.0
     for d in d_values:
-        points = _box_points(radius, d)
-        span = 2 * radius
-        side = 2 * span + 1
-        mmax = int(math.ceil(span * math.sqrt(d))) + 1
-        mcard = 2 * mmax + 1
-
-        axes = [np.arange(-span, span + 1)] * d
-        delta_grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        m_grid = np.arange(-mmax, mmax + 1)
-        tshape = delta_grid.shape[:-1] + (mcard,)
-        tvecs = np.empty(tshape + (d + 1,))
-        tvecs[..., :d] = delta_grid[..., None, :]
-        tvecs[..., d] = m_grid
-        denom = np.sum(delta_grid.astype(float) ** 2, axis=-1)
-        mask = denom > 0
-        dev_tables = []
-        for k0 in range(1, d + 1):
-            g = HomogeneousSymbol(d=d, k0=k0)
-            gv = symbol_eval(g, tvecs.reshape(-1, d + 1)).reshape(tshape)
-            dd = np.zeros(tshape)
-            dd[mask] = (
-                delta_grid[..., k0 - 1][mask][:, None] * m_grid
-            ) / denom[mask][:, None]
-            dev_tables.append(np.abs(gv - dd).ravel())
-
-        base = np.zeros((points.shape[0],) * 2, dtype=np.int64)
-        stride = mcard
-        for axis in range(d - 1, -1, -1):
-            col = points[:, axis]
-            base += ((col[:, None] - col[None, :]) + span) * stride
-            stride *= side
-
+        if d >= 3:
+            raise GuardViolationError(
+                f"d={d}: contraction_check samples pairs, so the cone cannot be shown "
+                "to cover them"
+            )
         for name in (names or contraction_names(d)):
             f = builtin_function(name, d)
             for n in n_values:
                 h = round_contraction(f, n)
-                values = np.array([h(p) for p in points], dtype=np.int64)
-                dh = values[:, None] - values[None, :]
-                if np.max(np.abs(dh)) > mmax:
-                    raise ValueError(
-                        f"{name} rounded at n={n} moves farther than a contraction"
+                if not contraction_check(h, radius, d, report_margin=False).ok:
+                    raise GuardViolationError(
+                        f"{name} rounded at n={n} is not a contraction on the "
+                        f"radius-{radius} box"
                     )
-                idx = (base + (dh + mmax)).ravel()
-                for table in dev_tables:
-                    for start in range(0, idx.size, block):
-                        worst = max(
-                            worst, float(np.max(table[idx[start:start + block]]))
-                        )
+        worst = max(worst, _cone_deviation(radius, d))
     return worst
 
 
@@ -644,8 +637,6 @@ def symbol_agreement_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
 
 def experiments_determinism_residual(seed):
     """Identical configs must produce identical record streams."""
-    from .experiments import ExperimentConfig, commutator_ratio
-
     config = ExperimentConfig(seed=seed, n=4, d=2, trials=4, f_name="crease")
     a = commutator_ratio(config)
     b = commutator_ratio(config)
@@ -658,8 +649,6 @@ def experiments_determinism_residual(seed):
 
 def experiments_summary_margin(seed):
     """Summary max-ratio dominates per-trial ratios; skips are counted."""
-    from .experiments import ExperimentConfig, commutator_ratio
-
     records = commutator_ratio(
         ExperimentConfig(seed=seed, n=5, d=1, trials=6, f_name="euclid-norm")
     )

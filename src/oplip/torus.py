@@ -192,9 +192,7 @@ def signal_profile(w: TorusSignal) -> SingularValueProfile:
     d_torus, n_grid, n_fib = w.torus_dim, w.grid_size, w.fiber_dim
     stack = w.samples.reshape(-1, n_fib, n_fib)
     svals = np.linalg.svd(stack, compute_uv=False).ravel()
-    order = np.argsort(-svals, kind="stable")
-    cell = (TWO_PI / n_grid) ** d_torus
-    return SingularValueProfile(svals[order], np.full(svals.size, cell))
+    return SingularValueProfile(-np.sort(-svals), (TWO_PI / n_grid) ** d_torus)
 
 
 def signal_norms(w: TorusSignal):
@@ -272,7 +270,6 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float,
         avals = np.abs(vals)
         integral = float(np.sum(avals * gauss_1d) * step)
         pooled = avals * gauss_1d
-        weights = np.full(m, step)
     else:
         phases = {}
         for k, _ in terms:
@@ -292,14 +289,12 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float,
             pooled_blocks.append(ablock.ravel())
         integral *= step**2
         pooled = np.concatenate(pooled_blocks)
-        weights = np.full(pooled.size, step**2)
 
     sup = max((sum(abs(c) for _, c in terms)), 1e-300)
     tail = d_torus * math.erfc(r / (l * math.sqrt(2.0)))
     ratio = integral / (ref_l1 / TWO_PI**d_torus)
 
-    order = np.argsort(-pooled, kind="stable")
-    trunc_profile = SingularValueProfile(pooled[order], weights[order])
+    trunc_profile = SingularValueProfile(-np.sort(-pooled), step**d_torus)
     weak_ratio = weak_l1(trunc_profile) / (ref_weak / TWO_PI**d_torus)
 
     return PeriodizationResult(

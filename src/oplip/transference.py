@@ -189,8 +189,14 @@ def _pair_frequencies(it: IntegerTuple, f):
     return items
 
 
-def _max_frequency(items) -> int:
-    return max(int(np.max(np.abs(freq))) for freq, _, _ in items)
+def _check_alias(items, grid_size: int):
+    """Raise unless an N^(d+1) grid separates every occurring frequency."""
+    maxfreq = max(int(np.max(np.abs(freq))) for freq, _, _ in items)
+    if grid_size <= 2 * maxfreq + 1:
+        raise AliasRiskError(
+            f"grid N={grid_size} cannot separate frequencies up to {maxfreq}; "
+            f"need N >= {2 * maxfreq + 2}"
+        )
 
 
 def _embedding_blocks(it: IntegerTuple, f, v):
@@ -213,12 +219,7 @@ def _embedding_blocks(it: IntegerTuple, f, v):
 def build_embedding(it: IntegerTuple, f, v, grid_size: int) -> TorusSignal:
     """Materialize I(V) = U_f (V tensor 1) U_f^* on an aliasing-free N^(d+1) grid."""
     blocks, items = _embedding_blocks(it, f, v)
-    maxfreq = _max_frequency(items)
-    if grid_size <= 2 * maxfreq + 1:
-        raise AliasRiskError(
-            f"grid N={grid_size} cannot separate frequencies up to {maxfreq}; "
-            f"need N >= {2 * maxfreq + 2}"
-        )
+    _check_alias(items, grid_size)
     n = it.dim
     d_torus = it.d + 1
     U = it.spectrum.basis
@@ -275,11 +276,7 @@ def verify_conjugation(it: IntegerTuple, f, v, grid_size: int, k0: int = 1) -> f
     """
     _check_contraction_on_box(it, f)
     blocks, items = _embedding_blocks(it, f, v)
-    maxfreq = _max_frequency(items)
-    if grid_size <= 2 * maxfreq + 1:
-        raise AliasRiskError(
-            f"grid N={grid_size} is not aliasing-free; need N >= {2 * maxfreq + 2}"
-        )
+    _check_alias(items, grid_size)
     g = HomogeneousSymbol(d=it.d, k0=k0)
     left = {}
     for key, fiber in blocks.items():

@@ -1,5 +1,12 @@
+import numpy as np
+import pytest
+
+from oplip.errors import GuardViolationError
+from oplip.functions import builtin_function, contraction_names
 from oplip.serialize import canonical_json
-from oplip.suite import deleeuw_ratios, run_identity_suite
+from oplip.suite import deleeuw_ratios, run_identity_suite, symbol_agreement_sweep
+from oplip.torus import HomogeneousSymbol, symbol_eval
+from oplip.transference import _box_points, round_contraction
 
 
 def test_deleeuw_family_is_fixed_per_seed():
@@ -32,3 +39,41 @@ def test_identity_suite_reports_residuals_and_is_canonical():
 def test_identity_suite_tolerance_hook_flips_exit():
     report = run_identity_suite(2, tolerance_scale=1e-30)
     assert report["all_passed"] is False
+
+
+def test_symbol_agreement_rejects_a_rounded_non_contraction():
+    with pytest.raises(GuardViolationError):
+        symbol_agreement_sweep(d_values=(1,), radius=4, names=["poly:0,3"])
+
+
+def test_symbol_agreement_rejects_sampled_dimensions():
+    with pytest.raises(GuardViolationError):
+        symbol_agreement_sweep(d_values=(3,), radius=2)
+
+
+def _realized_pair_deviation(radius):
+    """max |g(i-j, h(i)-h(j)) - h_k0(i, j)| over every realized box pair, literally."""
+    worst = 0.0
+    for d in (1, 2):
+        points = _box_points(radius, d)
+        delta = (points[:, None, :] - points[None, :, :]).reshape(-1, d)
+        dist2 = np.sum(delta * delta, axis=-1)
+        keep = dist2 > 0
+        for name in contraction_names(d):
+            f = builtin_function(name, d)
+            for n in range(1, 9):
+                h = round_contraction(f, n)
+                values = np.array([h(p) for p in points])
+                m = (values[:, None] - values[None, :]).ravel()
+                t = np.column_stack([delta, m])[keep].astype(float)
+                for k0 in range(1, d + 1):
+                    g = symbol_eval(HomogeneousSymbol(d=d, k0=k0), t)
+                    dd = delta[keep, k0 - 1] * m[keep] / dist2[keep]
+                    worst = max(worst, float(np.max(np.abs(g - dd))))
+    return worst
+
+
+def test_symbol_agreement_covers_the_realized_pairs():
+    swept = symbol_agreement_sweep(d_values=(1, 2), radius=4)
+    brute = _realized_pair_deviation(4)
+    assert brute <= swept <= 1e-12
