@@ -3,7 +3,8 @@
 Identical invocations produce byte-identical output files: records appear in
 trial order, floats carry 17 significant digits, and reports contain no
 wall-clock data.  The worker pool size is capped by the OPLIP_THREADS
-environment variable (default 1); it never changes the output.
+environment variable (default 1, clamped to the CPU count); it never changes
+the output.
 """
 
 import argparse
@@ -85,7 +86,6 @@ def _config(args) -> ExperimentConfig:
     return ExperimentConfig(
         seed=args.seed, n=args.n, d=args.d, trials=args.trials,
         f_name=args.f_name, lipschitz_bound=args.lipschitz,
-        output_path=args.out, output_format=args.fmt,
     )
 
 

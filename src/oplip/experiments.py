@@ -33,16 +33,12 @@ class ExperimentConfig:
     trials: int = 10
     f_name: str = "euclid-norm"
     lipschitz_bound: float = None
-    output_path: str = None
-    output_format: str = "json-lines"
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.lipschitz_bound is not None and self.lipschitz_bound <= 0:
             raise ValueError("lipschitz bound must be positive")
-        if self.output_format not in ("json-lines", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     def resolve_function(self):
         f = builtin_function(self.f_name, self.d)
@@ -76,10 +72,11 @@ class RatioRecord:
 
 
 def worker_count() -> int:
+    """OPLIP_THREADS (default 1), clamped to [1, os.cpu_count()]."""
     cap = os.environ.get(THREADS_ENV)
     if cap is None:
         return 1
-    return max(1, int(cap))
+    return max(1, min(int(cap), os.cpu_count() or 1))
 
 
 def _map_trials(fn, trials):

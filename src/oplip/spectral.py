@@ -2,11 +2,12 @@
 
 The joint diagonalization strategy: diagonalize one generic random linear
 combination of the tuple, split its spectrum into clusters at relative gap
-below ``CLUSTER_GAP``, re-diagonalize each cluster recursively against the next
-matrix of the tuple, and finish with Jacobi polish sweeps that minimize the
-total off-diagonal energy across the whole tuple.  Degenerate joint
-eigenvalues are snapped to a common float so that equal rows of the
-eigenvalue table compare bitwise equal downstream.
+below ``CLUSTER_GAP``, and re-diagonalize each cluster recursively against the
+next matrix of the tuple.  Only when that still misses the diagonality
+tolerance do Jacobi polish sweeps run, each minimizing the total off-diagonal
+energy across the whole tuple.  Degenerate joint eigenvalues are snapped to a
+common float so that equal rows of the eigenvalue table compare bitwise equal
+downstream.
 """
 
 from dataclasses import dataclass, field
@@ -110,6 +111,7 @@ class JointSpectrum:
     basis: np.ndarray
     eigenvalues: np.ndarray
     provenance: CommutingTuple = field(repr=False)
+    polish_sweeps: int = 0
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=complex)
@@ -229,9 +231,13 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
                       max_polish_sweeps: int = 16) -> JointSpectrum:
     """Simultaneously diagonalize a commuting Hermitian tuple.
 
-    Returns a JointSpectrum whose eigenvalue rows are sorted lexicographically
-    (ascending per coordinate) and whose basis columns carry a deterministic
-    phase (largest-magnitude entry made real positive).
+    Jacobi polish runs only while the generic-combination ``eigh`` plus
+    cluster refinement leaves off-diagonal energy above ``max(tol, DIAG_TOL)``,
+    at most ``max_polish_sweeps`` sweeps (else ``NoConvergenceError``); the
+    count is recorded in ``polish_sweeps``.  Returns a JointSpectrum whose
+    eigenvalue rows are sorted lexicographically (ascending per coordinate)
+    and whose basis columns carry a deterministic phase (largest-magnitude
+    entry made real positive).
     """
     arrays = tup.arrays()
     n, d = tup.dim, tup.d
@@ -265,8 +271,6 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
             refine(cluster, 0)
 
     sweeps = 0
-    _jacobi_sweep(rotated, U)
-    sweeps += 1
     while not _offdiag_ok(rotated, norms, tol):
         if sweeps >= max_polish_sweeps:
             raise NoConvergenceError(
@@ -289,7 +293,8 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
     phases = phases / np.abs(phases)
     U = U / phases[np.newaxis, :]
 
-    return JointSpectrum(basis=U, eigenvalues=table, provenance=tup)
+    return JointSpectrum(basis=U, eigenvalues=table, provenance=tup,
+                         polish_sweeps=sweeps)
 
 
 def apply_function(js: JointSpectrum, f) -> HermitianMatrix:

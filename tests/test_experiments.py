@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from oplip.experiments import (
     doi_ratio,
     lp_ratio,
     normal_ratio,
+    worker_count,
 )
 
 
@@ -28,8 +31,6 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(lipschitz_bound=-1.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(output_format="xml")
     with pytest.raises(ValueError):
         ExperimentConfig(f_name="poly:0,1").resolve_function()  # needs --lipschitz
 
@@ -128,8 +129,22 @@ def test_records_deterministic_across_workers(monkeypatch):
     ]
 
 
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setenv("OPLIP_THREADS", "100000")
+    assert 1 <= worker_count() <= (os.cpu_count() or 1)
+    monkeypatch.setenv("OPLIP_THREADS", "0")
+    assert worker_count() == 1
+
+
 def _run_cli(args):
     return main(args)
+
+
+def test_cli_rejects_unknown_format(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _run_cli(["ratio-commutator", "--seed", "2", "--n", "3", "--trials", "1",
+                  "--format", "xml", "--out", str(tmp_path / "r.xml")])
+    assert exc.value.code == 2
 
 
 def test_cli_byte_identical_outputs(tmp_path):

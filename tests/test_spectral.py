@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oplip import spectral
 from oplip.errors import (
     BadLawError,
     DimMismatchError,
+    NoConvergenceError,
     NonCommutingError,
     NonFiniteError,
 )
@@ -86,6 +88,90 @@ def test_joint_diagonalize_deterministic():
     b = joint_diagonalize(tup)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.basis, b.basis)
+
+
+def _no_sweep(*args):
+    raise AssertionError("Jacobi polish ran")
+
+
+@pytest.mark.parametrize("n,d,law", [(32, 3, "uniform"), (24, 2, "integer:3")])
+def test_joint_diagonalize_skips_polish_when_refinement_meets_tolerance(
+        monkeypatch, n, d, law):
+    monkeypatch.setattr(spectral, "_jacobi_sweep", _no_sweep)
+    tup, _, planted = planted_commuting_tuple(n, d, law, seed=5)
+    js = joint_diagonalize(tup)
+    assert js.polish_sweeps == 0
+    want = planted[np.lexsort(planted.T[::-1])]
+    np.testing.assert_allclose(js.eigenvalues, want, rtol=0, atol=1e-10)
+
+
+def test_joint_diagonalize_polishes_on_demand(monkeypatch):
+    real_ok = spectral._offdiag_ok
+    calls = []
+
+    def fail_once(*args):
+        calls.append(None)
+        return len(calls) > 1 and real_ok(*args)
+
+    monkeypatch.setattr(spectral, "_offdiag_ok", fail_once)
+    tup, _, _ = planted_commuting_tuple(8, 2, "uniform", seed=6)
+    js = joint_diagonalize(tup)
+    assert js.polish_sweeps == 1
+    spectral.validate_joint_spectrum(js)
+
+
+def test_joint_diagonalize_polish_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_offdiag_ok", lambda *args: False)
+    tup, _, _ = planted_commuting_tuple(6, 2, "uniform", seed=6)
+    with pytest.raises(NoConvergenceError):
+        joint_diagonalize(tup, max_polish_sweeps=0)
+
+
+def _adversarial_case(seed):
+    """A seeded commuting tuple with a clustered or mixed-scale planted table.
+
+    Even seeds: 2-5 joint centres, relative perturbations 1e-12..1e-7 and
+    column scales 1e-3..1e3.  Odd seeds: uniform entries with column scales
+    1e-6..1e6.  n is in 4..24 and d in 1..3.
+    """
+    rng = generator(seed, 0xAD)
+    n = int(rng.integers(4, 25))
+    d = int(rng.integers(1, 4))
+    if seed % 2 == 0:
+        centres = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 6)), d))
+        spread = 10.0 ** rng.uniform(-12.0, -7.0)
+        table = centres[rng.integers(0, len(centres), size=n)]
+        table = table + spread * rng.standard_normal((n, d))
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    else:
+        table = rng.uniform(-1.0, 1.0, size=(n, d))
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=d)
+    table = table * scales
+    U = haar_unitary(n, rng)
+    matrices = []
+    for k in range(d):
+        a = (U * table[:, k]) @ U.conj().T
+        matrices.append((a + a.conj().T) / 2.0)
+    return matrices, table
+
+
+def _adversarial_outcome(seed):
+    """'raised' for a typed refusal, else the worst per-column relative table error."""
+    matrices, table = _adversarial_case(seed)
+    try:
+        js = joint_diagonalize(CommutingTuple(matrices))
+    except (NoConvergenceError, ValueError):
+        return "raised"
+    want = table[np.lexsort(table.T[::-1])]
+    err = np.max(np.abs(js.eigenvalues - want), axis=0)
+    return float(np.max(err / (1.0 + np.max(np.abs(want), axis=0))))
+
+
+def test_joint_diagonalize_adversarial_spectra():
+    outcomes = [_adversarial_outcome(seed) for seed in range(60)]
+    errors = [e for e in outcomes if e != "raised"]
+    assert errors, "every adversarial case was refused"
+    assert max(errors) <= 1e-8
 
 
 def test_apply_function_constant_and_square():
