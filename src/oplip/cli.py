@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import experiments, suite
-from .errors import BadExponentError, BadLawError, GuardViolationError
+from .errors import BadExponentError, BadLawError, DomainError, GuardViolationError
 from .functions import builtin_function, contraction_names
 from .serialize import canonical_json, format_float
 from .spectral import joint_diagonalize, planted_commuting_tuple
@@ -287,10 +287,7 @@ def main(argv=None) -> int:
             args.step = 2.0 * np.pi / 64.0
     try:
         return args.func(args)
-    except (GuardViolationError, BadExponentError, BadLawError) as exc:
+    except (GuardViolationError, BadExponentError, BadLawError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

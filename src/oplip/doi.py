@@ -5,9 +5,10 @@ For a commuting tuple with joint spectrum (U, Lambda), the map
     V  ->  U ( [xi(lambda_i, lambda_j)]_{ij} * (U* V U) ) U*
 
 multiplies matrix entries of V, expressed in the joint eigenbasis, by the
-symbol evaluated at eigenvalue row pairs.  Divided-difference symbols carry
-the convention value 0 on the diagonal, enforced by exact floating comparison
-of eigenvalue rows; rows that are close but not bitwise equal are never
+symbol evaluated at eigenvalue row pairs, all n^2 of them in one broadcasting
+call on rows[:, None] and rows[None, :].  Divided-difference symbols evaluate
+f once per eigenvalue row and are exactly 0 where |lambda - mu|^2 == 0 (equal
+rows, -0.0 against 0.0, differences that underflow); close rows are never
 merged here (degenerate spectra are the joint diagonalization's job).
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError
+from .errors import DimMismatchError, DomainError, GuardViolationError
 from .spectral import (
     CommutingTuple,
     HermitianMatrix,
@@ -23,39 +24,40 @@ from .spectral import (
     apply_function,
     as_matrix,
     commutator,
+    evaluate_rows,
 )
 
-SYMMETRY_SPOT_TOL = 1e-12
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Symbol:
-    """A function xi(lambda, mu) on R^d x R^d used as a Schur multiplier."""
+    """A Schur multiplier xi(lambda, mu) on R^d x R^d.
+
+    ``func`` takes float arrays of shape (..., d) that broadcast against each
+    other and returns values that broadcast to their leading shape (0-d for
+    one pair).  ``symmetric`` declares xi(mu, lambda) = conj(xi(lambda, mu)).
+    """
 
     d: int
     func: object
     symmetric: bool = False
 
-    def __call__(self, lam, mu):
-        return self.func(np.asarray(lam, float), np.asarray(mu, float))
-
 
 def divided_difference_symbol(f, k: int, d: int) -> Symbol:
     """The symbol f_k(lambda, mu) = (f(lambda)-f(mu)) (lambda_k-mu_k) / |lambda-mu|^2.
 
-    Evaluates to exactly 0 when lambda equals mu bitwise.  k is 1-based.
+    f runs once per row of each argument; exactly 0 where |lambda-mu|^2 == 0.
     """
     if not 1 <= k <= d:
-        raise ValueError(f"coordinate index {k} outside 1..{d}")
+        raise DomainError(f"coordinate index {k} outside 1..{d}")
 
     def fk(lam, mu):
-        if np.array_equal(lam, mu):
-            return 0.0
         diff = lam - mu
-        denom = float(diff @ diff)
-        if denom == 0.0:
-            return 0.0
-        return (float(f(lam)) - float(f(mu))) * float(diff[k - 1]) / denom
+        denom = np.sum(diff * diff, axis=-1)
+        zero = denom == 0.0
+        num = (evaluate_rows(f, lam) - evaluate_rows(f, mu)) * diff[..., k - 1]
+        return np.where(zero, 0.0, num / np.where(zero, 1.0, denom))
 
     return Symbol(d=d, func=fk, symmetric=True)
 
@@ -75,7 +77,7 @@ def constant_symbol(d: int, c) -> Symbol:
 
 
 def symbol_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
-    """Evaluate the symbol on all eigenvalue row pairs: out[i, j] = xi(l_i, l_j)."""
+    """out[i, j] = xi(l_i, l_j); a symmetric symbol must give a Hermitian matrix."""
     if xi.d != js.d:
         raise DimMismatchError(
             f"symbol dimension {xi.d} does not match spectrum dimension {js.d}"
@@ -83,20 +85,21 @@ def symbol_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
     rows = js.eigenvalues
     n = rows.shape[0]
     out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = xi.func(rows[i], rows[j])
-    if xi.symmetric and n > 1:
-        # Spot-check the declared Hermitian symmetry on a few off-diagonal pairs.
-        for i, j in [(0, n - 1), (0, 1), (n // 2, n - 1)]:
-            if i == j:
-                continue
-            dev = abs(out[i, j] - np.conj(out[j, i]))
-            if dev > SYMMETRY_SPOT_TOL * (1.0 + abs(out[i, j])):
-                raise ValueError(
-                    f"symbol declared symmetric but xi(l{i},l{j}) deviates by {dev:.3e}"
-                )
+    out[...] = xi.func(rows[:, None, :], rows[None, :, :])
+    if xi.symmetric:
+        dev = np.abs(out - out.conj().T)
+        bad = np.argwhere(dev > SYMMETRY_TOL * (1.0 + np.abs(out)))
+        if bad.size:
+            i, j = bad[0]
+            raise GuardViolationError(
+                f"symbol declared symmetric but xi(l{i},l{j}) deviates by {dev[i, j]:.3e}"
+            )
     return out
+
+
+def _schur_step(js: JointSpectrum, xi_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    U = js.basis
+    return U @ (xi_mat * (U.conj().T @ v @ U)) @ U.conj().T
 
 
 def doi_apply(js: JointSpectrum, xi: Symbol, v) -> np.ndarray:
@@ -105,9 +108,7 @@ def doi_apply(js: JointSpectrum, xi: Symbol, v) -> np.ndarray:
     n = js.dim
     if v.shape != (n, n):
         raise DimMismatchError(f"expected a {n}x{n} matrix, got {v.shape}")
-    xi_mat = symbol_matrix(js, xi)
-    U = js.basis
-    return U @ (xi_mat * (U.conj().T @ v @ U)) @ U.conj().T
+    return _schur_step(js, symbol_matrix(js, xi), v)
 
 
 def doi_l2_norm(js: JointSpectrum, xi: Symbol) -> float:
@@ -147,14 +148,11 @@ def perturbation_residual(js: JointSpectrum, f, grad_bound: float, b):
     arrays = js.provenance.arrays()
     worst = 0.0
     for k in range(1, d + 1):
-        fk = divided_difference_symbol(f, k, d)
-        xi_mat = symbol_matrix(js, fk)
+        xi_mat = symbol_matrix(js, divided_difference_symbol(f, k, d))
         worst = max(worst, float(np.max(np.abs(xi_mat))))
-        U = js.basis
-        w = U.conj().T @ commutator(arrays[k - 1], b) @ U
-        rhs += U @ (xi_mat * w) @ U.conj().T
+        rhs += _schur_step(js, xi_mat, commutator(arrays[k - 1], b))
     if grad_bound is not None and worst > grad_bound * (1.0 + 1e-6):
-        raise ValueError(
+        raise GuardViolationError(
             f"divided difference reached {worst:.6g}, above the supplied "
             f"gradient bound {grad_bound:.6g}"
         )

@@ -15,7 +15,9 @@ indices are 1-based throughout the package.  Names double as CLI identifiers:
 
 import numpy as np
 
+from .errors import DomainError
 from .rng import generator
+from .spectral import evaluate_rows
 
 
 class BuiltinFunction:
@@ -50,10 +52,10 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
             name, lambda lam: float(np.max(np.abs(lam))) / root, 1.0 / root
         )
     if name.startswith("coordinate:"):
-        k = int(name.split(":", 1)[1])
-        if not 1 <= k <= d:
-            raise ValueError(f"coordinate index {k} outside 1..{d}")
-        return BuiltinFunction(name, _coordinate(k), 1.0)
+        k = name.split(":", 1)[1]
+        if not (k.isdecimal() and 1 <= int(k) <= d):
+            raise DomainError(f"coordinate index {k} outside 1..{d}")
+        return BuiltinFunction(name, _coordinate(int(k)), 1.0)
     if name == "crease":
         u = np.full(d, 1.0 / np.sqrt(d))
         return BuiltinFunction(name, lambda lam: abs(float(lam @ u) - 0.5), 1.0)
@@ -61,7 +63,7 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
         coeffs = [float(c) for c in name.split(":", 1)[1].split(",")]
         poly = np.polynomial.Polynomial(coeffs)
         return BuiltinFunction(name, lambda lam: float(poly(lam[0])), None)
-    raise ValueError(f"unknown function name {name!r}")
+    raise DomainError(f"unknown function name {name!r}")
 
 
 def contraction_names(d: int):
@@ -85,10 +87,6 @@ def lipschitz_lower_bound(f, d, box=1.0, samples=2000, seed=0):
     b = a + rng.uniform(-box, box, size=(samples, d)) * rng.uniform(
         1e-6, 1.0, size=(samples, 1)
     )
-    best = 0.0
-    for p, q in zip(a, b):
-        dist = float(np.linalg.norm(p - q))
-        if dist == 0.0:
-            continue
-        best = max(best, abs(float(f(p)) - float(f(q))) / dist)
-    return best
+    dist = np.linalg.norm(a - b, axis=1)
+    rise = np.abs(evaluate_rows(f, a) - evaluate_rows(f, b))
+    return float(np.max(rise[dist > 0.0] / dist[dist > 0.0], initial=0.0))

@@ -297,14 +297,20 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
                          polish_sweeps=sweeps)
 
 
+def evaluate_rows(f, rows) -> np.ndarray:
+    """f at each length-d row of a (..., d) table, once per row; shape (...)."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    vals = np.array([float(f(row)) for row in flat])
+    if not np.all(np.isfinite(vals)):
+        bad = flat[~np.isfinite(vals)][0]
+        raise NonFiniteError(f"function not finite at eigenvalue row {bad}")
+    return vals.reshape(rows.shape[:-1])
+
+
 def apply_function(js: JointSpectrum, f) -> HermitianMatrix:
     """Multivariate spectral calculus: U diag(f(lambda_i)) U*."""
-    vals = np.array([float(f(row)) for row in js.eigenvalues])
-    if not np.all(np.isfinite(vals)):
-        bad = js.eigenvalues[~np.isfinite(vals)][0]
-        raise NonFiniteError(f"function not finite at eigenvalue row {bad}")
     U = js.basis
-    return HermitianMatrix((U * vals) @ U.conj().T)
+    return HermitianMatrix((U * evaluate_rows(f, js.eigenvalues)) @ U.conj().T)
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:

@@ -229,9 +229,8 @@ def divided_difference_bound_residual(seed, instances=6):
         pts = rng.uniform(-2, 2, size=(40, d))
         for k in range(1, d + 1):
             fk = divided_difference_symbol(f, k, d)
-            for a in pts[:20]:
-                for b in pts[20:]:
-                    worst = max(worst, abs(fk.func(a, b)) - f.lipschitz)
+            pairs = fk.func(pts[:20, None, :], pts[None, 20:, :])
+            worst = max(worst, float(np.max(np.abs(pairs))) - f.lipschitz)
     return max(worst, 0.0)
 
 

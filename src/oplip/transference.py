@@ -329,20 +329,13 @@ def discretization_report(js: JointSpectrum, f, n: int, k0: int = 1,
     """
     d = js.d
     h = round_contraction(f, n)
-    floored = np.floor(n * js.eigenvalues).astype(np.int64)
-
     h_real = lambda lam: float(h(np.round(lam).astype(int)))
     hk = divided_difference_symbol(h_real, k0, d)
-    xi_n = lambda lam, mu: hk.func(
-        np.floor(n * np.asarray(lam, float)), np.floor(n * np.asarray(mu, float))
-    )
+    xi_n = lambda lam, mu: hk.func(np.floor(n * lam), np.floor(n * mu))
     fk = divided_difference_symbol(f, k0, d)
 
-    rows = js.eigenvalues
-    sup = 0.0
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[0]):
-            sup = max(sup, abs(xi_n(rows[i], rows[j]) - 0.5 * fk.func(rows[i], rows[j])))
+    lam, mu = js.eigenvalues[:, None, :], js.eigenvalues[None, :, :]
+    sup = float(np.max(np.abs(xi_n(lam, mu) - 0.5 * fk.func(lam, mu))))
 
     rng = generator(seed, 0xD15C)
     nmat = js.dim
@@ -350,7 +343,7 @@ def discretization_report(js: JointSpectrum, f, n: int, k0: int = 1,
     lhs = doi_apply(js, Symbol(d=d, func=xi_n), v)
     js_floor = JointSpectrum(
         basis=js.basis,
-        eigenvalues=floored.astype(float),
+        eigenvalues=np.floor(n * js.eigenvalues),
         provenance=discretize_tuple(js, n),
     )
     rhs = doi_apply(js_floor, hk, v)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oplip.doi import (
+    Symbol,
     block_difference_embed,
     constant_symbol,
     divided_difference_symbol,
@@ -9,9 +12,10 @@ from oplip.doi import (
     doi_l2_norm,
     doi_operator_matrix,
     perturbation_residual,
+    symbol_matrix,
     symbol_product_check,
 )
-from oplip.errors import DimMismatchError
+from oplip.errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
 from oplip.functions import builtin_function, experiment_function_names
 from oplip.norms import singular_values
 from oplip.spectral import (
@@ -47,6 +51,11 @@ def test_divided_difference_coordinates():
     lam, mu = np.array([1.0, 0.0]), np.array([0.0, 0.0])
     assert fk1.func(lam, mu) == 1.0
     assert fk2.func(lam, mu) == 0.0
+
+
+def test_divided_difference_rejects_bad_coordinate():
+    with pytest.raises(DomainError):
+        divided_difference_symbol(lambda lam: lam[0], 3, 2)
 
 
 def test_doi_apply_identity_symbol():
@@ -175,7 +184,7 @@ def test_perturbation_rejects_wrong_lipschitz_bound():
     tup, _, _ = planted_commuting_tuple(6, 1, "uniform", seed=33)
     js = joint_diagonalize(tup)
     b = _hermitian(6, np.random.default_rng(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardViolationError):
         perturbation_residual(js, lambda lam: 10.0 * lam[0], 1.0, b)
 
 
@@ -230,13 +239,78 @@ def test_block_embed_scalar_identity_case():
 
 
 def test_symbol_symmetry_spot_check():
-    from oplip.doi import Symbol, symbol_matrix
-
     tup, _, _ = planted_commuting_tuple(4, 1, "uniform", seed=61)
     js = joint_diagonalize(tup)
-    liar = Symbol(d=1, func=lambda lam, mu: float(lam[0] - mu[0]), symmetric=True)
+    liar = Symbol(d=1, func=lambda lam, mu: lam[..., 0] - mu[..., 0], symmetric=True)
     with pytest.raises(ValueError):
         symbol_matrix(js, liar)
+
+
+def test_symbol_hermitian_check_covers_every_pair():
+    # Hermitian on the pairs (0, n-1), (0, 1), (n//2, n-1), broken only on (1, 2).
+    tup, _, _ = planted_commuting_tuple(4, 1, "uniform", seed=61)
+    js = joint_diagonalize(tup)
+    r1, r2 = js.eigenvalues[1, 0], js.eigenvalues[2, 0]
+    liar = Symbol(d=1, func=lambda lam, mu: np.where(
+        (lam[..., 0] == r1) & (mu[..., 0] == r2), 1.0, 0.0), symmetric=True)
+    with pytest.raises(GuardViolationError, match="l1,l2"):
+        symbol_matrix(js, liar)
+
+
+def test_symbol_matrix_calls_f_once_per_row():
+    tup, _, _ = planted_commuting_tuple(16, 2, "uniform", seed=62)
+    js = joint_diagonalize(tup)
+    calls = []
+    f = builtin_function("euclid-norm", 2)
+
+    def counting(lam):
+        calls.append(1)
+        return f(lam)
+
+    symbol_matrix(js, divided_difference_symbol(counting, 2, 2))
+    assert len(calls) <= 2 * 16
+
+
+def test_symbol_matrix_matches_scalar_loop():
+    # 12 rows from 9 lattice points: repeated rows put exact zeros off the diagonal
+    tup, _, _ = planted_commuting_tuple(12, 2, "integer:1", seed=64)
+    js = joint_diagonalize(tup)
+    rows = js.eigenvalues
+    f = builtin_function("crease", 2)
+    for k in (1, 2):
+        out = symbol_matrix(js, divided_difference_symbol(f, k, 2))
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                diff = a - b
+                denom = float(diff @ diff)
+                if denom == 0.0:
+                    assert out[i, j] == 0.0
+                    continue
+                want = (f(a) - f(b)) * float(diff[k - 1]) / denom
+                assert abs(out[i, j] - want) <= 1e-15 * (1.0 + abs(want))
+
+
+def test_symbol_matrix_rejects_nonfinite_f():
+    tup, _, _ = planted_commuting_tuple(5, 1, "uniform", seed=63)
+    js = joint_diagonalize(tup)
+    bad = js.eigenvalues[3, 0]
+    f = lambda lam: np.inf if lam[0] == bad else lam[0]
+    with pytest.raises(NonFiniteError):
+        symbol_matrix(js, divided_difference_symbol(f, 1, 1))
+
+
+def test_divided_difference_exact_zero_without_warnings():
+    fk = divided_difference_symbol(lambda lam: np.copysign(1e200, lam[0]), 1, 2)
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        # |lambda - mu|^2 underflows to 0 for rows 1e-200 apart
+        assert fk.func(np.array([1e-200, 0.0]), np.array([0.0, 0.0])) == 0.0
+        # -0.0 and 0.0 differ bitwise and in f, but not in |lambda - mu|^2
+        assert fk.func(np.array([-0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+        rows = np.array([[-0.0, 1.0], [0.0, 1.0], [1e-200, 1.0], [2.0, 1.0]])
+        out = fk.func(rows[:, None, :], rows[None, :, :])
+    assert out.shape == (4, 4)
+    assert np.all(out[:3, :3] == 0.0) and out[3, 0] == 1e200
 
 
 def test_symbol_product_check():

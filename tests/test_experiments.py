@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oplip
 from oplip.cli import main
 from oplip.errors import BadExponentError
 from oplip.experiments import (
@@ -145,6 +148,22 @@ def test_cli_rejects_unknown_format(tmp_path):
         _run_cli(["ratio-commutator", "--seed", "2", "--n", "3", "--trials", "1",
                   "--format", "xml", "--out", str(tmp_path / "r.xml")])
     assert exc.value.code == 2
+
+
+def test_cli_unknown_function_exits_2(capsys):
+    assert _run_cli(["ratio-commutator", "--seed", "2", "--n", "3", "--trials", "1",
+                     "--f", "nope"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_python_dash_m_runs_cli():
+    src = os.path.dirname(os.path.dirname(oplip.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "oplip", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "ratio-commutator" in done.stdout
 
 
 def test_cli_byte_identical_outputs(tmp_path):

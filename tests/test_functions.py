@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oplip.errors import DomainError
 from oplip.functions import (
     builtin_function,
     contraction_names,
@@ -25,10 +26,9 @@ def test_builtin_values():
 
 
 def test_builtin_errors():
-    with pytest.raises(ValueError):
-        builtin_function("coordinate:3", 2)
-    with pytest.raises(ValueError):
-        builtin_function("nope", 1)
+    for name in ("coordinate:3", "coordinate:0", "coordinate:x", "nope"):
+        with pytest.raises(DomainError):
+            builtin_function(name, 2)
 
 
 def test_exact_lipschitz_constants_not_exceeded():
