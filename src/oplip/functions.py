@@ -60,7 +60,10 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
         u = np.full(d, 1.0 / np.sqrt(d))
         return BuiltinFunction(name, lambda lam: abs(float(lam @ u) - 0.5), 1.0)
     if name.startswith("poly:"):
-        coeffs = [float(c) for c in name.split(":", 1)[1].split(",")]
+        try:
+            coeffs = [float(c) for c in name.split(":", 1)[1].split(",")]
+        except ValueError:
+            raise DomainError(f"bad polynomial coefficients in {name!r}") from None
         poly = np.polynomial.Polynomial(coeffs)
         return BuiltinFunction(name, lambda lam: float(poly(lam[0])), None)
     raise DomainError(f"unknown function name {name!r}")

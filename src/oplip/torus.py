@@ -16,6 +16,7 @@ from .errors import DimMismatchError, DomainError, GuardViolationError
 from .norms import SingularValueProfile, schatten_norm, weak_l1
 
 TWO_PI = 2.0 * np.pi
+PROBE_BLOCK_ROWS = 512  # grid rows per block of the D = 2 periodization probe
 
 
 @dataclass
@@ -229,8 +230,7 @@ def _nonzero_coefficients(w: TorusSignal):
     return out
 
 
-def periodization_probe(w: TorusSignal, l: float, r: float, h: float,
-                        block_rows: int = 512) -> PeriodizationResult:
+def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> PeriodizationResult:
     """Gaussian-weighted periodization of a scalar trig polynomial.
 
     Integrates |per(W)(t)| G_l(t) over [-R, R]^D by the midpoint rule and
@@ -279,8 +279,8 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float,
                     phases[key] = np.exp(1j * k[axis] * x)
         integral = 0.0
         pooled_blocks = []
-        for start in range(0, m, block_rows):
-            rows = slice(start, min(start + block_rows, m))
+        for start in range(0, m, PROBE_BLOCK_ROWS):
+            rows = slice(start, min(start + PROBE_BLOCK_ROWS, m))
             block = np.zeros((rows.stop - rows.start, m), dtype=complex)
             for k, c in terms:
                 block += c * np.outer(phases[(0, int(k[0]))][rows], phases[(1, int(k[1]))])

@@ -16,7 +16,6 @@ end, so the off-diagonal compression is exact.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import (
     AliasRiskError,
     DimMismatchError,
+    DomainError,
     GuardViolationError,
     NonIntegerSpectrumError,
 )
@@ -34,6 +34,7 @@ from .spectral import (
     JointSpectrum,
     as_matrix,
     discretize_tuple,
+    evaluate_rows,
     joint_diagonalize,
 )
 from .torus import (
@@ -48,6 +49,7 @@ from .torus import (
 )
 
 INTEGER_GATE = 1e-9
+PAIR_BLOCK = 1 << 17  # pair entries per block of contraction_check
 
 
 @dataclass
@@ -109,26 +111,30 @@ def _box_points(radius: int, d: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, d)
 
 
-@lru_cache(maxsize=4)
-def _box_pair_dist2(radius: int, d: int):
-    """Box points and their pairwise squared distances (read-only, memoized)."""
-    points = _box_points(radius, d)
-    dist2 = np.zeros((points.shape[0],) * 2, dtype=np.int64)
-    for axis in range(d):
-        col = points[:, axis]
-        diff = col[:, None] - col[None, :]
-        dist2 += diff * diff
-    points.setflags(write=False)
-    dist2.setflags(write=False)
-    return points, dist2
-
-
 def _integer_values(h, points) -> np.ndarray:
-    raw = np.array([float(h(p)) for p in points])
+    raw = evaluate_rows(h, points)
     rounded = np.round(raw)
     if np.max(np.abs(raw - rounded)) > 1e-9:
-        raise ValueError("h must be integer-valued on the lattice")
+        raise DomainError("h must be integer-valued on the lattice")
     return rounded.astype(np.int64)
+
+
+def _pair_blocks(count: int, d: int, seed: int, sample_pairs: int):
+    """Index blocks (i, j) of the tested pairs, in scan order.
+
+    d <= 2: row blocks of the upper triangle of the count x count pair matrix
+    (a block's diagonal and mirrored pairs repeat earlier ones).  d >= 3:
+    slices of one seeded sample of distinct pairs.
+    """
+    if d <= 2:
+        rows = max(1, PAIR_BLOCK // count)
+        for a in range(0, count, rows):
+            yield np.arange(a, min(a + rows, count))[:, None], np.arange(a, count)[None, :]
+        return
+    idx = generator(seed, 0xC0).integers(0, count, size=(sample_pairs, 2))
+    idx = idx[idx[:, 0] != idx[:, 1]]
+    for a in range(0, idx.shape[0], PAIR_BLOCK):
+        yield idx[a:a + PAIR_BLOCK, 0], idx[a:a + PAIR_BLOCK, 1]
 
 
 def contraction_check(h, box_radius: int, d: int, seed: int = 0,
@@ -136,43 +142,34 @@ def contraction_check(h, box_radius: int, d: int, seed: int = 0,
                       report_margin: bool = True) -> ContractionReport:
     """Test |h(i) - h(j)| <= |i - j|_2 over a lattice box.
 
-    Exhaustive over all pairs for d <= 2; seeded pair sampling for d >= 3.
-    The pass/fail verdict uses exact integer arithmetic on squared distances;
-    the reported margin is the float quantity |h(i)-h(j)| - |i-j|_2, skipped
-    when ``report_margin`` is off and no violation occurred.
+    Exhaustive over all pairs for d <= 2, seeded pair sampling for d >= 3; one
+    scan over :func:`_pair_blocks` of at most ``PAIR_BLOCK`` pairs serves both,
+    so d <= 2 needs O(PAIR_BLOCK + (2r+1)^d) memory.  The verdict uses exact
+    integer arithmetic on squared distances.  The margin is the float max of
+    |h(i)-h(j)| - |i-j|_2, reported with the first pair in scan order
+    (row-major for d <= 2) that attains it.  With ``report_margin`` off a pass
+    returns ``(True, None, -inf)``, and a failure skips the margins before its
+    first violating block: they are <= 0, below any violating pair's.
     """
     if box_radius < 1:
-        raise ValueError("box radius must be >= 1")
-
-    if d <= 2:
-        points, dist2 = _box_pair_dist2(box_radius, d)
-        values = _integer_values(h, points)
-        dv = values[:, None] - values[None, :]
-        ok = not bool(np.any(dv * dv > dist2))
-        if not report_margin and ok:
-            return ContractionReport(True, None, -np.inf)
-        margin = np.abs(dv) - np.sqrt(dist2.astype(float))
-        np.fill_diagonal(margin, -np.inf)  # i == j pairs are vacuous
-        i_at, j_at = divmod(int(np.argmax(margin)), points.shape[0])
-        return ContractionReport(
-            ok, (points[i_at].copy(), points[j_at].copy()),
-            float(margin[i_at, j_at]),
-        )
-
+        raise DomainError("box radius must be >= 1")
     points = _box_points(box_radius, d)
     values = _integer_values(h, points)
-    rng = generator(seed, 0xC0)
-    idx = rng.integers(0, points.shape[0], size=(sample_pairs, 2))
-    idx = idx[idx[:, 0] != idx[:, 1]]
-    pi, pj = points[idx[:, 0]], points[idx[:, 1]]
-    dv = values[idx[:, 0]] - values[idx[:, 1]]
-    dist2 = np.sum((pi - pj) ** 2, axis=-1)
-    ok = not bool(np.any(dv * dv > dist2))
-    margin = np.abs(dv) - np.sqrt(dist2.astype(float))
-    worst_at = int(np.argmax(margin))
-    return ContractionReport(
-        ok, (pi[worst_at].copy(), pj[worst_at].copy()), float(margin[worst_at])
-    )
+    ok, worst_pair, worst = True, None, -np.inf
+    for i, j in _pair_blocks(points.shape[0], d, seed, sample_pairs):
+        dv = values[i] - values[j]
+        dist2 = sum((points[i, k] - points[j, k]) ** 2 for k in range(d))
+        ok = ok and not bool(np.any(dv * dv > dist2))
+        if ok and not report_margin:
+            continue
+        margin = np.abs(dv) - np.sqrt(dist2.astype(float))
+        margin[i == j] = -np.inf  # i == j pairs are vacuous
+        at = np.unravel_index(np.argmax(margin), margin.shape)
+        if margin[at] > worst:
+            i_at, j_at = (np.broadcast_to(ix, margin.shape)[at] for ix in (i, j))
+            worst_pair = (points[i_at].copy(), points[j_at].copy())
+            worst = float(margin[at])
+    return ContractionReport(ok, worst_pair, worst)
 
 
 def _pair_frequencies(it: IntegerTuple, f):

@@ -157,6 +157,16 @@ def test_cli_unknown_function_exits_2(capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["contraction-test", "--radius", "0"],
+    ["ratio-commutator", "--n", "3", "--trials", "1", "--f", "poly:x", "--lipschitz", "1"],
+])
+def test_cli_domain_errors_exit_2(argv, capsys):
+    assert _run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_python_dash_m_runs_cli():
     src = os.path.dirname(os.path.dirname(oplip.__file__))
     env = dict(os.environ, PYTHONPATH=src)

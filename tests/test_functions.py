@@ -31,6 +31,12 @@ def test_builtin_errors():
             builtin_function(name, 2)
 
 
+def test_poly_rejects_malformed_coefficients():
+    for name in ("poly:x", "poly:1,,2", "poly:"):
+        with pytest.raises(DomainError):
+            builtin_function(name, 1)
+
+
 def test_exact_lipschitz_constants_not_exceeded():
     rng = np.random.default_rng(0)
     for d in (1, 2, 3):

@@ -1,8 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oplip import transference
 from oplip.doi import divided_difference_symbol, doi_apply
-from oplip.errors import AliasRiskError, NonIntegerSpectrumError
+from oplip.errors import AliasRiskError, DomainError, NonIntegerSpectrumError
 from oplip.functions import builtin_function
 from oplip.norms import matrix_trace_norm, matrix_weak_l1
 from oplip.spectral import CommutingTuple, JointSpectrum, planted_commuting_tuple
@@ -66,6 +70,79 @@ def test_contraction_check_d3_sampling():
 def test_contraction_check_rejects_non_integer():
     with pytest.raises(ValueError):
         contraction_check(lambda iv: float(np.linalg.norm(iv)), 3, 2)
+
+
+def test_contraction_check_domain_errors():
+    with pytest.raises(DomainError):
+        contraction_check(lambda iv: 0, 0, 2)
+    with pytest.raises(DomainError):
+        contraction_check(lambda iv: 0.5, 2, 1)
+
+
+def test_contraction_check_d3_margin_flag():
+    h = round_contraction(builtin_function("euclid-norm", 3), 4)
+    assert contraction_check(h, 3, 3, sample_pairs=20_000, report_margin=False) == (
+        True, None, -np.inf)
+    full = contraction_check(h, 3, 3, sample_pairs=20_000)
+    assert full.ok and full.worst_pair is not None and full.margin <= 0.0
+
+
+def _all_pairs_report(h, radius, d, report_margin):
+    """Literal row-major loop over every ordered pair of box points."""
+    points = [np.array(p) for p in itertools.product(range(-radius, radius + 1), repeat=d)]
+    values = [int(h(p)) for p in points]
+    ok, worst, pair = True, -np.inf, None
+    for a, (pa, va) in enumerate(zip(points, values)):
+        for b, (pb, vb) in enumerate(zip(points, values)):
+            if a == b:
+                continue
+            dist2 = int(np.sum((pa - pb) ** 2))
+            ok = ok and (va - vb) ** 2 <= dist2
+            margin = abs(va - vb) - np.sqrt(float(dist2))
+            if margin > worst:
+                worst, pair = margin, (pa, pb)
+    if ok and not report_margin:
+        return True, None, -np.inf
+    return ok, pair, worst
+
+
+@pytest.mark.parametrize("block", [transference.PAIR_BLOCK, 200])
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("h", [
+    lambda iv: 2 * int(iv[0]),  # violates from the first block on
+    lambda iv: 6 if iv[0] >= 3 else 0,  # first violation several blocks in
+    round_contraction(builtin_function("euclid-norm", 2), 3),
+])
+def test_contraction_check_matches_all_pairs_loop(h, report_margin, block, monkeypatch):
+    monkeypatch.setattr(transference, "PAIR_BLOCK", block)
+    ok, pair, margin = contraction_check(h, 4, 2, report_margin=report_margin)
+    want_ok, want_pair, want_margin = _all_pairs_report(h, 4, 2, report_margin)
+    assert ok == want_ok and margin == want_margin
+    if want_pair is None:
+        assert pair is None
+    else:
+        assert [p.tolist() for p in pair] == [p.tolist() for p in want_pair]
+
+
+def test_contraction_check_d3_blocks_keep_sample(monkeypatch):
+    h = round_contraction(builtin_function("crease", 3), 2)
+    whole = contraction_check(h, 3, 3, seed=4, sample_pairs=30_000)
+    monkeypatch.setattr(transference, "PAIR_BLOCK", 1000)
+    sliced = contraction_check(h, 3, 3, seed=4, sample_pairs=30_000)
+    assert whole.ok == sliced.ok and whole.margin == sliced.margin
+    assert [p.tolist() for p in whole.worst_pair] == [p.tolist() for p in sliced.worst_pair]
+
+
+def test_contraction_check_memory_bounded():
+    h = round_contraction(builtin_function("euclid-norm", 2), 4)
+    tracemalloc.start()
+    try:
+        report = contraction_check(h, 30, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 32 * 2**20  # dense P x P int64 matrices would need 110 MB each
 
 
 def _integer_instance(n=4, d=1, seed=7, law="integer:3"):
