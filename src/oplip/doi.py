@@ -6,10 +6,11 @@ For a commuting tuple with joint spectrum (U, Lambda), the map
 
 multiplies matrix entries of V, expressed in the joint eigenbasis, by the
 symbol evaluated at eigenvalue row pairs, all n^2 of them in one broadcasting
-call on rows[:, None] and rows[None, :].  Divided-difference symbols evaluate
-f once per eigenvalue row and are exactly 0 where |lambda - mu|^2 == 0 (equal
-rows, -0.0 against 0.0, differences that underflow); close rows are never
-merged here (degenerate spectra are the joint diagonalization's job).
+call on rows[:, None] and rows[None, :].  f takes a float table (..., d) (see
+:func:`~oplip.spectral.evaluate_rows`), so a divided-difference symbol calls f
+once per side.  It is exactly 0 where |lambda - mu|^2 == 0 (equal rows, -0.0
+against 0.0, differences that underflow); close rows are never merged here
+(degenerate spectra are the joint diagonalization's job).
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ class Symbol:
 def divided_difference_symbol(f, k: int, d: int) -> Symbol:
     """The symbol f_k(lambda, mu) = (f(lambda)-f(mu)) (lambda_k-mu_k) / |lambda-mu|^2.
 
-    f runs once per row of each argument; exactly 0 where |lambda-mu|^2 == 0.
+    f is called once on each argument's table; exactly 0 where |lambda-mu|^2 == 0.
     """
     if not 1 <= k <= d:
         raise DomainError(f"coordinate index {k} outside 1..{d}")

@@ -1,7 +1,8 @@
 """Built-in Lipschitz functions R^d -> R, each with its exact Lipschitz constant.
 
-Functions take a length-d numpy vector and return a float.  Coordinate
-indices are 1-based throughout the package.  Names double as CLI identifiers:
+Functions take a float table (..., d) of points and return their values (...)
+in one call.  Coordinate indices are 1-based throughout the package.  Names
+double as CLI identifiers:
 
     identity          first coordinate (the identity map for d = 1)
     abs               absolute value of the first coordinate
@@ -33,7 +34,12 @@ class BuiltinFunction:
 
 
 def _coordinate(k):
-    return lambda lam: float(lam[k - 1])
+    return lambda lam: lam[..., k - 1]
+
+
+def _dot(x, y):
+    # Stacked matmul: bitwise np.dot per row (a row sum is not, and flips rounded h).
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def builtin_function(name: str, d: int) -> BuiltinFunction:
@@ -41,15 +47,15 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
     if name == "identity":
         return BuiltinFunction(name, _coordinate(1), 1.0)
     if name == "abs":
-        return BuiltinFunction(name, lambda lam: abs(float(lam[0])), 1.0)
+        return BuiltinFunction(name, lambda lam: np.abs(lam[..., 0]), 1.0)
     if name == "euclid-norm":
-        return BuiltinFunction(name, lambda lam: float(np.linalg.norm(lam)), 1.0)
+        return BuiltinFunction(name, lambda lam: np.sqrt(_dot(lam, lam)), 1.0)
     if name == "max-abs":
-        return BuiltinFunction(name, lambda lam: float(np.max(np.abs(lam))), 1.0)
+        return BuiltinFunction(name, lambda lam: np.max(np.abs(lam), axis=-1), 1.0)
     if name == "max-abs-scaled":
         root = float(np.sqrt(d))
         return BuiltinFunction(
-            name, lambda lam: float(np.max(np.abs(lam))) / root, 1.0 / root
+            name, lambda lam: np.max(np.abs(lam), axis=-1) / root, 1.0 / root
         )
     if name.startswith("coordinate:"):
         k = name.split(":", 1)[1]
@@ -58,14 +64,14 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
         return BuiltinFunction(name, _coordinate(int(k)), 1.0)
     if name == "crease":
         u = np.full(d, 1.0 / np.sqrt(d))
-        return BuiltinFunction(name, lambda lam: abs(float(lam @ u) - 0.5), 1.0)
+        return BuiltinFunction(name, lambda lam: np.abs(_dot(lam, u) - 0.5), 1.0)
     if name.startswith("poly:"):
         try:
             coeffs = [float(c) for c in name.split(":", 1)[1].split(",")]
         except ValueError:
             raise DomainError(f"bad polynomial coefficients in {name!r}") from None
         poly = np.polynomial.Polynomial(coeffs)
-        return BuiltinFunction(name, lambda lam: float(poly(lam[0])), None)
+        return BuiltinFunction(name, lambda lam: poly(lam[..., 0]), None)
     raise DomainError(f"unknown function name {name!r}")
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BadLawError,
     DimMismatchError,
+    DomainError,
     NoConvergenceError,
     NonCommutingError,
     NonFiniteError,
@@ -298,13 +299,22 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
 
 
 def evaluate_rows(f, rows) -> np.ndarray:
-    """f at each length-d row of a (..., d) table, once per row; shape (...)."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    vals = np.array([float(f(row)) for row in flat])
+    """f on a float table of rows, shape (..., d) -> (...), in one call.
+
+    Every function the package evaluates (Lipschitz f, rounded h, lattice
+    multipliers m) takes the whole table and returns shape (...) or a 0-d
+    constant.  Other shapes raise DomainError: a per-row ``lam[0]`` would
+    broadcast one row's value to every row.
+    """
+    rows = np.asarray(rows, dtype=float)
+    vals = np.asarray(f(rows), dtype=float)
+    if vals.shape not in (rows.shape[:-1], ()):
+        raise DomainError(f"function gave shape {vals.shape} for {rows.shape[:-1]} rows")
+    vals = np.broadcast_to(vals, rows.shape[:-1])
     if not np.all(np.isfinite(vals)):
-        bad = flat[~np.isfinite(vals)][0]
+        bad = rows[~np.isfinite(vals)][0]
         raise NonFiniteError(f"function not finite at eigenvalue row {bad}")
-    return vals.reshape(rows.shape[:-1])
+    return vals
 
 
 def apply_function(js: JointSpectrum, f) -> HermitianMatrix:

@@ -50,6 +50,7 @@ from .torus import (
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
+    _multiplier_tensor,
     coefficients,
     fejer,
     fourier_multiplier_apply,
@@ -111,8 +112,8 @@ def morphism_residual(seed, instances=4):
         tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
         js = joint_diagonalize(tup)
         c = rng.standard_normal(3)
-        f = lambda lam: float(c[0] + c[1] * lam[0] + c[2] * lam[0] ** 2)
-        g = lambda lam: float(lam[0] + 0.5 * lam[-1] ** 2)
+        f = lambda lam: c[0] + c[1] * lam[..., 0] + c[2] * lam[..., 0] ** 2
+        g = lambda lam: lam[..., 0] + 0.5 * lam[..., -1] ** 2
         fg = lambda lam: f(lam) * g(lam)
         lhs = apply_function(js, fg).data
         rhs = apply_function(js, f).data @ apply_function(js, g).data
@@ -358,8 +359,8 @@ def multiplier_composition_residual(seed, instances=4):
             rng.standard_normal((n_grid,) * d_torus + (2, 2))
             + 1j * rng.standard_normal((n_grid,) * d_torus + (2, 2))
         )
-        m1 = lambda k: 1.0 / (1.0 + float(np.sum(np.asarray(k) ** 2)))
-        m2 = lambda k: float(np.cos(float(np.sum(k))))
+        m1 = lambda k: 1.0 / (1.0 + np.sum(k ** 2, axis=-1))
+        m2 = lambda k: np.cos(np.sum(k, axis=-1))
         m12 = lambda k: m1(k) * m2(k)
         lhs = fourier_multiplier_apply(m2, fourier_multiplier_apply(m1, w))
         rhs = fourier_multiplier_apply(m12, w)
@@ -379,11 +380,8 @@ def l2_contraction_margin(seed, instances=4):
             rng.standard_normal((n_grid, n_grid, 2, 2))
             + 1j * rng.standard_normal((n_grid, n_grid, 2, 2))
         )
-        freqs = frequencies(n_grid)
-        mesh = np.stack(np.meshgrid(freqs, freqs, indexing="ij"), axis=-1)
-        gvals = symbol_eval(g, mesh.reshape(-1, 2).astype(float))
-        sup = max(float(np.max(np.abs(gvals))), 1e-300)
-        bounded = lambda k: symbol_eval(g, np.asarray(k, float)) / sup
+        sup = max(float(np.max(np.abs(_multiplier_tensor(g, n_grid, 2)))), 1e-300)
+        bounded = lambda k: g(k) / sup
         _, before, _ = signal_norms(w)
         _, after, _ = signal_norms(fourier_multiplier_apply(bounded, w))
         worst = max(worst, (after - before) / (1.0 + before))
@@ -506,19 +504,15 @@ def conjugation_instances(seed, count):
         )
         it = integer_tuple(tup)
         kind = i % 4
-        if kind == 0:
-            base = builtin_function("max-abs", d)
-            h = lambda iv, b=base: int(round(b(np.asarray(iv, float))))
-            name = "max-abs"
-        elif kind == 1:
+        if kind == 1:
             h = round_contraction(builtin_function("euclid-norm", d), 2 + 2 * (i % 3))
             name = "round(euclid-norm)"
         elif kind == 2:
             h = round_contraction(builtin_function("crease", d), 1 + (i % 4))
             name = "round(crease)"
         else:
-            h = lambda iv: int(iv[0])
-            name = "coordinate:1"
+            name = "max-abs" if kind == 0 else "coordinate:1"
+            h = builtin_function(name, d)
         v = _random_matrix(n, rng)
         k0 = 1 + int(rng.integers(0, d))
         out.append((it, h, name, v, k0))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimMismatchError, DomainError, GuardViolationError
 from .norms import SingularValueProfile, schatten_norm, weak_l1
+from .spectral import evaluate_rows
 
 TWO_PI = 2.0 * np.pi
 PROBE_BLOCK_ROWS = 512  # grid rows per block of the D = 2 periodization probe
@@ -129,12 +130,13 @@ class HomogeneousSymbol:
         if not 1 <= self.k0 <= self.d:
             raise ValueError(f"k0 = {self.k0} outside 1..{self.d}")
 
+    def __call__(self, t):
+        return symbol_eval(self, t)
+
 
 def symbol_eval(g: HomogeneousSymbol, t):
-    """Evaluate the homogeneous symbol at one point or a batch of shape (..., d+1)."""
-    arr = np.asarray(t, dtype=float)
-    single = arr.ndim == 1
-    pts = arr[np.newaxis, :] if single else arr
+    """Evaluate the homogeneous symbol on a table of points (..., d+1) -> (...)."""
+    pts = np.asarray(t, dtype=float)
     if pts.shape[-1] != g.d + 1:
         raise DimMismatchError(f"points must have {g.d + 1} coordinates")
     norms = np.linalg.norm(pts, axis=-1)
@@ -142,27 +144,21 @@ def symbol_eval(g: HomogeneousSymbol, t):
     unit = pts / safe[..., np.newaxis]
     u = np.clip(np.sum(unit[..., : g.d] ** 2, axis=-1), 0.0, 1.0)
     vals = unit[..., g.k0 - 1] * unit[..., g.d] / g.smoothing(u)
-    vals = np.where(norms > 0, vals, 0.0)
-    return float(vals[0]) if single else vals
+    return np.where(norms > 0, vals, 0.0)
 
 
 def _multiplier_tensor(m, grid_size: int, torus_dim: int) -> np.ndarray:
     """Evaluate a lattice symbol on the whole frequency grid."""
-    freqs = frequencies(grid_size)
-    mesh = np.meshgrid(*([freqs] * torus_dim), indexing="ij")
-    points = np.stack(mesh, axis=-1).reshape(-1, torus_dim)
-    if isinstance(m, HomogeneousSymbol):
-        vals = symbol_eval(m, points.astype(float))
-    else:
-        vals = np.array([m(k) for k in points])
-    return vals.reshape((grid_size,) * torus_dim)
+    mesh = np.meshgrid(*([frequencies(grid_size)] * torus_dim), indexing="ij")
+    return evaluate_rows(m, np.stack(mesh, axis=-1))
 
 
 def fourier_multiplier_apply(m, w: TorusSignal) -> TorusSignal:
     """Multiply the coefficient of e_k by m(k); fibers are only scaled.
 
-    ``m`` is a HomogeneousSymbol (evaluated on the integer lattice) or any
-    callable taking an integer frequency vector.
+    ``m`` (a HomogeneousSymbol or any callable) follows the table contract of
+    :func:`~oplip.spectral.evaluate_rows`: it takes the whole (..., D) table of
+    integer frequencies as floats and returns the multiplier values (...).
     """
     coeffs = coefficients(w)
     mult = _multiplier_tensor(m, w.grid_size, w.torus_dim)

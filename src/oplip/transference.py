@@ -45,7 +45,6 @@ from .torus import (
     coefficients,
     frequency_index,
     signal_from_coefficients,
-    symbol_eval,
 )
 
 INTEGER_GATE = 1e-9
@@ -88,13 +87,12 @@ def integer_tuple(source, tol: float = INTEGER_GATE) -> IntegerTuple:
 
 
 def round_contraction(f, n: int):
-    """Round a Euclidean contraction to the integer lattice: i -> floor((n/2) f(i/n))."""
+    """Round a Euclidean contraction: h(i) = floor((n/2) f(i/n)) on a (..., d) table of i."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError(f"rounding level n = {n} must be >= 1")
 
-    def h(ivec):
-        ivec = np.asarray(ivec, dtype=float)
-        return int(math.floor(0.5 * n * float(f(ivec / n))))
+    def h(points):
+        return np.floor(0.5 * n * f(points / n))
 
     return h
 
@@ -123,18 +121,19 @@ def _pair_blocks(count: int, d: int, seed: int, sample_pairs: int):
     """Index blocks (i, j) of the tested pairs, in scan order.
 
     d <= 2: row blocks of the upper triangle of the count x count pair matrix
-    (a block's diagonal and mirrored pairs repeat earlier ones).  d >= 3:
-    slices of one seeded sample of distinct pairs.
+    (a block's diagonal and mirrored pairs repeat earlier ones).  d >= 3: one
+    seeded sample of distinct pairs, drawn ``PAIR_BLOCK`` pairs at a time.
     """
     if d <= 2:
         rows = max(1, PAIR_BLOCK // count)
         for a in range(0, count, rows):
             yield np.arange(a, min(a + rows, count))[:, None], np.arange(a, count)[None, :]
         return
-    idx = generator(seed, 0xC0).integers(0, count, size=(sample_pairs, 2))
-    idx = idx[idx[:, 0] != idx[:, 1]]
-    for a in range(0, idx.shape[0], PAIR_BLOCK):
-        yield idx[a:a + PAIR_BLOCK, 0], idx[a:a + PAIR_BLOCK, 1]
+    rng = generator(seed, 0xC0)
+    for a in range(0, sample_pairs, PAIR_BLOCK):
+        idx = rng.integers(0, count, size=(min(PAIR_BLOCK, sample_pairs - a), 2))
+        idx = idx[idx[:, 0] != idx[:, 1]]
+        yield idx[:, 0], idx[:, 1]
 
 
 def contraction_check(h, box_radius: int, d: int, seed: int = 0,
@@ -144,7 +143,7 @@ def contraction_check(h, box_radius: int, d: int, seed: int = 0,
 
     Exhaustive over all pairs for d <= 2, seeded pair sampling for d >= 3; one
     scan over :func:`_pair_blocks` of at most ``PAIR_BLOCK`` pairs serves both,
-    so d <= 2 needs O(PAIR_BLOCK + (2r+1)^d) memory.  The verdict uses exact
+    so it needs O(PAIR_BLOCK + (2r+1)^d) memory.  The verdict uses exact
     integer arithmetic on squared distances.  The margin is the float max of
     |h(i)-h(j)| - |i-j|_2, reported with the first pair in scan order
     (row-major for d <= 2) that attains it.  With ``report_margin`` off a pass
@@ -175,14 +174,11 @@ def contraction_check(h, box_radius: int, d: int, seed: int = 0,
 def _pair_frequencies(it: IntegerTuple, f):
     """All (frequency vector, row group pair) items over distinct spectrum rows."""
     groups = it.groups()
-    f_values = {tuple(key): int(f(key)) for key, _ in groups}
+    values = _integer_values(f, np.array([key for key, _ in groups]))
     items = []
-    for key_a, rows_a in groups:
-        for key_b, rows_b in groups:
-            freq = np.concatenate(
-                [key_a - key_b, [f_values[tuple(key_a)] - f_values[tuple(key_b)]]]
-            )
-            items.append((freq, rows_a, rows_b))
+    for (key_a, rows_a), f_a in zip(groups, values):
+        for (key_b, rows_b), f_b in zip(groups, values):
+            items.append((np.append(key_a - key_b, f_a - f_b), rows_a, rows_b))
     return items
 
 
@@ -239,10 +235,7 @@ def apply_S(it: IntegerTuple, g: HomogeneousSymbol, w: TorusSignal) -> TorusSign
     coeffs = coefficients(w)
     eig = np.einsum("ab,...bc,cd->...ad", U.conj().T, coeffs, U)
 
-    gid = np.zeros(n, dtype=int)
-    for g_index, (_, rows) in enumerate(it.groups()):
-        gid[rows] = g_index
-    same_group = gid[:, None] == gid[None, :]
+    same_group = np.all(it.table[:, None, :] == it.table[None, :, :], axis=-1)
     eig[..., same_group] = 0.0
 
     mult = _multiplier_tensor(g, w.grid_size, w.torus_dim)
@@ -275,14 +268,12 @@ def verify_conjugation(it: IntegerTuple, f, v, grid_size: int, k0: int = 1) -> f
     blocks, items = _embedding_blocks(it, f, v)
     _check_alias(items, grid_size)
     g = HomogeneousSymbol(d=it.d, k0=k0)
-    left = {}
-    for key, fiber in blocks.items():
-        if all(c == 0 for c in key[: it.d]):
-            continue  # same-group blocks: killed by the off-diagonal compression
-        left[key] = symbol_eval(g, np.array(key, dtype=float)) * fiber
+    # same-group blocks (zero leading frequency) die in the off-diagonal compression
+    keys = [key for key in blocks if any(key[: it.d])]
+    g_values = g(np.array(keys, dtype=float).reshape(-1, it.d + 1))
+    left = {key: g_key * blocks[key] for key, g_key in zip(keys, g_values)}
 
-    f_real = lambda lam: float(f(np.round(lam).astype(int)))
-    symbol = divided_difference_symbol(f_real, k0, it.d)
+    symbol = divided_difference_symbol(f, k0, it.d)
     js_int = JointSpectrum(
         basis=it.spectrum.basis,
         eigenvalues=it.table.astype(float),
@@ -325,9 +316,7 @@ def discretization_report(js: JointSpectrum, f, n: int, k0: int = 1,
     difference against f_{k0}/2 is reported as data (it shrinks as n grows).
     """
     d = js.d
-    h = round_contraction(f, n)
-    h_real = lambda lam: float(h(np.round(lam).astype(int)))
-    hk = divided_difference_symbol(h_real, k0, d)
+    hk = divided_difference_symbol(round_contraction(f, n), k0, d)
     xi_n = lambda lam, mu: hk.func(np.floor(n * lam), np.floor(n * mu))
     fk = divided_difference_symbol(f, k0, d)
 

@@ -32,22 +32,22 @@ def _hermitian(n, rng):
 
 
 def test_divided_difference_diagonal_is_zero():
-    fk = divided_difference_symbol(lambda lam: lam[0] ** 3, 1, 2)
+    fk = divided_difference_symbol(lambda lam: lam[..., 0] ** 3, 1, 2)
     lam = np.array([0.3, -1.2])
     assert fk.func(lam, lam.copy()) == 0.0
 
 
 def test_divided_difference_square():
     # d=1, f(x)=x^2: the symbol is lambda + mu off the diagonal
-    fk = divided_difference_symbol(lambda lam: lam[0] ** 2, 1, 1)
+    fk = divided_difference_symbol(lambda lam: lam[..., 0] ** 2, 1, 1)
     for lam, mu in [(1.0, 2.0), (-0.5, 3.0), (0.0, 1.0)]:
         got = fk.func(np.array([lam]), np.array([mu]))
         np.testing.assert_allclose(got, lam + mu, rtol=1e-14)
 
 
 def test_divided_difference_coordinates():
-    fk1 = divided_difference_symbol(lambda lam: lam[0], 1, 2)
-    fk2 = divided_difference_symbol(lambda lam: lam[0], 2, 2)
+    fk1 = divided_difference_symbol(lambda lam: lam[..., 0], 1, 2)
+    fk2 = divided_difference_symbol(lambda lam: lam[..., 0], 2, 2)
     lam, mu = np.array([1.0, 0.0]), np.array([0.0, 0.0])
     assert fk1.func(lam, mu) == 1.0
     assert fk2.func(lam, mu) == 0.0
@@ -55,7 +55,7 @@ def test_divided_difference_coordinates():
 
 def test_divided_difference_rejects_bad_coordinate():
     with pytest.raises(DomainError):
-        divided_difference_symbol(lambda lam: lam[0], 3, 2)
+        divided_difference_symbol(lambda lam: lam[..., 0], 3, 2)
 
 
 def test_doi_apply_identity_symbol():
@@ -69,7 +69,7 @@ def test_doi_apply_identity_symbol():
 
 def test_doi_apply_square_example():
     js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0])]))
-    fk = divided_difference_symbol(lambda lam: lam[0] ** 2, 1, 1)
+    fk = divided_difference_symbol(lambda lam: lam[..., 0] ** 2, 1, 1)
     out = doi_apply(js, fk, np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(out, [[0.0, 3.0], [3.0, 0.0]], atol=1e-12)
 
@@ -77,7 +77,7 @@ def test_doi_apply_square_example():
 def test_doi_apply_kills_diagonal():
     tup, _, _ = planted_commuting_tuple(6, 1, "integer:3", seed=5)
     js = joint_diagonalize(tup)
-    fk = divided_difference_symbol(lambda lam: abs(lam[0]), 1, 1)
+    fk = divided_difference_symbol(lambda lam: np.abs(lam[..., 0]), 1, 1)
     v = (js.basis * np.arange(1.0, 7.0)) @ js.basis.conj().T  # diagonal in joint basis
     out = doi_apply(js, fk, v)
     assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(v)
@@ -94,17 +94,17 @@ def test_doi_apply_hermitian_preserved():
 
 def test_doi_apply_dim_mismatch():
     js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0])]))
-    fk = divided_difference_symbol(lambda lam: lam[0], 1, 1)
+    fk = divided_difference_symbol(lambda lam: lam[..., 0], 1, 1)
     with pytest.raises(DimMismatchError):
         doi_apply(js, fk, np.eye(3))
     with pytest.raises(DimMismatchError):
-        doi_apply(js, divided_difference_symbol(lambda lam: lam[0], 1, 2), np.eye(2))
+        doi_apply(js, divided_difference_symbol(lambda lam: lam[..., 0], 1, 2), np.eye(2))
 
 
 def test_doi_l2_norm_example_and_oracle():
     # f(x) = x^2 on diag(1, 2): off-diagonal value 3, diagonal 0 by convention
     js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0])]))
-    fk = divided_difference_symbol(lambda lam: lam[0] ** 2, 1, 1)
+    fk = divided_difference_symbol(lambda lam: lam[..., 0] ** 2, 1, 1)
     assert doi_l2_norm(js, fk) == 3.0
     dense = np.linalg.svd(doi_operator_matrix(js, fk), compute_uv=False)[0]
     np.testing.assert_allclose(dense, 3.0, atol=1e-10)
@@ -165,7 +165,7 @@ def test_perturbation_identity_constant():
 def test_perturbation_identity_square_2x2():
     js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0])]))
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    lhs, rhs, res = perturbation_residual(js, lambda lam: lam[0] ** 2, 4.0, b)
+    lhs, rhs, res = perturbation_residual(js, lambda lam: lam[..., 0] ** 2, 4.0, b)
     np.testing.assert_allclose(lhs, [[0.0, -3.0], [3.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(rhs, [[0.0, -3.0], [3.0, 0.0]], atol=1e-12)
     assert res <= 1e-12
@@ -175,7 +175,7 @@ def test_perturbation_identity_random():
     tup, _, _ = planted_commuting_tuple(16, 3, "uniform", seed=31)
     js = joint_diagonalize(tup)
     b = _hermitian(16, np.random.default_rng(4))
-    smoothed = lambda lam: float(np.sqrt(np.sum(lam**2) + 1e-6))
+    smoothed = lambda lam: np.sqrt(np.sum(lam**2, axis=-1) + 1e-6)
     _, _, res = perturbation_residual(js, smoothed, 1.0, b)
     assert res <= 1e-9
 
@@ -185,7 +185,7 @@ def test_perturbation_rejects_wrong_lipschitz_bound():
     js = joint_diagonalize(tup)
     b = _hermitian(6, np.random.default_rng(5))
     with pytest.raises(GuardViolationError):
-        perturbation_residual(js, lambda lam: 10.0 * lam[0], 1.0, b)
+        perturbation_residual(js, lambda lam: 10.0 * lam[..., 0], 1.0, b)
 
 
 def test_divided_difference_bounded_by_lipschitz():
@@ -233,7 +233,7 @@ def test_block_embed_scalar_identity_case():
     js = joint_diagonalize(embedded)
     from oplip.spectral import apply_function
 
-    fa = apply_function(js, lambda lam: lam[0]).data
+    fa = apply_function(js, lambda lam: lam[..., 0]).data
     np.testing.assert_allclose(commutator(fa, b), [[0.0, 2.0], [-2.0, 0.0]],
                                atol=1e-12)
 
@@ -294,13 +294,13 @@ def test_symbol_matrix_rejects_nonfinite_f():
     tup, _, _ = planted_commuting_tuple(5, 1, "uniform", seed=63)
     js = joint_diagonalize(tup)
     bad = js.eigenvalues[3, 0]
-    f = lambda lam: np.inf if lam[0] == bad else lam[0]
+    f = lambda lam: np.where(lam[..., 0] == bad, np.inf, lam[..., 0])
     with pytest.raises(NonFiniteError):
         symbol_matrix(js, divided_difference_symbol(f, 1, 1))
 
 
 def test_divided_difference_exact_zero_without_warnings():
-    fk = divided_difference_symbol(lambda lam: np.copysign(1e200, lam[0]), 1, 2)
+    fk = divided_difference_symbol(lambda lam: np.copysign(1e200, lam[..., 0]), 1, 2)
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
         warnings.simplefilter("error")
         # |lambda - mu|^2 underflows to 0 for rows 1e-200 apart
@@ -319,7 +319,7 @@ def test_symbol_product_check():
     rng = np.random.default_rng(6)
     v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     one = constant_symbol(1, 1.0)
-    fk = divided_difference_symbol(lambda lam: lam[0] ** 2, 1, 1)
+    fk = divided_difference_symbol(lambda lam: lam[..., 0] ** 2, 1, 1)
     # the composed side pays one extra basis round-trip, so "exact" means
     # float-exact here
     assert symbol_product_check(js, one, fk, v) <= 1e-13

@@ -5,6 +5,7 @@ from oplip import spectral
 from oplip.errors import (
     BadLawError,
     DimMismatchError,
+    DomainError,
     NoConvergenceError,
     NonCommutingError,
     NonFiniteError,
@@ -15,6 +16,7 @@ from oplip.spectral import (
     apply_function,
     commutator,
     discretize_tuple,
+    evaluate_rows,
     haar_unitary,
     joint_diagonalize,
     planted_commuting_tuple,
@@ -178,7 +180,7 @@ def test_apply_function_constant_and_square():
     js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0])]))
     np.testing.assert_allclose(apply_function(js, lambda lam: 5.0).data, 5.0 * np.eye(2))
     np.testing.assert_allclose(
-        apply_function(js, lambda lam: lam[0] ** 2).data, np.diag([1.0, 4.0]),
+        apply_function(js, lambda lam: lam[..., 0] ** 2).data, np.diag([1.0, 4.0]),
         atol=1e-12,
     )
 
@@ -186,21 +188,35 @@ def test_apply_function_constant_and_square():
 def test_apply_function_sum_of_coordinates():
     tup = CommutingTuple([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
     js = joint_diagonalize(tup)
-    out = apply_function(js, lambda lam: lam[0] + lam[1]).data
+    out = apply_function(js, lambda lam: lam[..., 0] + lam[..., 1]).data
     np.testing.assert_allclose(out, tup.arrays()[0] + tup.arrays()[1], atol=1e-12)
 
 
 def test_apply_function_nonfinite():
     js = joint_diagonalize(CommutingTuple([np.diag([0.0, 1.0])]))
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        apply_function(js, lambda lam: 1.0 / lam[0])
+        apply_function(js, lambda lam: 1.0 / lam[..., 0])
+
+
+def test_evaluate_rows_rejects_per_row_function():
+    # lam[0] on a (5, 1) table is row 0 of shape (1,): broadcast to every row it
+    # would give row 0's value five times
+    rows = np.arange(1.0, 6.0)[:, None]
+    with pytest.raises(DomainError):
+        evaluate_rows(lambda lam: lam[0] ** 2, rows)
+    js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0, 3.0])]))
+    with pytest.raises(DomainError):
+        apply_function(js, lambda lam: lam[0] ** 2)
+    np.testing.assert_array_equal(evaluate_rows(lambda lam: lam[..., 0] ** 2, rows),
+                                  np.arange(1.0, 6.0) ** 2)
+    np.testing.assert_array_equal(evaluate_rows(lambda lam: 2.5, rows), np.full(5, 2.5))
 
 
 def test_apply_function_morphism_and_commutes():
     tup, _, _ = planted_commuting_tuple(10, 2, "uniform", seed=77)
     js = joint_diagonalize(tup)
-    f = lambda lam: 1.0 + lam[0] - 2.0 * lam[1]
-    g = lambda lam: lam[0] * lam[1]
+    f = lambda lam: 1.0 + lam[..., 0] - 2.0 * lam[..., 1]
+    g = lambda lam: lam[..., 0] * lam[..., 1]
     lhs = apply_function(js, lambda lam: f(lam) * g(lam)).data
     rhs = apply_function(js, f).data @ apply_function(js, g).data
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1.0 + np.linalg.norm(lhs))

@@ -115,8 +115,8 @@ def test_multiplier_on_characters():
 
 def test_multiplier_composition():
     w = _random_signal(2, 8, 2, seed=5)
-    m1 = lambda k: 1.0 / (1.0 + float(np.sum(np.asarray(k) ** 2)))
-    m2 = lambda k: float(np.sin(1.0 + float(k[0])))
+    m1 = lambda k: 1.0 / (1.0 + np.sum(k ** 2, axis=-1))
+    m2 = lambda k: np.sin(1.0 + k[..., 0])
     lhs = fourier_multiplier_apply(m2, fourier_multiplier_apply(m1, w))
     rhs = fourier_multiplier_apply(lambda k: m1(k) * m2(k), w)
     assert np.linalg.norm(lhs.samples - rhs.samples) <= 1e-12 * np.linalg.norm(
@@ -126,7 +126,7 @@ def test_multiplier_composition():
 
 def test_multiplier_l2_contraction():
     w = _random_signal(1, 16, 2, seed=6)
-    m = lambda k: 1.0 / (1.0 + abs(int(k[0])))  # sup norm 1
+    m = lambda k: 1.0 / (1.0 + np.abs(k[..., 0]))  # sup norm 1
     _, before, _ = signal_norms(w)
     _, after, _ = signal_norms(fourier_multiplier_apply(m, w))
     assert after <= before + 1e-12 * before

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,8 +33,26 @@ def test_integer_tuple_gate():
         integer_tuple(bad)
 
 
+@pytest.mark.parametrize("d, radius", [(2, 30), (3, 10)])
+def test_rounded_tables_match_per_row_dot(d, radius):
+    # The rounded tables must equal the per-row np.dot forms bitwise: a row sum
+    # (np.linalg.norm(x, axis=-1), x @ u) differs in the last bit and flips h.
+    points = transference._box_points(radius, d).astype(float)
+    u = np.full(d, 1.0 / np.sqrt(d))
+    per_row = {
+        "euclid-norm": lambda p: float(np.sqrt(np.dot(p, p))),
+        "crease": lambda p: abs(float(np.dot(p, u)) - 0.5),
+    }
+    for name, f_row in per_row.items():
+        f = builtin_function(name, d)
+        for n in range(1, 9):
+            want = [math.floor(0.5 * n * f_row(p / n)) for p in points]
+            got = transference._integer_values(round_contraction(f, n), points)
+            assert got.tolist() == want, (name, n)
+
+
 def test_round_contraction_values():
-    h = round_contraction(lambda lam: float(lam[0]), 4)
+    h = round_contraction(lambda lam: lam[..., 0], 4)
     # floor((4/2) * (i/4)) = floor(i/2)
     for i in range(-8, 9):
         assert h(np.array([i])) == i // 2
@@ -43,21 +62,21 @@ def test_round_contraction_values():
 
 
 def test_contraction_check_identity_rounding():
-    h = round_contraction(lambda lam: float(lam[0]), 4)
+    h = round_contraction(lambda lam: lam[..., 0], 4)
     report = contraction_check(h, 30, 1)
     assert report.ok
     assert report.margin <= 0.0
 
 
 def test_contraction_check_detects_expansion():
-    report = contraction_check(lambda iv: 2 * int(iv[0]), 10, 1)
+    report = contraction_check(lambda iv: 2 * iv[..., 0], 10, 1)
     assert not report.ok
     # (0, 1) is a violating pair: |h(0)-h(1)| = 2 > 1
     assert report.margin > 0.0
 
 
 def test_contraction_check_abs_rounding():
-    h = round_contraction(lambda lam: float(abs(lam[0])), 8)
+    h = round_contraction(lambda lam: np.abs(lam[..., 0]), 8)
     assert contraction_check(h, 30, 1).ok
 
 
@@ -69,7 +88,7 @@ def test_contraction_check_d3_sampling():
 
 def test_contraction_check_rejects_non_integer():
     with pytest.raises(ValueError):
-        contraction_check(lambda iv: float(np.linalg.norm(iv)), 3, 2)
+        contraction_check(lambda iv: np.sqrt(np.sum(iv * iv, axis=-1)), 3, 2)
 
 
 def test_contraction_check_domain_errors():
@@ -77,6 +96,9 @@ def test_contraction_check_domain_errors():
         contraction_check(lambda iv: 0, 0, 2)
     with pytest.raises(DomainError):
         contraction_check(lambda iv: 0.5, 2, 1)
+    for n in (0, -2):
+        with pytest.raises(DomainError):
+            round_contraction(builtin_function("abs", 1), n)
 
 
 def test_contraction_check_d3_margin_flag():
@@ -109,8 +131,8 @@ def _all_pairs_report(h, radius, d, report_margin):
 @pytest.mark.parametrize("block", [transference.PAIR_BLOCK, 200])
 @pytest.mark.parametrize("report_margin", [True, False])
 @pytest.mark.parametrize("h", [
-    lambda iv: 2 * int(iv[0]),  # violates from the first block on
-    lambda iv: 6 if iv[0] >= 3 else 0,  # first violation several blocks in
+    lambda iv: 2 * iv[..., 0],  # violates from the first block on
+    lambda iv: np.where(iv[..., 0] >= 3, 6, 0),  # first violation several blocks in
     round_contraction(builtin_function("euclid-norm", 2), 3),
 ])
 def test_contraction_check_matches_all_pairs_loop(h, report_margin, block, monkeypatch):
@@ -145,6 +167,19 @@ def test_contraction_check_memory_bounded():
     assert peak < 32 * 2**20  # dense P x P int64 matrices would need 110 MB each
 
 
+def test_contraction_check_d3_sample_memory_bounded():
+    # the sample is drawn PAIR_BLOCK pairs at a time, not as one 1M x 2 table
+    h = round_contraction(builtin_function("euclid-norm", 3), 4)
+    tracemalloc.start()
+    try:
+        report = contraction_check(h, 5, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16 * 2**20
+
+
 def _integer_instance(n=4, d=1, seed=7, law="integer:3"):
     tup, _, _ = planted_commuting_tuple(n, d, law, seed=seed)
     it = integer_tuple(tup)
@@ -155,7 +190,7 @@ def _integer_instance(n=4, d=1, seed=7, law="integer:3"):
 
 def test_build_embedding_identity_fiber():
     it, _ = _integer_instance()
-    h = lambda iv: int(iv[0])
+    h = lambda iv: iv[..., 0]
     w = build_embedding(it, h, np.eye(it.dim), 16)
     # I(identity) is the identity fiber at every grid point
     for index in np.ndindex(*(w.samples.shape[:-2])):
@@ -164,7 +199,7 @@ def test_build_embedding_identity_fiber():
 
 def test_build_embedding_profile_replication():
     it, v = _integer_instance(n=3, seed=11)
-    h = lambda iv: int(abs(int(iv[0])))
+    h = lambda iv: np.abs(iv[..., 0])
     w = build_embedding(it, h, v, 16)
     svals = np.linalg.svd(v, compute_uv=False)
     for index in [(0, 0), (3, 7), (15, 1)]:
@@ -176,16 +211,22 @@ def test_build_embedding_single_offdiagonal_term():
     tup = CommutingTuple([np.diag([0.0, 1.0])])
     it = integer_tuple(tup)
     v = np.array([[0.0, 1.0], [0.0, 0.0]])
-    w = build_embedding(it, lambda iv: int(iv[0]), v, 8)
+    w = build_embedding(it, lambda iv: iv[..., 0], v, 8)
     c = coefficients(w)
     expect = np.zeros((8, 8, 2, 2), dtype=complex)
     expect[frequency_index([-1, -1], 8)] = v
     np.testing.assert_allclose(c, expect, atol=1e-12)
 
 
+def test_build_embedding_rejects_non_integer_h():
+    it, v = _integer_instance()
+    with pytest.raises(DomainError):
+        build_embedding(it, lambda iv: 0.5 * iv[..., 0], v, 16)
+
+
 def test_build_embedding_alias_guard():
     it, v = _integer_instance(n=4, d=1, law="integer:5")
-    h = lambda iv: int(iv[0])
+    h = lambda iv: iv[..., 0]
     with pytest.raises(AliasRiskError):
         build_embedding(it, h, v, 8)
 
@@ -206,7 +247,7 @@ def test_apply_S_kills_diagonal_fibers():
     # a signal whose fibers are functions of the tuple: diagonal in the joint basis
     u = it.spectrum.basis
     fiber = (u * np.arange(1.0, 5.0)) @ u.conj().T
-    w = build_embedding(it, lambda iv: int(iv[0]), np.eye(4), 16)
+    w = build_embedding(it, lambda iv: iv[..., 0], np.eye(4), 16)
     w.samples[...] = fiber
     out = apply_S(it, g, w)
     assert np.linalg.norm(out.samples) <= 1e-10 * np.linalg.norm(w.samples)
@@ -215,7 +256,7 @@ def test_apply_S_kills_diagonal_fibers():
 def test_apply_S_linear():
     it, v = _integer_instance(n=3, seed=29)
     g = HomogeneousSymbol(d=1, k0=1)
-    h = lambda iv: int(abs(int(iv[0])))
+    h = lambda iv: np.abs(iv[..., 0])
     w1 = build_embedding(it, h, v, 16)
     w2 = build_embedding(it, h, v @ v, 16)
     lhs = apply_S(it, g, type(w1)(1.5 * w1.samples - 2j * w2.samples))
@@ -229,7 +270,7 @@ def test_apply_S_matches_multiplied_embedding():
     tup = CommutingTuple([np.diag([0.0, 1.0])])
     it = integer_tuple(tup)
     v = np.array([[0.0, 1.0], [0.0, 0.0]])
-    h = lambda iv: int(iv[0])
+    h = lambda iv: iv[..., 0]
     g = HomogeneousSymbol(d=1, k0=1)
     w = build_embedding(it, h, v, 8)
     out = apply_S(it, g, w)
@@ -241,7 +282,7 @@ def test_verify_conjugation_diagonal_v():
     it, _ = _integer_instance(n=4, seed=31)
     u = it.spectrum.basis
     v = (u * np.arange(1.0, 5.0)) @ u.conj().T
-    res = verify_conjugation(it, lambda iv: int(iv[0]), v, 32)
+    res = verify_conjugation(it, lambda iv: iv[..., 0], v, 32)
     assert res <= 1e-12
 
 
@@ -250,7 +291,7 @@ def test_verify_conjugation_abs_d1():
     it = integer_tuple(tup)
     rng = np.random.default_rng(5)
     v = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    res = verify_conjugation(it, lambda iv: int(abs(int(iv[0]))), v, 32)
+    res = verify_conjugation(it, lambda iv: np.abs(iv[..., 0]), v, 32)
     assert res <= 1e-9
 
 
@@ -259,7 +300,7 @@ def test_verify_conjugation_d2_maxabs():
     it = integer_tuple(tup)
     rng = np.random.default_rng(6)
     v = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = lambda iv: int(np.max(np.abs(iv)))
+    h = lambda iv: np.max(np.abs(iv), axis=-1)
     for k0 in (1, 2):
         assert verify_conjugation(it, h, v, 32, k0=k0) <= 1e-9
 
@@ -270,15 +311,14 @@ def test_verify_conjugation_matches_grid_route():
     it = integer_tuple(tup)
     rng = np.random.default_rng(7)
     v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = lambda iv: int(abs(int(iv[0])))
+    h = lambda iv: np.abs(iv[..., 0])
     res = verify_conjugation(it, h, v, 16)
 
     g = HomogeneousSymbol(d=1, k0=1)
     left = apply_S(it, g, build_embedding(it, h, v, 16))
-    f_real = lambda lam: float(h(np.round(lam).astype(int)))
     js_int = JointSpectrum(it.spectrum.basis, it.table.astype(float),
                            it.spectrum.provenance)
-    tv = doi_apply(js_int, divided_difference_symbol(f_real, 1, 1), v)
+    tv = doi_apply(js_int, divided_difference_symbol(h, 1, 1), v)
     right = build_embedding(it, h, tv, 16)
     cell = (TWO_PI / 16) ** 2
     grid_res = np.sqrt(cell) * np.linalg.norm(left.samples - right.samples)
@@ -291,7 +331,7 @@ def test_verify_conjugation_rejects_expansion():
     from oplip.errors import GuardViolationError
 
     with pytest.raises(GuardViolationError):
-        verify_conjugation(it, lambda iv: 3 * int(iv[0]), v, 64)
+        verify_conjugation(it, lambda iv: 3 * iv[..., 0], v, 64)
 
 
 def test_discretization_report_converges():
