@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import experiments, suite
-from .errors import BadExponentError, BadLawError, DomainError, GuardViolationError
+from .errors import (AliasRiskError, BadExponentError, BadLawError, DomainError,
+                     GuardViolationError)
 from .functions import builtin_function, contraction_names
 from .serialize import canonical_json, format_float
 from .spectral import joint_diagonalize, planted_commuting_tuple
@@ -189,7 +190,7 @@ def cmd_contraction_test(args):
             f = builtin_function(name, args.d)
             for n_round in range(1, args.max_rounding + 1):
                 h = round_contraction(f, n_round)
-                report = contraction_check(h, args.radius, args.d, seed=args.seed)
+                report = contraction_check(h, args.radius, args.d)
                 status = "ok" if report.ok else "VIOLATION"
                 if not report.ok:
                     failures += 1
@@ -287,7 +288,8 @@ def main(argv=None) -> int:
             args.step = 2.0 * np.pi / 64.0
     try:
         return args.func(args)
-    except (GuardViolationError, BadExponentError, BadLawError, DomainError) as exc:
+    except (GuardViolationError, BadExponentError, BadLawError, DomainError,
+            AliasRiskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

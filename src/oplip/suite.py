@@ -573,20 +573,19 @@ def _cone_deviation(radius, d):
     m^2 <= |delta|^2, for every k0.  There the smoothing argument is
     |delta|^2 / (|delta|^2 + m^2) >= 1/2, so the smoothing function is the
     identity and the normalized symbol reduces to the divided difference.
+    The cells are taken one m at a time, so memory follows the delta table.
     """
     deltas = _box_points(2 * radius, d)
     dist2 = np.sum(deltas * deltas, axis=-1)
     mmax = math.isqrt(int(np.max(dist2)))
-    m_axis = np.arange(-mmax, mmax + 1)
-    cell_delta, cell_m = np.nonzero(
-        (m_axis[None, :] ** 2 <= dist2[:, None]) & (dist2[:, None] > 0)
-    )
-    delta, m, denom = deltas[cell_delta], m_axis[cell_m], dist2[cell_delta]
-    points = np.column_stack([delta, m]).astype(float)
     worst = 0.0
-    for k0 in range(1, d + 1):
-        gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), points)
-        worst = max(worst, float(np.max(np.abs(gv - delta[:, k0 - 1] * m / denom))))
+    for m in range(-mmax, mmax + 1):
+        cell = (m * m <= dist2) & (dist2 > 0)
+        delta, denom = deltas[cell], dist2[cell]
+        points = np.column_stack([delta, np.full(len(delta), m)]).astype(float)
+        for k0 in range(1, d + 1):
+            gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), points)
+            worst = max(worst, float(np.max(np.abs(gv - delta[:, k0 - 1] * m / denom))))
     return worst
 
 
@@ -600,17 +599,13 @@ def symbol_agreement_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
     rounded contraction h has |h(i) - h(j)| <= |i - j|, so every realized pair
     lies in the cone m^2 <= |delta|^2 with delta in [-2r, 2r]^d.  The deviation
     is therefore taken over the whole cone, once per d, and each rounded h only
-    has to pass the exact integer verdict of :func:`contraction_check`.  That
-    verdict is exhaustive for d <= 2 only, so d >= 3 raises, as does an h that
-    fails it: the cone would not be known to cover its pairs.
+    has to pass the exact integer verdict of :func:`contraction_check`, an
+    exhaustive displacement scan in every d (a box past its ``SCAN_BUDGET``
+    raises DomainError).  An h that fails the verdict raises: the cone would
+    not be known to cover its pairs.
     """
     worst = 0.0
     for d in d_values:
-        if d >= 3:
-            raise GuardViolationError(
-                f"d={d}: contraction_check samples pairs, so the cone cannot be shown "
-                "to cover them"
-            )
         for name in (names or contraction_names(d)):
             f = builtin_function(name, d)
             for n in n_values:

@@ -238,6 +238,8 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         raise DimMismatchError("periodization probe expects a scalar signal")
     if d_torus > 2:
         raise GuardViolationError("probe supports D <= 2")
+    if l <= 0:
+        raise GuardViolationError("Gaussian width must satisfy l > 0")
     if r < 8.0 * l:
         raise GuardViolationError("truncation radius must satisfy R >= 8l")
     if h > TWO_PI / 64.0:

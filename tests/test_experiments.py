@@ -160,6 +160,11 @@ def test_cli_unknown_function_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["contraction-test", "--radius", "0"],
     ["ratio-commutator", "--n", "3", "--trials", "1", "--f", "poly:x", "--lipschitz", "1"],
+    ["contraction-test", "--d", "0", "--radius", "2"],
+    ["contraction-test", "--d", "3"],  # radius 30: past the scan budget
+    ["contraction-test", "--d", "2", "--radius", "1000000"],  # rejected before allocating
+    ["transference-check", "--grid", "4", "--trials", "2"],  # AliasRiskError
+    ["periodization", "--d", "1", "--l", "0"],  # GuardViolationError
 ])
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2

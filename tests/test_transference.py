@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oplip import transference
 from oplip.doi import divided_difference_symbol, doi_apply
@@ -80,12 +82,6 @@ def test_contraction_check_abs_rounding():
     assert contraction_check(h, 30, 1).ok
 
 
-def test_contraction_check_d3_sampling():
-    h = round_contraction(builtin_function("euclid-norm", 3), 4)
-    report = contraction_check(h, 5, 3, seed=0, sample_pairs=50_000)
-    assert report.ok
-
-
 def test_contraction_check_rejects_non_integer():
     with pytest.raises(ValueError):
         contraction_check(lambda iv: np.sqrt(np.sum(iv * iv, axis=-1)), 3, 2)
@@ -96,6 +92,10 @@ def test_contraction_check_domain_errors():
         contraction_check(lambda iv: 0, 0, 2)
     with pytest.raises(DomainError):
         contraction_check(lambda iv: 0.5, 2, 1)
+    with pytest.raises(DomainError, match="dimension"):
+        contraction_check(lambda iv: 0, 2, 0)
+    with pytest.raises(DomainError, match="SCAN_BUDGET"):
+        contraction_check(round_contraction(builtin_function("euclid-norm", 3), 4), 30, 3)
     for n in (0, -2):
         with pytest.raises(DomainError):
             round_contraction(builtin_function("abs", 1), n)
@@ -103,42 +103,36 @@ def test_contraction_check_domain_errors():
 
 def test_contraction_check_d3_margin_flag():
     h = round_contraction(builtin_function("euclid-norm", 3), 4)
-    assert contraction_check(h, 3, 3, sample_pairs=20_000, report_margin=False) == (
-        True, None, -np.inf)
-    full = contraction_check(h, 3, 3, sample_pairs=20_000)
+    assert contraction_check(h, 3, 3, report_margin=False) == (True, None, -np.inf)
+    full = contraction_check(h, 3, 3)
     assert full.ok and full.worst_pair is not None and full.margin <= 0.0
 
 
 def _all_pairs_report(h, radius, d, report_margin):
-    """Literal row-major loop over every ordered pair of box points."""
-    points = [np.array(p) for p in itertools.product(range(-radius, radius + 1), repeat=d)]
-    values = [int(h(p)) for p in points]
+    """Row-major loop over every ordered pair (a, b), a != b, of box points.
+
+    The inner loop over b is one numpy row; the first strict maximum wins.
+    """
+    points = np.array(list(itertools.product(range(-radius, radius + 1), repeat=d)))
+    values = np.array([int(h(p)) for p in points])
     ok, worst, pair = True, -np.inf, None
-    for a, (pa, va) in enumerate(zip(points, values)):
-        for b, (pb, vb) in enumerate(zip(points, values)):
-            if a == b:
-                continue
-            dist2 = int(np.sum((pa - pb) ** 2))
-            ok = ok and (va - vb) ** 2 <= dist2
-            margin = abs(va - vb) - np.sqrt(float(dist2))
-            if margin > worst:
-                worst, pair = margin, (pa, pb)
+    for a in range(len(points)):
+        dv = values - values[a]
+        dist2 = np.sum((points - points[a]) ** 2, axis=-1)
+        ok = ok and bool(np.all(dv * dv <= dist2))
+        margin = np.abs(dv) - np.sqrt(dist2.astype(float))
+        margin[a] = -np.inf
+        b = int(np.argmax(margin))
+        if margin[b] > worst:
+            worst, pair = float(margin[b]), (points[a], points[b])
     if ok and not report_margin:
         return True, None, -np.inf
     return ok, pair, worst
 
 
-@pytest.mark.parametrize("block", [transference.PAIR_BLOCK, 200])
-@pytest.mark.parametrize("report_margin", [True, False])
-@pytest.mark.parametrize("h", [
-    lambda iv: 2 * iv[..., 0],  # violates from the first block on
-    lambda iv: np.where(iv[..., 0] >= 3, 6, 0),  # first violation several blocks in
-    round_contraction(builtin_function("euclid-norm", 2), 3),
-])
-def test_contraction_check_matches_all_pairs_loop(h, report_margin, block, monkeypatch):
-    monkeypatch.setattr(transference, "PAIR_BLOCK", block)
-    ok, pair, margin = contraction_check(h, 4, 2, report_margin=report_margin)
-    want_ok, want_pair, want_margin = _all_pairs_report(h, 4, 2, report_margin)
+def _assert_matches_all_pairs(h, radius, d, report_margin):
+    ok, pair, margin = contraction_check(h, radius, d, report_margin=report_margin)
+    want_ok, want_pair, want_margin = _all_pairs_report(h, radius, d, report_margin)
     assert ok == want_ok and margin == want_margin
     if want_pair is None:
         assert pair is None
@@ -146,13 +140,32 @@ def test_contraction_check_matches_all_pairs_loop(h, report_margin, block, monke
         assert [p.tolist() for p in pair] == [p.tolist() for p in want_pair]
 
 
-def test_contraction_check_d3_blocks_keep_sample(monkeypatch):
-    h = round_contraction(builtin_function("crease", 3), 2)
-    whole = contraction_check(h, 3, 3, seed=4, sample_pairs=30_000)
-    monkeypatch.setattr(transference, "PAIR_BLOCK", 1000)
-    sliced = contraction_check(h, 3, 3, seed=4, sample_pairs=30_000)
-    assert whole.ok == sliced.ok and whole.margin == sliced.margin
-    assert [p.tolist() for p in whole.worst_pair] == [p.tolist() for p in sliced.worst_pair]
+@pytest.mark.parametrize("d, radius", [(1, 6), (2, 4), (3, 2)])
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("h", [
+    lambda iv: 2 * iv[..., 0],  # violates at every unit step along axis 1
+    lambda iv: np.where(iv[..., 0] >= 1, 6, 0),  # violates only across one plane
+    round_contraction(builtin_function("euclid-norm", 2), 3),  # any d: a row norm
+    lambda iv: np.zeros(iv.shape[:-1]),  # span 0: the margin comes from unit steps
+    lambda iv: np.clip(iv[..., 0] + iv[..., -1], 0, 2),  # d >= 2: violates off-axis only
+])
+def test_contraction_check_matches_all_pairs_loop(h, report_margin, d, radius):
+    _assert_matches_all_pairs(h, radius, d, report_margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), radius=st.integers(1, 3),
+       top=st.integers(0, 6), report_margin=st.booleans())
+def test_contraction_check_matches_all_pairs_on_lookup_tables(data, d, radius, top,
+                                                              report_margin):
+    side = 2 * radius + 1
+    table = np.array(data.draw(st.lists(st.integers(0, top), min_size=side**d,
+                                        max_size=side**d))).reshape((side,) * d)
+
+    def h(iv):
+        return table[tuple(np.moveaxis(iv.astype(int) + radius, -1, 0))]
+
+    _assert_matches_all_pairs(h, radius, d, report_margin)
 
 
 def test_contraction_check_memory_bounded():
@@ -167,16 +180,15 @@ def test_contraction_check_memory_bounded():
     assert peak < 32 * 2**20  # dense P x P int64 matrices would need 110 MB each
 
 
-def test_contraction_check_d3_sample_memory_bounded():
-    # the sample is drawn PAIR_BLOCK pairs at a time, not as one 1M x 2 table
+def test_contraction_check_d3_memory_bounded():
     h = round_contraction(builtin_function("euclid-norm", 3), 4)
     tracemalloc.start()
     try:
-        report = contraction_check(h, 5, 3)
+        report = contraction_check(h, 10, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.ok
+    assert report.ok and report.margin == 0.0
     assert peak < 16 * 2**20
 
 
