@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oplip.errors import GuardViolationError
+from oplip.errors import DomainError, GuardViolationError
 from oplip.functions import builtin_function, contraction_names
 from oplip.serialize import canonical_json
 from oplip.suite import deleeuw_ratios, run_identity_suite, symbol_agreement_sweep
@@ -44,6 +44,12 @@ def test_identity_suite_tolerance_hook_flips_exit():
 def test_symbol_agreement_rejects_a_rounded_non_contraction():
     with pytest.raises(GuardViolationError):
         symbol_agreement_sweep(d_values=(1,), radius=4, names=["poly:0,3"])
+
+
+def test_symbol_agreement_rejects_sampled_dimensions():
+    # a d=3 box too large for an exhaustive scan is refused, not sampled, before any work
+    with pytest.raises(DomainError, match="SCAN_BUDGET"):
+        symbol_agreement_sweep(d_values=(3,), radius=30)
 
 
 def _realized_pair_deviation(radius, d_values):

@@ -149,8 +149,32 @@ def _assert_matches_all_pairs(h, radius, d, report_margin):
     lambda iv: np.zeros(iv.shape[:-1]),  # span 0: the margin comes from unit steps
     lambda iv: np.clip(iv[..., 0] + iv[..., -1], 0, 2),  # d >= 2: violates off-axis only
 ])
-def test_contraction_check_matches_all_pairs_loop(h, report_margin, d, radius):
+def test_contraction_check_matches_all_pairs_loop_in_every_d(h, report_margin, d, radius):
     _assert_matches_all_pairs(h, radius, d, report_margin)
+
+
+def _budget_radius(budget, d):
+    """The largest box radius whose pair count P(P - 1)/2 fits in ``budget``."""
+    radius = 1
+    while (p := (2 * radius + 3) ** d) * (p - 1) // 2 <= budget:
+        radius += 1
+    return radius
+
+
+@pytest.mark.parametrize("budget", [1 << 17, 200])
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("h", [
+    lambda iv: 2 * iv[..., 0],  # violates at every unit step along axis 1
+    lambda iv: np.where(iv[..., 0] >= 1, 6, 0),  # violates only across one plane
+    round_contraction(builtin_function("euclid-norm", 2), 3),
+])
+def test_contraction_check_matches_all_pairs_loop(h, report_margin, budget, monkeypatch):
+    # d=2 boxes up to SCAN_BUDGET pairs are scanned whole; one radius more is refused
+    monkeypatch.setattr(transference, "SCAN_BUDGET", budget)
+    radius = _budget_radius(budget, 2)
+    _assert_matches_all_pairs(h, radius, 2, report_margin)
+    with pytest.raises(DomainError, match="SCAN_BUDGET"):
+        contraction_check(h, radius + 1, 2, report_margin=report_margin)
 
 
 @settings(max_examples=60, deadline=None)
