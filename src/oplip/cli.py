@@ -70,17 +70,27 @@ def _open_out(path):
         yield out
 
 
-def _common_flags(parser, trials=10, n=8, d=1, f_name="euclid-norm"):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n", type=int, default=n)
-    parser.add_argument("--d", type=int, default=d)
-    parser.add_argument("--trials", type=int, default=trials)
-    parser.add_argument("--f", dest="f_name", default=f_name)
-    parser.add_argument("--lipschitz", type=float, default=None,
-                        help="override the function's Lipschitz constant")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", dest="fmt", default="json-lines",
-                        choices=["json-lines", "csv"])
+_FLAGS = {
+    "seed": dict(type=int, default=0),
+    "n": dict(type=int, default=8),
+    "d": dict(type=int, default=1),
+    "trials": dict(type=int, default=10),
+    "f": dict(dest="f_name", default="euclid-norm"),
+    "lipschitz": dict(type=float, default=None,
+                      help="override the function's Lipschitz constant"),
+    "out": dict(default=None),
+    "format": dict(dest="fmt", default="json-lines", choices=["json-lines", "csv"]),
+}
+_RATIO_FLAGS = tuple(_FLAGS)
+
+
+def _flags(parser, names, **defaults):
+    """Add the named shared flags (a command gets only those it reads)."""
+    for name in names:
+        spec = dict(_FLAGS[name])
+        if name in defaults:
+            spec["default"] = defaults[name]
+        parser.add_argument(f"--{name}", **spec)
 
 
 def _config(args) -> ExperimentConfig:
@@ -221,28 +231,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ratio-commutator", help="weak-L1([f(A),B]) ratios")
-    _common_flags(p)
+    _flags(p, _RATIO_FLAGS)
     p.set_defaults(func=cmd_ratio_commutator)
 
     p = sub.add_parser("ratio-difference", help="weak-L1(f(X)-f(Y)) ratios")
-    _common_flags(p)
+    _flags(p, _RATIO_FLAGS)
     p.set_defaults(func=cmd_ratio_difference)
 
     p = sub.add_parser("ratio-doi", help="weak-L1(T_{f_k}(V)) ratios")
-    _common_flags(p)
+    _flags(p, _RATIO_FLAGS)
     p.set_defaults(func=cmd_ratio_doi)
 
     p = sub.add_parser("ratio-lp", help="Schatten-p ratios of T_{f_k}")
-    _common_flags(p)
+    _flags(p, _RATIO_FLAGS)
     p.add_argument("--p", type=float, default=2.0)
     p.set_defaults(func=cmd_ratio_lp)
 
     p = sub.add_parser("ratio-normal", help="difference ratios for normal operators")
-    _common_flags(p, d=2)
+    _flags(p, _RATIO_FLAGS, d=2)
     p.set_defaults(func=cmd_ratio_normal)
 
     p = sub.add_parser("transference-check", help="verify S(I(V)) = I(T(V))")
-    _common_flags(p, trials=10)
+    _flags(p, ("seed", "n", "d", "trials", "f", "out"))
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--discretization", action="store_true",
@@ -250,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transference_check)
 
     p = sub.add_parser("deleeuw-sweep", help="weak-L1/L1 ratio stability across grids")
-    _common_flags(p, trials=10)
+    _flags(p, ("seed", "d", "trials", "out"))
     p.add_argument("--sizes", default="32,64,128")
     p.set_defaults(func=cmd_deleeuw_sweep)
 
     p = sub.add_parser("periodization", help="Gaussian periodization probe")
-    _common_flags(p, trials=1)
+    _flags(p, ("d", "out"))
     p.add_argument("--l", type=float, default=32.0)
     p.add_argument("--radius", type=float, default=None,
                    help="truncation radius (default 8*l)")
@@ -265,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_periodization)
 
     p = sub.add_parser("contraction-test", help="exhaustive contraction rounding check")
-    _common_flags(p, trials=1)
+    _flags(p, ("d", "out"))
     p.add_argument("--radius", type=int, default=30)
     p.add_argument("--max-rounding", type=int, default=8)
     p.set_defaults(func=cmd_contraction_test)
 
     p = sub.add_parser("identity-suite", help="run every identity/property check")
-    _common_flags(p, trials=1)
+    _flags(p, ("seed", "out"))
     p.add_argument("--tolerance-scale", type=float, default=1.0,
                    help="test hook: scales every tolerance")
     p.set_defaults(func=cmd_identity_suite)

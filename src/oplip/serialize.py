@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from .errors import DomainError
 from .norms import SingularValueProfile, profile_from_pairs, profile_to_pairs
 from .spectral import CommutingTuple, HermitianMatrix
 from .torus import TorusSignal
@@ -78,9 +79,19 @@ def signal_to_bytes(w: TorusSignal) -> bytes:
 
 
 def signal_from_bytes(blob: bytes) -> TorusSignal:
+    """Decode the binary signal format; a malformed blob raises DomainError."""
+    if len(blob) < _HEADER.size:
+        raise DomainError(f"signal blob of {len(blob)} bytes has no complete header")
     magic, d, n_fib, n_grid = _HEADER.unpack_from(blob)
     if magic != SIGNAL_MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
+        raise DomainError(f"bad magic {magic!r}")
+    payload = len(blob) - _HEADER.size
+    expected = 16 * n_grid**d * n_fib**2
+    if payload != expected:
+        raise DomainError(
+            f"payload of {payload} bytes, header (D={d}, N={n_grid}, n={n_fib}) "
+            f"needs {expected}"
+        )
     raw = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     flat = raw[0::2] + 1j * raw[1::2]
     return TorusSignal(flat.reshape((n_grid,) * d + (n_fib, n_fib)))

@@ -18,6 +18,7 @@ from .spectral import evaluate_rows
 
 TWO_PI = 2.0 * np.pi
 PROBE_BLOCK_ROWS = 512  # grid rows per block of the D = 2 periodization probe
+PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 
 
 @dataclass
@@ -128,7 +129,7 @@ class HomogeneousSymbol:
 
     def __post_init__(self):
         if not 1 <= self.k0 <= self.d:
-            raise ValueError(f"k0 = {self.k0} outside 1..{self.d}")
+            raise DomainError(f"k0 = {self.k0} outside 1..{self.d}")
 
     def __call__(self, t):
         return symbol_eval(self, t)
@@ -172,7 +173,7 @@ def fejer(w: TorusSignal, n: int) -> TorusSignal:
     0 <= k <= (n, ..., n).
     """
     if n < 0:
-        raise ValueError("Fejer order must be nonnegative")
+        raise DomainError("Fejer order must be nonnegative")
     coeffs = coefficients(w)
     freqs = frequencies(w.grid_size)
     damp_1d = np.maximum(0.0, 1.0 - np.abs(freqs) / (n + 1.0))
@@ -226,12 +227,49 @@ def _nonzero_coefficients(w: TorusSignal):
     return out
 
 
+def _probe_block(terms, phases, gauss_1d, rows: slice) -> np.ndarray:
+    """|W(x_i, x_j)| G_l(x_i) G_l(x_j) for the grid rows i in ``rows``, every j."""
+    shape = (rows.stop - rows.start, gauss_1d.size)
+    block = np.zeros(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)
+    for k, c in terms:
+        np.multiply.outer(phases[(0, int(k[0]))][rows], phases[(1, int(k[1]))], out=term)
+        term *= c
+        block += term
+    del term
+    ablock = np.abs(block)
+    del block
+    ablock *= np.multiply.outer(gauss_1d[rows], gauss_1d)
+    return ablock
+
+
 def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> PeriodizationResult:
     """Gaussian-weighted periodization of a scalar trig polynomial.
 
     Integrates |per(W)(t)| G_l(t) over [-R, R]^D by the midpoint rule and
     returns the ratio against (2*pi)^{-D} ||W||_{L1(T^D)}, together with the
     analogous weak-L1 ratio (reported as data; no constant is asserted).
+    More than ``PROBE_MAX_POINTS`` midpoints per axis raise
+    ``GuardViolationError`` before any grid is built.
+
+    For D = 2 the m^2 weighted samples are built ``PROBE_BLOCK_ROWS`` grid
+    rows at a time, and only the samples that can attain the weak-L1 maximum
+    max_k v_(k) s_k are kept (s_k is the sequential cumsum of the constant
+    cell weight step^2):
+
+    - The centre block (the one holding row m//2, where the Gaussian peaks)
+      comes first.  Its values are a subset of all values, so its weak-L1 is
+      a lower bound L on the pooled one.
+    - Every block keeps only its values v >= tau = L / (m^2 step^2 (1 + 1e-6)).
+      A dropped value has v s_k < L for every k, since s_k <= m^2 step^2 up
+      to a cumsum error far below the 1e-6 slack, so the maximum is attained
+      among the kept values.  Those outrank every dropped one, so their
+      sorted order is v_(1..K) and the cumsum over them is the first K terms
+      of the full one: the weak-L1 is bitwise the full-pool value.  L = 0
+      keeps everything, so exactness never depends on how tight L is.
+    - Each block's sum is stored and the sums are added in row order, so the
+      integral is bitwise independent of the visiting order; it does depend
+      on the block shape, because ``np.sum`` is pairwise within a block.
     """
     d_torus = w.torus_dim
     if w.fiber_dim != 1:
@@ -242,11 +280,16 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         raise GuardViolationError("Gaussian width must satisfy l > 0")
     if r < 8.0 * l:
         raise GuardViolationError("truncation radius must satisfy R >= 8l")
-    if h > TWO_PI / 64.0:
-        raise GuardViolationError("step must satisfy h <= 2*pi/64")
+    if not 0.0 < h <= TWO_PI / 64.0:
+        raise GuardViolationError("step must satisfy 0 < h <= 2*pi/64")
+    points = 2.0 * r / h
+    if not points <= PROBE_MAX_POINTS:
+        raise GuardViolationError(
+            f"2R/h = {points:.6g} midpoints per axis exceed the cap {PROBE_MAX_POINTS}"
+        )
 
     terms = _nonzero_coefficients(w)
-    m = int(math.ceil(2.0 * r / h))
+    m = int(math.ceil(points))
     step = 2.0 * r / m
     x = -r + (np.arange(m) + 0.5) * step
     gauss_1d = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
@@ -259,7 +302,7 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     ref = signal_from_coefficients(ref_coeffs)
     ref_l1, _, ref_weak = signal_norms(ref)
     if ref_l1 == 0.0:
-        raise ValueError("probe requires a nonzero signal")
+        raise DomainError("probe requires a nonzero signal")
 
     if d_torus == 1:
         vals = np.zeros(m, dtype=complex)
@@ -275,24 +318,33 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
                 key = (axis, int(k[axis]))
                 if key not in phases:
                     phases[key] = np.exp(1j * k[axis] * x)
+        starts = range(0, m, PROBE_BLOCK_ROWS)
+        centre = (m // 2) // PROBE_BLOCK_ROWS
+        sums = [0.0] * len(starts)
+        kept = []
+        tau = None
+        for index in [centre] + [i for i in range(len(starts)) if i != centre]:
+            rows = slice(starts[index], min(starts[index] + PROBE_BLOCK_ROWS, m))
+            ablock = _probe_block(terms, phases, gauss_1d, rows)
+            sums[index] = float(np.sum(ablock))
+            if tau is None:
+                lower = weak_l1(SingularValueProfile(np.sort(ablock, axis=None)[::-1], step**2))
+                tau = lower / (m * m * step**2 * (1.0 + 1e-6))
+            kept.append(ablock[ablock >= tau])
+            del ablock
         integral = 0.0
-        pooled_blocks = []
-        for start in range(0, m, PROBE_BLOCK_ROWS):
-            rows = slice(start, min(start + PROBE_BLOCK_ROWS, m))
-            block = np.zeros((rows.stop - rows.start, m), dtype=complex)
-            for k, c in terms:
-                block += c * np.outer(phases[(0, int(k[0]))][rows], phases[(1, int(k[1]))])
-            ablock = np.abs(block) * np.outer(gauss_1d[rows], gauss_1d)
-            integral += float(np.sum(ablock))
-            pooled_blocks.append(ablock.ravel())
+        for block_sum in sums:  # not sum(): it is compensated from Python 3.12
+            integral += block_sum
         integral *= step**2
-        pooled = np.concatenate(pooled_blocks)
+        pooled = np.concatenate(kept)
+        del kept
 
     sup = max((sum(abs(c) for _, c in terms)), 1e-300)
     tail = d_torus * math.erfc(r / (l * math.sqrt(2.0)))
     ratio = integral / (ref_l1 / TWO_PI**d_torus)
 
-    trunc_profile = SingularValueProfile(-np.sort(-pooled), step**d_torus)
+    pooled.sort()
+    trunc_profile = SingularValueProfile(pooled[::-1], step**d_torus)
     weak_ratio = weak_l1(trunc_profile) / (ref_weak / TWO_PI**d_torus)
 
     return PeriodizationResult(

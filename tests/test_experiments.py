@@ -165,11 +165,24 @@ def test_cli_unknown_function_exits_2(capsys):
     ["contraction-test", "--d", "2", "--radius", "1000000"],  # rejected before allocating
     ["transference-check", "--grid", "4", "--trials", "2"],  # AliasRiskError
     ["periodization", "--d", "1", "--l", "0"],  # GuardViolationError
+    ["periodization", "--d", "1", "--l", "1000"],  # m = 162975 past the point cap
+    ["periodization", "--d", "1", "--step", "1e-6"],  # rejected before allocating
 ])
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["contraction-test", "--d", "1", "--radius", "3", "--seed", "9"],
+    ["periodization", "--d", "1", "--trials", "2"],
+    ["identity-suite", "--format", "csv"],
+])
+def test_cli_rejects_flags_the_command_ignores(argv):
+    with pytest.raises(SystemExit) as exc:
+        _run_cli(argv)
+    assert exc.value.code == 2
 
 
 def test_python_dash_m_runs_cli():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oplip.errors import DomainError
 from oplip.norms import profile_from_values
 from oplip.serialize import (
     SIGNAL_MAGIC,
@@ -75,6 +76,17 @@ def test_signal_binary_roundtrip():
     np.testing.assert_array_equal(back.samples, w.samples)
     with pytest.raises(ValueError):
         signal_from_bytes(b"XXXX" + blob[4:])
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda blob: b"XXXX" + blob[4:],  # bad magic
+    lambda blob: blob[:-16],  # truncated: one complex sample short
+    lambda blob: blob + bytes(8),  # odd float count
+    lambda blob: blob[:5],  # shorter than the header
+])
+def test_signal_from_bytes_rejects_malformed_blob(mangle):
+    with pytest.raises(DomainError):
+        signal_from_bytes(mangle(signal_to_bytes(_signal())))
 
 
 def test_signal_file_dispatch(tmp_path):

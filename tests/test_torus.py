@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from oplip.errors import DimMismatchError, DomainError, GuardViolationError
 from oplip.suite import fejer_brute, fejer_convergence_profile
 from oplip.torus import (
+    PROBE_BLOCK_ROWS,
+    PROBE_MAX_POINTS,
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
@@ -79,6 +82,11 @@ def test_symbol_eval_examples():
     np.testing.assert_allclose(symbol_eval(g1, np.array([1.0, 1.0])), 1.0, rtol=1e-14)
 
 
+def test_symbol_rejects_k0_out_of_range():
+    with pytest.raises(DomainError):
+        HomogeneousSymbol(d=2, k0=3)
+
+
 def test_symbol_homogeneity():
     g = HomogeneousSymbol(d=2, k0=2)
     rng = np.random.default_rng(3)
@@ -145,6 +153,11 @@ def test_fejer_constant_unchanged():
     for order in (0, 1, 5):
         out = fejer(w, order)
         np.testing.assert_allclose(out.samples, w.samples, atol=1e-13)
+
+
+def test_fejer_rejects_negative_order():
+    with pytest.raises(DomainError):
+        fejer(character_signal(1, 8, [1]), -1)
 
 
 def test_fejer_matches_bruteforce():
@@ -214,6 +227,26 @@ def test_periodization_guards():
         periodization_probe(_random_signal(1, 8, 2, seed=1), 4.0, 32.0, TWO_PI / 64)
 
 
+def test_periodization_point_cap():
+    w = _probe_signal(1)
+    with pytest.raises(GuardViolationError):  # m = 162975 > PROBE_MAX_POINTS
+        periodization_probe(w, 1000.0, 8000.0, TWO_PI / 64)
+    with pytest.raises(GuardViolationError):
+        periodization_probe(w, 32.0, 256.0, 1e-6)
+    with pytest.raises(GuardViolationError):
+        periodization_probe(w, 32.0, 256.0, 0.0)
+    # exactly PROBE_MAX_POINTS midpoints pass the guard (D = 1 keeps this cheap)
+    h = TWO_PI / 64
+    r = PROBE_MAX_POINTS * h / 2
+    assert periodization_probe(w, r / 8, r, h).points_per_axis == PROBE_MAX_POINTS
+
+
+def test_periodization_rejects_zero_signal():
+    w = signal_from_coefficients(np.zeros((8, 8, 1, 1), dtype=complex))
+    with pytest.raises(DomainError):
+        periodization_probe(w, 4.0, 32.0, TWO_PI / 64)
+
+
 def test_periodization_constant_signal():
     grid = 8
     coeffs = np.zeros((grid, 1, 1), dtype=complex)
@@ -247,3 +280,76 @@ def test_torus_signal_validation():
         TorusSignal(np.zeros((4, 2, 3)))
     with pytest.raises(DimMismatchError):
         TorusSignal(np.zeros((4, 5, 2, 2)))
+
+
+def _criterion_9_signal():
+    coeffs = np.zeros((16, 16, 1, 1), dtype=complex)
+    coeffs[frequency_index([0, 0], 16)] = 1.0
+    coeffs[frequency_index([1, 0], 16)] = 0.4
+    coeffs[frequency_index([0, 1], 16)] = 0.3
+    return signal_from_coefficients(coeffs)
+
+
+def _three_term_signal(seed):
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((16, 16, 1, 1), dtype=complex)
+    coeffs[frequency_index([0, 0], 16)] = 1.0
+    while np.count_nonzero(coeffs) < 3:
+        index = frequency_index(rng.integers(-3, 4, size=2), 16)
+        if coeffs[index] == 0:
+            coeffs[index] = rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
+    return signal_from_coefficients(coeffs)
+
+
+def _full_pool_probe(w, l):
+    """(ratio, weak_ratio) of the D = 2 probe with every one of the m^2 values kept."""
+    r, h = 8.0 * l, TWO_PI / 64
+    m = int(math.ceil(2.0 * r / h))
+    step = 2.0 * r / m
+    x = -r + (np.arange(m) + 0.5) * step
+    gauss = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
+    flat = coefficients(w)[..., 0, 0]
+    top = max(float(np.max(np.abs(flat))), 1.0)
+    freqs = frequencies(w.grid_size)
+    terms = [((freqs[i], freqs[j]), flat[i, j])
+             for i, j in zip(*np.nonzero(np.abs(flat) > 1e-13 * top))]
+    integral, blocks = 0.0, []
+    for start in range(0, m, PROBE_BLOCK_ROWS):
+        rows = slice(start, min(start + PROBE_BLOCK_ROWS, m))
+        block = np.zeros((rows.stop - rows.start, m), dtype=complex)
+        for (k0, k1), c in terms:
+            block += c * np.outer(np.exp(1j * k0 * x[rows]), np.exp(1j * k1 * x))
+        ablock = np.abs(block) * np.outer(gauss[rows], gauss)
+        integral += float(np.sum(ablock))
+        blocks.append(ablock.ravel())
+    values = np.sort(np.concatenate(blocks))[::-1]
+    weak = float(np.max(np.cumsum(np.full(values.size, step**2)) * values))
+    ref_coeffs = np.zeros((256, 256, 1, 1), dtype=complex)
+    for k, c in terms:
+        ref_coeffs[frequency_index(k, 256)] = c
+    ref_l1, _, ref_weak = signal_norms(signal_from_coefficients(ref_coeffs))
+    return integral * step**2 / (ref_l1 / TWO_PI**2), weak / (ref_weak / TWO_PI**2)
+
+
+@pytest.mark.parametrize("l", [4.0, 8.0])
+@pytest.mark.parametrize("signal", [
+    _criterion_9_signal,
+    lambda: character_signal(2, 16, [1, -2]),
+    lambda: _three_term_signal(1),
+    lambda: _three_term_signal(2),
+])
+def test_periodization_d2_matches_full_pool(signal, l):
+    w = signal()
+    result = periodization_probe(w, l, 8.0 * l, TWO_PI / 64)
+    assert (result.ratio, result.weak_ratio) == _full_pool_probe(w, l)
+
+
+def test_periodization_d2_memory_bound():
+    w = _criterion_9_signal()
+    tracemalloc.start()
+    try:
+        periodization_probe(w, 16.0, 128.0, TWO_PI / 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # all m^2 = 2608^2 pooled values alone take 52 MB
