@@ -2,9 +2,7 @@
 
 Identical invocations produce byte-identical output files: records appear in
 trial order, floats carry 17 significant digits, and reports contain no
-wall-clock data.  The worker pool size is capped by the OPLIP_THREADS
-environment variable (default 1, clamped to the CPU count); it never changes
-the output.
+wall-clock data.
 """
 
 import argparse
@@ -66,7 +64,11 @@ def _open_out(path):
     if path is None:
         yield sys.stdout
         return
-    with open(path, "w", newline="\n") as out:
+    try:
+        out = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {path}: {exc.strerror}") from exc
+    with out:
         yield out
 
 
@@ -81,50 +83,36 @@ _FLAGS = {
     "out": dict(default=None),
     "format": dict(dest="fmt", default="json-lines", choices=["json-lines", "csv"]),
 }
-_RATIO_FLAGS = tuple(_FLAGS)
 
 
-def _flags(parser, names, **defaults):
+def _flags(parser, names):
     """Add the named shared flags (a command gets only those it reads)."""
     for name in names:
-        spec = dict(_FLAGS[name])
-        if name in defaults:
-            spec["default"] = defaults[name]
-        parser.add_argument(f"--{name}", **spec)
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def _config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        seed=args.seed, n=args.n, d=args.d, trials=args.trials,
+# command, stream name in `experiments`, help.  The stream is looked up when
+# the command runs, so a rebinding of the module attribute takes effect.
+# ratio-lp alone takes --p; ratio-normal works in C = R^2 and takes no --d.
+_RATIO_COMMANDS = (
+    ("ratio-commutator", "commutator_ratio", "weak-L1([f(A),B]) ratios"),
+    ("ratio-difference", "difference_ratio", "weak-L1(f(X)-f(Y)) ratios"),
+    ("ratio-doi", "doi_ratio", "weak-L1(T_{f_k}(V)) ratios"),
+    ("ratio-lp", "lp_ratio", "Schatten-p ratios of T_{f_k}"),
+    ("ratio-normal", "normal_ratio", "difference ratios for normal operators"),
+)
+
+
+def cmd_ratio(args):
+    config = ExperimentConfig(
+        seed=args.seed, n=args.n, d=getattr(args, "d", 2), trials=args.trials,
         f_name=args.f_name, lipschitz_bound=args.lipschitz,
     )
-
-
-def _run_ratio(args, stream, **kwargs):
-    records = stream(_config(args), **kwargs)
+    extra = {"p": args.p} if "p" in args else {}
+    records = getattr(experiments, args.stream)(config, **extra)
     with _open_out(args.out) as out:
         write_records(records, args.fmt, out)
     return 0
-
-
-def cmd_ratio_commutator(args):
-    return _run_ratio(args, experiments.commutator_ratio)
-
-
-def cmd_ratio_difference(args):
-    return _run_ratio(args, experiments.difference_ratio)
-
-
-def cmd_ratio_doi(args):
-    return _run_ratio(args, experiments.doi_ratio)
-
-
-def cmd_ratio_lp(args):
-    return _run_ratio(args, experiments.lp_ratio, p=args.p)
-
-
-def cmd_ratio_normal(args):
-    return _run_ratio(args, experiments.normal_ratio)
 
 
 def cmd_transference_check(args):
@@ -174,6 +162,8 @@ def cmd_deleeuw_sweep(args):
 
 def cmd_periodization(args):
     d_torus = args.d + 1 if args.torus_dim is None else args.torus_dim
+    if d_torus < 1:
+        raise DomainError(f"torus dimension must be >= 1, got {d_torus}")
     n_grid = 16
     coeffs = np.zeros((n_grid,) * d_torus + (1, 1), dtype=complex)
     coeffs[frequency_index(np.zeros(d_torus, int), n_grid)] = 1.0
@@ -230,26 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ratio-commutator", help="weak-L1([f(A),B]) ratios")
-    _flags(p, _RATIO_FLAGS)
-    p.set_defaults(func=cmd_ratio_commutator)
-
-    p = sub.add_parser("ratio-difference", help="weak-L1(f(X)-f(Y)) ratios")
-    _flags(p, _RATIO_FLAGS)
-    p.set_defaults(func=cmd_ratio_difference)
-
-    p = sub.add_parser("ratio-doi", help="weak-L1(T_{f_k}(V)) ratios")
-    _flags(p, _RATIO_FLAGS)
-    p.set_defaults(func=cmd_ratio_doi)
-
-    p = sub.add_parser("ratio-lp", help="Schatten-p ratios of T_{f_k}")
-    _flags(p, _RATIO_FLAGS)
-    p.add_argument("--p", type=float, default=2.0)
-    p.set_defaults(func=cmd_ratio_lp)
-
-    p = sub.add_parser("ratio-normal", help="difference ratios for normal operators")
-    _flags(p, _RATIO_FLAGS, d=2)
-    p.set_defaults(func=cmd_ratio_normal)
+    for command, stream, help_text in _RATIO_COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        _flags(p, [name for name in _FLAGS
+                   if not (name == "d" and command == "ratio-normal")])
+        if command == "ratio-lp":
+            p.add_argument("--p", type=float, default=2.0)
+        p.set_defaults(func=cmd_ratio, stream=stream)
 
     p = sub.add_parser("transference-check", help="verify S(I(V)) = I(T(V))")
     _flags(p, ("seed", "n", "d", "trials", "f", "out"))

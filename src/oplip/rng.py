@@ -3,7 +3,7 @@
 Every random draw in the package flows through :func:`generator`, which wraps
 numpy's 64-bit PCG64 bit generator behind a ``SeedSequence``.  Substreams are
 derived from spawn keys, so trial ``t`` of an experiment sees the same stream
-regardless of how many workers execute it or in which order.
+whichever other trials run.
 """
 
 import numpy as np

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oplip
+from oplip import experiments
 from oplip.cli import main
 from oplip.errors import BadExponentError
 from oplip.experiments import (
@@ -16,7 +17,6 @@ from oplip.experiments import (
     doi_ratio,
     lp_ratio,
     normal_ratio,
-    worker_count,
 )
 
 
@@ -122,21 +122,10 @@ def test_normal_ratio():
     assert all(r.ratio <= 1.0 + 1e-12 for r in trials(re_records))
 
 
-def test_records_deterministic_across_workers(monkeypatch):
-    cfg = ExperimentConfig(seed=7, n=5, d=2, trials=8, f_name="crease")
-    base = commutator_ratio(cfg)
-    monkeypatch.setenv("OPLIP_THREADS", "4")
-    pooled = commutator_ratio(cfg)
-    assert [(r.kind, r.instance, r.ratio) for r in base] == [
-        (r.kind, r.instance, r.ratio) for r in pooled
-    ]
-
-
-def test_worker_count_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setenv("OPLIP_THREADS", "100000")
-    assert 1 <= worker_count() <= (os.cpu_count() or 1)
-    monkeypatch.setenv("OPLIP_THREADS", "0")
-    assert worker_count() == 1
+def test_difference_ratio_raises_on_crosscheck_failure(monkeypatch):
+    monkeypatch.setattr(experiments, "CROSSCHECK_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="cross-check failed at trial 0"):
+        difference_ratio(ExperimentConfig(seed=5, n=3, d=1, trials=2, f_name="abs"))
 
 
 def _run_cli(args):
@@ -167,6 +156,13 @@ def test_cli_unknown_function_exits_2(capsys):
     ["periodization", "--d", "1", "--l", "0"],  # GuardViolationError
     ["periodization", "--d", "1", "--l", "1000"],  # m = 162975 past the point cap
     ["periodization", "--d", "1", "--step", "1e-6"],  # rejected before allocating
+    ["periodization", "--torus-dim", "0"],
+    ["periodization", "--d", "-1"],  # torus dimension d + 1 = 0
+    ["ratio-commutator", "--trials", "0"],
+    ["ratio-commutator", "--lipschitz", "0"],
+    ["ratio-commutator", "--f", "poly:0,1"],  # needs --lipschitz
+    ["ratio-commutator", "--n", "0"],
+    ["ratio-doi", "--d", "0"],
 ])
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
@@ -178,11 +174,20 @@ def test_cli_domain_errors_exit_2(argv, capsys):
     ["contraction-test", "--d", "1", "--radius", "3", "--seed", "9"],
     ["periodization", "--d", "1", "--trials", "2"],
     ["identity-suite", "--format", "csv"],
+    ["ratio-normal", "--d", "3"],  # the normal stream works in C = R^2
 ])
 def test_cli_rejects_flags_the_command_ignores(argv):
     with pytest.raises(SystemExit) as exc:
         _run_cli(argv)
     assert exc.value.code == 2
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.jsonl"
+    assert _run_cli(["ratio-commutator", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.parent.exists()
 
 
 def test_python_dash_m_runs_cli():
