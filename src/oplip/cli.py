@@ -13,7 +13,7 @@ import numpy as np
 
 from . import experiments, suite
 from .errors import (AliasRiskError, BadExponentError, BadLawError, DomainError,
-                     GuardViolationError)
+                     GuardViolationError, NoConvergenceError)
 from .functions import builtin_function, contraction_names
 from .serialize import canonical_json, format_float
 from .spectral import joint_diagonalize, planted_commuting_tuple
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GuardViolationError, BadExponentError, BadLawError, DomainError,
-            AliasRiskError) as exc:
+            AliasRiskError, NoConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,15 +207,15 @@ def doi_ratio(config: ExperimentConfig):
 
 
 def lp_ratio(config: ExperimentConfig, p: float):
-    """Schatten-p ratio of T_{f_k} for 1 < p < inf."""
+    """||T_{f_k0}(V)||_p / (L * ||V||_p) for 1 < p < inf, one record per trial and k0."""
     if not 1.0 < p < np.inf:
         raise BadExponentError(f"p must satisfy 1 < p < inf, got {p}")
-    f, _ = config.resolve_function()
+    f, bound = config.resolve_function()
 
     def norm(m):
         return schatten_norm(singular_values(m), p)
 
-    return _stream(config, 4, _symbol_trial(config, f, norm, norm))
+    return _stream(config, 4, _symbol_trial(config, f, norm, lambda v: bound * norm(v)))
 
 
 def normal_ratio(config: ExperimentConfig):

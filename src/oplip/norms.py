@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, NegativeTimeError
+from .errors import BadExponentError, DomainError, NegativeTimeError
 
 
 @dataclass
@@ -30,13 +30,13 @@ class SingularValueProfile:
         if self.weights.ndim == 0:
             self.weights = np.broadcast_to(self.weights, self.values.shape)
         if self.values.ndim != 1 or self.values.shape != self.weights.shape:
-            raise ValueError("values and weights must be 1-d and of equal length")
+            raise DomainError("values and weights must be 1-d and of equal length")
         if self.values.size and np.any(np.diff(self.values) > 0):
-            raise ValueError("values must be sorted in descending order")
+            raise DomainError("values must be sorted in descending order")
         if np.any(self.values < 0):
-            raise ValueError("values must be nonnegative")
+            raise DomainError("values must be nonnegative")
         if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+            raise DomainError("weights must be positive")
 
     @property
     def total_weight(self):
@@ -45,7 +45,7 @@ class SingularValueProfile:
     def scaled(self, c):
         """Profile of c*x for c > 0 (values scaled, weights kept)."""
         if c < 0:
-            raise ValueError("scale must be nonnegative")
+            raise DomainError("scale must be nonnegative")
         return SingularValueProfile(self.values * c, self.weights.copy())
 
 

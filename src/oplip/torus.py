@@ -185,12 +185,63 @@ def fejer(w: TorusSignal, n: int) -> TorusSignal:
     return signal_from_coefficients(coeffs * weight[..., np.newaxis, np.newaxis])
 
 
+def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values (F, n) of a stack (F, n, n) of fibers; see signal_profile."""
+    n = stack.shape[-1]
+    if n == 1:
+        return np.abs(stack[:, :, 0])
+    if n > 2:
+        return np.linalg.svd(stack, compute_uv=False)
+    x = stack.reshape(-1, 4).T.copy()  # rows a, b, c, d of the fibers [[a, b], [c, d]]
+    sq = np.abs(x)
+    # 2^-e with max |entry| < 2^e scales exactly; e >= -1021 keeps 2^-e finite.
+    _, e = np.frexp(np.max(sq, axis=0))
+    np.maximum(e, -1021, out=e)
+    scale = np.ldexp(1.0, -e)
+    # Scaled, s1 >= max |entry| >= 2^-53, so an underflow is far below eps * s1.
+    with np.errstate(under="ignore"):
+        x *= scale
+        sq *= scale
+        sq *= sq
+        a, b, c, d = x
+        p = sq[0] + sq[2]
+        r = sq[1] + sq[3]
+        q = np.abs(a.conj() * b + c.conj() * d)
+        h = 0.5 * (p - r)
+        s1 = np.sqrt(0.5 * (p + r) + np.sqrt(h * h + q * q))
+        s2 = np.abs(a * d - b * c)
+    np.divide(s2, s1, out=s2, where=s1 > 0.0)
+    np.minimum(s2, s1, out=s2)
+    return np.ldexp(np.stack([s1, s2], axis=-1), e[:, None])
+
+
 def signal_profile(w: TorusSignal) -> SingularValueProfile:
-    """Pool all fiber singular values with the grid cell volume as weight."""
+    """Pool all fiber singular values with the grid cell volume as weight.
+
+    The method depends on the fiber size n:
+
+    - n = 1: the moduli of the samples, which is the exact 1 x 1 SVD.
+    - n = 2: a closed form for [[a, b], [c, d]] through the Gram matrix
+      M^* M = [[p, z], [conj(z), r]], with p = |a|^2 + |c|^2,
+      r = |b|^2 + |d|^2 and z = conj(a) b + conj(c) d:
+      s1 = sqrt((p + r)/2 + sqrt(((p - r)/2)^2 + |z|^2)) and
+      s2 = min(|ad - bc| / s1, s1).  Each fiber is first scaled by a power of
+      two just above its largest |entry|, which is exact, so no square
+      overflows or underflows at the fiber's own scale; a zero fiber gives
+      0, 0 without a division.  Every term under the roots of s1 is
+      nonnegative, so s1 has a small relative error, and s2 an absolute
+      error of a few eps * s1.  The textbook s2^2 = (||M||_F^2 -
+      sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not used: it cancels when
+      s1 ~ s2 and loses about half the digits there.  The Gram form is a few
+      array passes over all fibers at once, where a batched LAPACK SVD makes
+      one call per fiber.
+    - n >= 3: ``np.linalg.svd``.
+    """
     d_torus, n_grid, n_fib = w.torus_dim, w.grid_size, w.fiber_dim
     stack = w.samples.reshape(-1, n_fib, n_fib)
-    svals = np.linalg.svd(stack, compute_uv=False).ravel()
-    return SingularValueProfile(-np.sort(-svals), (TWO_PI / n_grid) ** d_torus)
+    svals = _fiber_singular_values(stack).ravel()
+    svals.sort()
+    return SingularValueProfile(svals[::-1], (TWO_PI / n_grid) ** d_torus)
 
 
 def signal_norms(w: TorusSignal):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import oplip
 from oplip import experiments
 from oplip.cli import main
-from oplip.errors import BadExponentError
+from oplip.errors import BadExponentError, NoConvergenceError
 from oplip.experiments import (
     ExperimentConfig,
     commutator_ratio,
@@ -110,6 +111,20 @@ def test_lp_ratio_bounds():
                                rtol=1e-9)  # pin
 
 
+def test_lp_ratio_divides_by_the_lipschitz_bound():
+    base = ExperimentConfig(seed=4, n=4, d=2, trials=3, f_name="euclid-norm")
+    plain = lp_ratio(base, p=2.5)
+    halved = lp_ratio(replace(base, lipschitz_bound=2.0), p=2.5)
+    assert [r.numerator for r in halved] == [r.numerator for r in plain]
+    assert [r.ratio for r in halved] == [r.ratio / 2.0 for r in plain]
+
+
+def test_cli_ratio_lp_runs_poly_with_lipschitz(capsys):
+    assert _run_cli(["ratio-lp", "--n", "3", "--trials", "2", "--f", "poly:0,1",
+                     "--lipschitz", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3  # 2 trials + summary
+
+
 def test_normal_ratio():
     records = normal_ratio(ExperimentConfig(seed=9, n=4, trials=10,
                                             f_name="euclid-norm"))
@@ -180,6 +195,16 @@ def test_cli_rejects_flags_the_command_ignores(argv):
     with pytest.raises(SystemExit) as exc:
         _run_cli(argv)
     assert exc.value.code == 2
+
+
+def test_cli_no_convergence_exits_2(monkeypatch, capsys):
+    def diverge(_tup):
+        raise NoConvergenceError("joint diagonalization exceeded its sweep cap")
+
+    monkeypatch.setattr(experiments, "joint_diagonalize", diverge)
+    assert _run_cli(["ratio-commutator", "--n", "3", "--trials", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: joint diagonalization exceeded its sweep cap"]
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

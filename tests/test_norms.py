@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplip.errors import BadExponentError, NegativeTimeError
+from oplip.errors import BadExponentError, DomainError, NegativeTimeError
 from oplip.norms import (
     SingularValueProfile,
     matrix_trace_norm,
@@ -41,6 +41,13 @@ def test_profile_validation():
         SingularValueProfile(np.array([1.0, -0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         SingularValueProfile(np.array([1.0]), np.array([0.0]))
+
+
+def test_profile_errors_are_typed():
+    with pytest.raises(DomainError, match="descending"):
+        SingularValueProfile(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError, match="scale"):
+        profile_from_values([2.0, 1.0]).scaled(-1.0)
 
 
 def test_mu_at_steps():

@@ -17,6 +17,17 @@ def test_deleeuw_family_is_fixed_per_seed():
     assert all(set(r) == {16, 32} for r in a)
 
 
+def test_deleeuw_ratios_pin():
+    ratios = deleeuw_ratios(0, sizes=(32, 64, 128), signals=2)
+    pinned = [
+        {32: 0.2914378632401821, 64: 0.2883275334766128, 128: 0.28735658278912535},
+        {32: 0.42660944853039073, 64: 0.42645750739987076, 128: 0.4251611723891093},
+    ]
+    for got, want in zip(ratios, pinned, strict=True):
+        assert list(got) == list(want)
+        np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=1e-9)
+
+
 def test_identity_suite_report_shape():
     report = run_identity_suite(1)
     assert report["all_passed"] is True

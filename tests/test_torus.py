@@ -12,6 +12,7 @@ from oplip.torus import (
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
+    _fiber_singular_values,
     character_signal,
     coefficients,
     fejer,
@@ -21,6 +22,7 @@ from oplip.torus import (
     periodization_probe,
     signal_from_coefficients,
     signal_norms,
+    signal_profile,
     smoothing_eval,
     symbol_eval,
 )
@@ -197,6 +199,51 @@ def test_signal_norms_character_unimodular():
         l1, _, weak = signal_norms(w)
         np.testing.assert_allclose(l1, TWO_PI**d_torus, rtol=1e-12)
         assert weak <= l1 + 1e-12
+
+
+def _adversarial_fibers(n, seed, count=400):
+    """Stacks of n x n fibers: random, near-equal singular values (gaps
+    1e-16...1e-1), rank 1, mixed scales 1e-150...1e150, zero, and graded
+    (last row 1e-290 against 1)."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    gap = 10.0 ** -rng.uniform(1, 16, (count, 1))
+    spectrum = np.zeros((count, n, n))
+    spectrum[:, range(n), range(n)] = 1.0 - gap * np.arange(n)
+    graded = cplx(count, n, n)
+    graded[:, -1, :] *= 1e-290
+    return {
+        "random": cplx(count, n, n),
+        "near-equal": np.linalg.qr(cplx(count, n, n))[0] @ spectrum
+        @ np.linalg.qr(cplx(count, n, n))[0],
+        "rank-1": cplx(count, n, 1) @ cplx(count, 1, n),
+        "mixed-scale": cplx(count, n, n) * 10.0 ** rng.uniform(-150, 150, (count, 1, 1)),
+        "zero": np.zeros((4, n, n), dtype=complex),
+        "graded": graded,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_fiber_singular_values_match_lapack(n):
+    eps = np.finfo(float).eps
+    for name, stack in _adversarial_fibers(n, seed=40 + n).items():
+        ref = np.linalg.svd(stack, compute_uv=False)
+        with np.errstate(all="raise"):
+            got = _fiber_singular_values(stack)
+        assert got.shape == ref.shape, name
+        assert np.all(np.abs(got - ref) <= 4.0 * eps * ref[:, :1]), name
+
+
+def test_larger_fibers_use_lapack():
+    for stack in _adversarial_fibers(3, seed=43).values():
+        ref = np.linalg.svd(stack, compute_uv=False)
+        np.testing.assert_array_equal(_fiber_singular_values(stack), ref)
+        # the pooled profile is the descending sort of every fiber value, bitwise
+        profile = signal_profile(TorusSignal(stack))
+        np.testing.assert_array_equal(profile.values, -np.sort(-ref.ravel()))
 
 
 def test_plancherel():
