@@ -29,7 +29,6 @@ from .spectral import (
     haar_unitary,
     joint_diagonalize,
     planted_commuting_tuple,
-    random_commuting_tuple,
 )
 from .doi import (
     Symbol,

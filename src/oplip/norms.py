@@ -43,7 +43,7 @@ class SingularValueProfile:
         return float(np.sum(self.weights))
 
     def scaled(self, c):
-        """Profile of c*x for c > 0 (values scaled, weights kept)."""
+        """Profile of c*x for c >= 0 (values scaled, weights kept)."""
         if c < 0:
             raise DomainError("scale must be nonnegative")
         return SingularValueProfile(self.values * c, self.weights.copy())
@@ -113,13 +113,3 @@ def matrix_trace_norm(x) -> float:
 def matrix_weak_l1(x) -> float:
     return weak_l1(singular_values(x))
 
-
-def profile_to_pairs(profile: SingularValueProfile):
-    """Serialize as a list of [value, weight] pairs."""
-    return [[float(v), float(w)] for v, w in zip(profile.values, profile.weights)]
-
-
-def profile_from_pairs(pairs) -> SingularValueProfile:
-    vals = [p[0] for p in pairs]
-    wts = [p[1] for p in pairs]
-    return SingularValueProfile(np.asarray(vals, float), np.asarray(wts, float))

@@ -59,7 +59,7 @@ class HermitianMatrix:
         dev = np.max(np.abs(self.data - self.data.conj().T))
         scale = 1.0 + float(np.max(np.abs(self.data))) if self.data.size else 1.0
         if dev > HERMITIAN_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e}")
+            raise DomainError(f"matrix is not Hermitian: deviation {dev:.3e}")
 
     @property
     def dim(self) -> int:
@@ -78,7 +78,7 @@ class CommutingTuple:
             for m in self.matrices
         ]
         if not self.matrices:
-            raise ValueError("tuple must contain at least one matrix")
+            raise DomainError("tuple must contain at least one matrix")
         dims = {m.dim for m in self.matrices}
         if len(dims) != 1:
             raise DimMismatchError(f"matrices have mixed dimensions {sorted(dims)}")
@@ -354,9 +354,12 @@ def _draw_spectra(n, d, spectrum_law, rng):
 
 
 def planted_commuting_tuple(n, d, spectrum_law="uniform", seed=0):
-    """Random commuting tuple plus the planted basis and eigenvalue table."""
+    """Random commuting tuple plus the planted basis U and eigenvalue table.
+
+    A_k = U diag(lambda^(k)) U* with a single seeded Haar unitary U.
+    """
     if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+        raise DomainError("n and d must be positive")
     rng = generator(seed)
     U = haar_unitary(n, rng)
     lambdas = _draw_spectra(n, d, spectrum_law, rng)
@@ -367,16 +370,10 @@ def planted_commuting_tuple(n, d, spectrum_law="uniform", seed=0):
     return CommutingTuple(matrices), U, lambdas
 
 
-def random_commuting_tuple(n, d, spectrum_law="uniform", seed=0) -> CommutingTuple:
-    """A_k = U diag(lambda^(k)) U* with a single seeded Haar unitary U."""
-    tup, _, _ = planted_commuting_tuple(n, d, spectrum_law, seed)
-    return tup
-
-
 def discretize_tuple(js: JointSpectrum, n: int) -> CommutingTuple:
     """Floor the joint spectrum to the 1/n grid: eigenvalue lambda -> floor(n*lambda)."""
     if n < 1:
-        raise ValueError("grid refinement n must be positive")
+        raise DomainError("grid refinement n must be positive")
     U = js.basis
     floored = np.floor(n * js.eigenvalues)
     matrices = []

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,7 +10,7 @@ import pytest
 
 import oplip
 from oplip import experiments
-from oplip.cli import main
+from oplip.cli import build_parser, main
 from oplip.errors import BadExponentError, NoConvergenceError
 from oplip.experiments import (
     ExperimentConfig,
@@ -195,6 +197,23 @@ def test_cli_rejects_flags_the_command_ignores(argv):
     with pytest.raises(SystemExit) as exc:
         _run_cli(argv)
     assert exc.value.code == 2
+
+
+def test_readme_cli_commands_parse():
+    # parse only: every `oplip ...` line of the README's fenced blocks must use
+    # flags its command accepts, so the examples cannot drift from the parser
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("oplip ")]
+    assert lines, "README has no fenced oplip commands"
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_cli_no_convergence_exits_2(monkeypatch, capsys):

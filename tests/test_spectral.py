@@ -20,7 +20,6 @@ from oplip.spectral import (
     haar_unitary,
     joint_diagonalize,
     planted_commuting_tuple,
-    random_commuting_tuple,
 )
 from oplip.rng import generator
 
@@ -237,18 +236,30 @@ def test_commutator_basics():
 
 
 def test_random_tuple_determinism_and_laws():
-    a = random_commuting_tuple(5, 2, "uniform", seed=4)
-    b = random_commuting_tuple(5, 2, "uniform", seed=4)
+    a = planted_commuting_tuple(5, 2, "uniform", seed=4)[0]
+    b = planted_commuting_tuple(5, 2, "uniform", seed=4)[0]
     for ma, mb in zip(a.arrays(), b.arrays()):
         assert np.array_equal(ma, mb)
-    scalar = random_commuting_tuple(1, 3, "uniform", seed=0)
+    scalar = planted_commuting_tuple(1, 3, "uniform", seed=0)[0]
     assert scalar.dim == 1
-    grid = random_commuting_tuple(6, 1, [0.0, 0.25, 1.0], seed=2)
+    grid = planted_commuting_tuple(6, 1, [0.0, 0.25, 1.0], seed=2)[0]
     assert grid.dim == 6
     with pytest.raises(BadLawError):
-        random_commuting_tuple(3, 1, "cauchy", seed=0)
+        planted_commuting_tuple(3, 1, "cauchy", seed=0)
     with pytest.raises(BadLawError):
-        random_commuting_tuple(3, 1, "integer:x", seed=0)
+        planted_commuting_tuple(3, 1, "integer:x", seed=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])),
+    lambda: CommutingTuple([]),
+    lambda: planted_commuting_tuple(0, 2, "uniform", seed=0),
+    lambda: planted_commuting_tuple(3, 0, "uniform", seed=0),
+    lambda: discretize_tuple(joint_diagonalize(CommutingTuple([np.diag([0.5])])), 0),
+], ids=["non-hermitian", "empty-tuple", "n-zero", "d-zero", "refinement-zero"])
+def test_input_checks_raise_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_haar_unitary_is_unitary():
