@@ -18,6 +18,7 @@ from .errors import (
     NonCommutingError,
     NonFiniteError,
     NonIntegerSpectrumError,
+    OplipError,
 )
 from .spectral import (
     CommutingTuple,

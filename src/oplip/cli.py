@@ -12,18 +12,12 @@ import sys
 import numpy as np
 
 from . import experiments, suite
-from .errors import (AliasRiskError, BadExponentError, BadLawError, DomainError,
-                     GuardViolationError, NoConvergenceError)
-from .functions import builtin_function, contraction_names
+from .errors import DomainError, OplipError
+from .functions import builtin_function
 from .serialize import canonical_json, format_float
 from .spectral import joint_diagonalize, planted_commuting_tuple
 from .torus import signal_from_coefficients, frequency_index, periodization_probe
-from .transference import (
-    contraction_check,
-    discretization_report,
-    round_contraction,
-    verify_conjugation,
-)
+from .transference import contraction_check, discretization_report, verify_conjugation
 from .experiments import ExperimentConfig, RatioRecord
 
 
@@ -85,6 +79,12 @@ _FLAGS = {
 }
 
 
+def _at_least_one(flag, value):
+    """DomainError unless ``value`` >= 1: a check must run something."""
+    if value < 1:
+        raise DomainError(f"--{flag} must be >= 1, got {value}")
+
+
 def _flags(parser, names):
     """Add the named shared flags (a command gets only those it reads)."""
     for name in names:
@@ -116,6 +116,7 @@ def cmd_ratio(args):
 
 
 def cmd_transference_check(args):
+    _at_least_one("trials", args.trials)
     with _open_out(args.out) as out:
         worst = 0.0
         for index, (it, h, name, v, k0) in enumerate(
@@ -143,14 +144,20 @@ def cmd_transference_check(args):
 
 
 def cmd_deleeuw_sweep(args):
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    _at_least_one("trials", args.trials)
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise DomainError(f"--sizes takes integers >= 1 joined by commas, got {args.sizes!r}")
     results = suite.deleeuw_ratios(args.seed, sizes=sizes, signals=args.trials, d=args.d)
     with _open_out(args.out) as out:
         out.write("signal," + ",".join(f"N={s}" for s in sizes) + ",spread\n")
         worst = 1.0
         for index, ratios in enumerate(results):
             vals = [ratios[s] for s in sizes]
-            spread = max(vals) / min(vals) if min(vals) > 0 else float("inf")
+            spread = suite.deleeuw_spread(vals)
             worst = max(worst, spread)
             out.write(
                 f"{index}," + ",".join(format_float(v) for v in vals)
@@ -161,7 +168,7 @@ def cmd_deleeuw_sweep(args):
 
 
 def cmd_periodization(args):
-    d_torus = args.d + 1 if args.torus_dim is None else args.torus_dim
+    d_torus = args.d + 1
     if d_torus < 1:
         raise DomainError(f"torus dimension must be >= 1, got {d_torus}")
     n_grid = 16
@@ -173,7 +180,9 @@ def cmd_periodization(args):
     if d_torus == 2:
         coeffs[frequency_index(np.array([0, 1]), n_grid)] = 0.3
     w = signal_from_coefficients(coeffs)
-    result = periodization_probe(w, args.l, args.radius, args.step)
+    radius = 8.0 * args.l if args.radius is None else args.radius
+    step = 2.0 * np.pi / 64.0 if args.step is None else args.step
+    result = periodization_probe(w, args.l, radius, step)
     with _open_out(args.out) as out:
         out.write(f"ratio={format_float(result.ratio)}\n")
         out.write(f"weak-ratio={format_float(result.weak_ratio)}\n")
@@ -184,22 +193,20 @@ def cmd_periodization(args):
 
 
 def cmd_contraction_test(args):
+    _at_least_one("max-rounding", args.max_rounding)
     with _open_out(args.out) as out:
         failures = 0
-        for name in contraction_names(args.d):
-            f = builtin_function(name, args.d)
-            for n_round in range(1, args.max_rounding + 1):
-                h = round_contraction(f, n_round)
-                report = contraction_check(h, args.radius, args.d)
-                status = "ok" if report.ok else "VIOLATION"
-                if not report.ok:
-                    failures += 1
-                out.write(
-                    f"f={name} n={n_round} {status} "
-                    f"margin={format_float(report.margin)} "
-                    f"worst=({list(map(int, report.worst_pair[0]))},"
-                    f"{list(map(int, report.worst_pair[1]))})\n"
-                )
+        for name, n, h in suite.rounded_contractions(args.d, range(1, args.max_rounding + 1)):
+            report = contraction_check(h, args.radius, args.d)
+            status = "ok" if report.ok else "VIOLATION"
+            if not report.ok:
+                failures += 1
+            out.write(
+                f"f={name} n={n} {status} "
+                f"margin={format_float(report.margin)} "
+                f"worst=({list(map(int, report.worst_pair[0]))},"
+                f"{list(map(int, report.worst_pair[1]))})\n"
+            )
         out.write(f"violations={failures}\n")
         return 0 if failures == 0 else 1
 
@@ -248,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation radius (default 8*l)")
     p.add_argument("--step", type=float, default=None,
                    help="midpoint step (default 2*pi/64)")
-    p.add_argument("--torus-dim", type=int, default=None)
     p.set_defaults(func=cmd_periodization)
 
     p = sub.add_parser("contraction-test", help="exhaustive contraction rounding check")
@@ -268,15 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "periodization":
-        if args.radius is None:
-            args.radius = 8.0 * args.l
-        if args.step is None:
-            args.step = 2.0 * np.pi / 64.0
     try:
         return args.func(args)
-    except (GuardViolationError, BadExponentError, BadLawError, DomainError,
-            AliasRiskError, NoConvergenceError) as exc:
+    except OplipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

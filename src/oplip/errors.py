@@ -1,45 +1,49 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, all rooted at :class:`OplipError`."""
 
 
-class DimMismatchError(ValueError):
+class OplipError(Exception):
+    """Root of every oplip error; each subclass also keeps its builtin base."""
+
+
+class DimMismatchError(OplipError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class NonCommutingError(ValueError):
+class NonCommutingError(OplipError, ValueError):
     """A tuple of matrices fails the pairwise commutation gate."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(OplipError, RuntimeError):
     """An iterative refinement exceeded its sweep cap without meeting tolerance."""
 
 
-class NonFiniteError(ValueError):
+class NonFiniteError(OplipError, ValueError):
     """A scalar function returned NaN or infinity on a spectrum point."""
 
 
-class BadLawError(ValueError):
+class BadLawError(OplipError, ValueError):
     """Unsupported spectrum law for the random tuple generator."""
 
 
-class BadExponentError(ValueError):
+class BadExponentError(OplipError, ValueError):
     """Exponent outside the admissible range for the requested norm."""
 
 
-class NegativeTimeError(ValueError):
+class NegativeTimeError(OplipError, ValueError):
     """The singular value function is only defined for t >= 0."""
 
 
-class DomainError(ValueError):
+class DomainError(OplipError, ValueError):
     """Argument outside the function's domain."""
 
 
-class GuardViolationError(ValueError):
+class GuardViolationError(OplipError, ValueError):
     """A runtime guard (cheap precondition) was violated."""
 
 
-class AliasRiskError(ValueError):
+class AliasRiskError(OplipError, ValueError):
     """The requested grid is too small to represent all occurring frequencies."""
 
 
-class NonIntegerSpectrumError(ValueError):
+class NonIntegerSpectrumError(OplipError, ValueError):
     """Eigenvalue table is not integer-valued within the rounding gate."""

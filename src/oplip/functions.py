@@ -71,7 +71,11 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
         except ValueError:
             raise DomainError(f"bad polynomial coefficients in {name!r}") from None
         poly = np.polynomial.Polynomial(coeffs)
-        return BuiltinFunction(name, lambda lam: poly(lam[..., 0]), None)
+
+        def f(lam):  # evaluate_rows turns an overflow into NonFiniteError; numpy need not warn
+            with np.errstate(all="ignore"):
+                return poly(lam[..., 0])
+        return BuiltinFunction(name, f, None)
     raise DomainError(f"unknown function name {name!r}")
 
 

@@ -30,6 +30,7 @@ UNITARITY_TOL = 1e-10
 DIAG_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-8
 CLUSTER_GAP = 1e-8
+MAX_POLISH_SWEEPS = 16
 
 # Fixed substream for the generic linear combination inside joint_diagonalize.
 _COMBO_STREAM = 0x6F704C4A
@@ -205,10 +206,10 @@ def _jacobi_sweep(rotated, U):
             U[:, [p, q]] = U[:, [p, q]] @ g
 
 
-def _offdiag_ok(rotated, norms, tol):
+def _offdiag_ok(rotated, norms):
     for a, nrm in zip(rotated, norms):
         off = a - np.diag(np.diag(a))
-        if _frob(off) > max(tol, DIAG_TOL) * nrm and nrm > 0:
+        if _frob(off) > DIAG_TOL * nrm and nrm > 0:
             return False
     return True
 
@@ -228,13 +229,12 @@ def _snap_degenerate(column, scale):
     return snapped
 
 
-def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
-                      max_polish_sweeps: int = 16) -> JointSpectrum:
+def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     """Simultaneously diagonalize a commuting Hermitian tuple.
 
     Jacobi polish runs only while the generic-combination ``eigh`` plus
-    cluster refinement leaves off-diagonal energy above ``max(tol, DIAG_TOL)``,
-    at most ``max_polish_sweeps`` sweeps (else ``NoConvergenceError``); the
+    cluster refinement leaves off-diagonal energy above ``DIAG_TOL``, at
+    most ``MAX_POLISH_SWEEPS`` sweeps (else ``NoConvergenceError``); the
     count is recorded in ``polish_sweeps``.  Returns a JointSpectrum whose
     eigenvalue rows are sorted lexicographically (ascending per coordinate)
     and whose basis columns carry a deterministic phase (largest-magnitude
@@ -272,8 +272,8 @@ def joint_diagonalize(tup: CommutingTuple, tol: float = RECONSTRUCTION_TOL,
             refine(cluster, 0)
 
     sweeps = 0
-    while not _offdiag_ok(rotated, norms, tol):
-        if sweeps >= max_polish_sweeps:
+    while not _offdiag_ok(rotated, norms):
+        if sweeps >= MAX_POLISH_SWEEPS:
             raise NoConvergenceError(
                 f"off-diagonal energy above tolerance after {sweeps} polish sweeps"
             )

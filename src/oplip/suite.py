@@ -1,15 +1,14 @@
 """Identity and property checks aggregated across all modules.
 
-Each check returns a CheckResult carrying the measured residual and its
-tolerance; :func:`run_identity_suite` bundles them into a machine-readable,
-byte-deterministic report.  The sweep helpers (`perturbation_sweep`,
-`conjugation_sweep`, `contraction_rounding_sweep`, `symbol_agreement_sweep`,
-...) are parameterized so the acceptance tests can run them at full size
-while the suite runs leaner versions of the same code.
+Each check returns its measured residual; :func:`run_identity_suite` pairs
+the residuals with tolerances in a machine-readable, byte-deterministic
+report.  The sweep helpers (`perturbation_sweep`, `conjugation_sweep`,
+`contraction_rounding_sweep`, `symbol_agreement_sweep`, ...) are parameterized
+so the acceptance tests can run them at full size while the suite runs
+leaner versions of the same code.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .doi import (
     perturbation_residual,
     symbol_product_check,
 )
-from .errors import GuardViolationError
+from .errors import DomainError, GuardViolationError
 from .experiments import (
     ExperimentConfig,
     _random_hermitian,
@@ -70,17 +69,24 @@ from .transference import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    details: str = ""
-
-
 def _rel(diff, ref) -> float:
     return float(diff / (1.0 + ref))
+
+
+def _worst(seed, stream, instances, residual):
+    """max of 0.0 and ``residual(rng, i)`` over the instances; rng is substream (stream, i)."""
+    worst = 0.0
+    for i in range(instances):
+        worst = max(worst, residual(generator(seed, stream, i), i))
+    return worst
+
+
+def _planted(rng, max_n, max_d, law="uniform"):
+    """A planted tuple with n in 2..max_n, d in 1..max_d, and its joint spectrum."""
+    n = int(rng.integers(2, max_n + 1))
+    d = int(rng.integers(1, max_d + 1))
+    tup, _, _ = planted_commuting_tuple(n, d, law, seed=int(rng.integers(2**63)))
+    return tup, joint_diagonalize(tup)
 
 
 # ---------------------------------------------------------------------------
@@ -88,55 +94,47 @@ def _rel(diff, ref) -> float:
 
 
 def roundtrip_residual(seed, instances=6):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x51, i)
-        n = int(rng.integers(2, 17))
-        d = int(rng.integers(1, 4))
-        law = ["uniform", "integer:5"][i % 2]
-        tup, _, _ = planted_commuting_tuple(n, d, law, seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
+    def residual(rng, i):
+        tup, js = _planted(rng, 16, 3, ["uniform", "integer:5"][i % 2])
+        worst = 0.0
         for k, a in enumerate(tup.arrays()):
             recon = (js.basis * js.eigenvalues[:, k]) @ js.basis.conj().T
             scale = max(float(np.linalg.norm(a, "fro")), 1e-300)
             worst = max(worst, float(np.linalg.norm(a - recon, "fro")) / scale)
-    return worst
+        return worst
+
+    return _worst(seed, 0x51, instances, residual)
 
 
 def morphism_residual(seed, instances=4):
     """apply_function is multiplicative on polynomial pairs."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x52, i)
-        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 3))
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
+    def residual(rng, _i):
+        _, js = _planted(rng, 8, 2)
         c = rng.standard_normal(3)
         f = lambda lam: c[0] + c[1] * lam[..., 0] + c[2] * lam[..., 0] ** 2
         g = lambda lam: lam[..., 0] + 0.5 * lam[..., -1] ** 2
         fg = lambda lam: f(lam) * g(lam)
         lhs = apply_function(js, fg).data
         rhs = apply_function(js, f).data @ apply_function(js, g).data
-        worst = max(worst, _rel(np.linalg.norm(lhs - rhs, "fro"),
-                                np.linalg.norm(lhs, "fro")))
-    return worst
+        return _rel(np.linalg.norm(lhs - rhs, "fro"), np.linalg.norm(lhs, "fro"))
+
+    return _worst(seed, 0x52, instances, residual)
 
 
 def calculus_commutation_residual(seed, instances=4):
     """f(A) commutes with every member of the tuple."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x53, i)
-        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
-        f = builtin_function("euclid-norm", d)
+    def residual(rng, _i):
+        tup, js = _planted(rng, 8, 3)
+        f = builtin_function("euclid-norm", js.d)
         fa = apply_function(js, f).data
+        worst = 0.0
         for a in tup.arrays():
             dev = np.linalg.norm(commutator(fa, a), "fro")
             scale = np.linalg.norm(fa, "fro") * np.linalg.norm(a, "fro")
             worst = max(worst, float(dev / (1.0 + scale)))
-    return worst
+        return worst
+
+    return _worst(seed, 0x53, instances, residual)
 
 
 def sort_determinism_residual(seed):
@@ -153,51 +151,41 @@ def sort_determinism_residual(seed):
 
 
 def doi_linearity_residual(seed, instances=4):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x61, i)
-        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 3))
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
-        xi = divided_difference_symbol(builtin_function("euclid-norm", d), 1, d)
-        v, w = _random_matrix(n, rng), _random_matrix(n, rng)
+    def residual(rng, _i):
+        _, js = _planted(rng, 8, 2)
+        xi = divided_difference_symbol(builtin_function("euclid-norm", js.d), 1, js.d)
+        v, w = _random_matrix(js.dim, rng), _random_matrix(js.dim, rng)
         a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         lhs = doi_apply(js, xi, a * v + b * w)
         rhs = a * doi_apply(js, xi, v) + b * doi_apply(js, xi, w)
-        worst = max(worst, _rel(np.linalg.norm(lhs - rhs, "fro"),
-                                np.linalg.norm(rhs, "fro")))
-    return worst
+        return _rel(np.linalg.norm(lhs - rhs, "fro"), np.linalg.norm(rhs, "fro"))
+
+    return _worst(seed, 0x61, instances, residual)
 
 
 def doi_self_adjoint_residual(seed, instances=4):
     """trace(T(V) W*) = trace(V T(W)*) for a real symmetric symbol."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x62, i)
-        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 3))
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
-        xi = divided_difference_symbol(builtin_function("crease", d), 1, d)
-        v, w = _random_matrix(n, rng), _random_matrix(n, rng)
+    def residual(rng, _i):
+        _, js = _planted(rng, 8, 2)
+        xi = divided_difference_symbol(builtin_function("crease", js.d), 1, js.d)
+        v, w = _random_matrix(js.dim, rng), _random_matrix(js.dim, rng)
         lhs = complex(np.trace(doi_apply(js, xi, v) @ w.conj().T))
         rhs = complex(np.trace(v @ doi_apply(js, xi, w).conj().T))
-        worst = max(worst, _rel(abs(lhs - rhs), abs(lhs)))
-    return worst
+        return _rel(abs(lhs - rhs), abs(lhs))
+
+    return _worst(seed, 0x62, instances, residual)
 
 
 def doi_l2_oracle_residual(seed, instances=4, max_n=8):
     """doi_l2_norm against the largest singular value of the dense operator."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x63, i)
-        n, d = int(rng.integers(2, max_n + 1)), int(rng.integers(1, 3))
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
-        xi = divided_difference_symbol(builtin_function("euclid-norm", d), 1, d)
+    def residual(rng, _i):
+        _, js = _planted(rng, max_n, 2)
+        xi = divided_difference_symbol(builtin_function("euclid-norm", js.d), 1, js.d)
         direct = doi_l2_norm(js, xi)
         dense = float(np.linalg.svd(doi_operator_matrix(js, xi), compute_uv=False)[0])
-        worst = max(worst, _rel(abs(direct - dense), abs(dense)))
-    return worst
+        return _rel(abs(direct - dense), abs(dense))
+
+    return _worst(seed, 0x63, instances, residual)
 
 
 def perturbation_sweep(seed, instances=20, sizes=(4, 8, 16, 32)):
@@ -205,48 +193,47 @@ def perturbation_sweep(seed, instances=20, sizes=(4, 8, 16, 32)):
 
     Each instance tests every built-in function of its dimension.
     """
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x64, i)
+    def residual(rng, i):
         n = sizes[i % len(sizes)]
         d = 1 + (i % 3)
         tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
         js = joint_diagonalize(tup)
         b = _random_hermitian(n, rng)
+        worst = 0.0
         for name in experiment_function_names(d):
             f = builtin_function(name, d)
             _, _, res = perturbation_residual(js, f, f.lipschitz, b)
             worst = max(worst, res)
-    return worst
+        return worst
+
+    return _worst(seed, 0x64, instances, residual)
 
 
 def divided_difference_bound_residual(seed, instances=6):
-    """max over sampled pairs of |f_k| - L (should be <= 0 up to float)."""
-    worst = -np.inf
-    for i in range(instances):
-        rng = generator(seed, 0x65, i)
+    """max over sampled pairs of |f_k| - L, clipped at 0 (should be 0 up to float)."""
+    def residual(rng, i):
         d = 1 + (i % 3)
         f = builtin_function(experiment_function_names(d)[i % 6], d)
         pts = rng.uniform(-2, 2, size=(40, d))
+        worst = 0.0
         for k in range(1, d + 1):
             fk = divided_difference_symbol(f, k, d)
             pairs = fk.func(pts[:20, None, :], pts[None, 20:, :])
             worst = max(worst, float(np.max(np.abs(pairs))) - f.lipschitz)
-    return max(worst, 0.0)
+        return worst
+
+    return _worst(seed, 0x65, instances, residual)
 
 
 def doi_multiplicativity_residual(seed, instances=4):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x66, i)
-        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 3))
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=int(rng.integers(2**63)))
-        js = joint_diagonalize(tup)
-        xi1 = divided_difference_symbol(builtin_function("euclid-norm", d), 1, d)
-        xi2 = divided_difference_symbol(builtin_function("crease", d), 1, d)
-        v = _random_matrix(n, rng)
-        worst = max(worst, symbol_product_check(js, xi1, xi2, v))
-    return worst
+    def residual(rng, _i):
+        _, js = _planted(rng, 8, 2)
+        xi1 = divided_difference_symbol(builtin_function("euclid-norm", js.d), 1, js.d)
+        xi2 = divided_difference_symbol(builtin_function("crease", js.d), 1, js.d)
+        v = _random_matrix(js.dim, rng)
+        return symbol_product_check(js, xi1, xi2, v)
+
+    return _worst(seed, 0x66, instances, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -255,78 +242,70 @@ def doi_multiplicativity_residual(seed, instances=4):
 
 def quasi_triangle_margin(seed, instances=200):
     """max of weak(X+Y) - 2 weak(X) - 2 weak(Y), clipped at 0."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x71, i)
+    def residual(rng, _i):
         n = int(rng.integers(1, 9))
         x, y = _random_matrix(n, rng), _random_matrix(n, rng)
-        gap = matrix_weak_l1(x + y) - 2.0 * matrix_weak_l1(x) - 2.0 * matrix_weak_l1(y)
-        worst = max(worst, gap)
-    return max(worst, 0.0)
+        return matrix_weak_l1(x + y) - 2.0 * matrix_weak_l1(x) - 2.0 * matrix_weak_l1(y)
+
+    return _worst(seed, 0x71, instances, residual)
 
 
 def mu_subadditivity_margin(seed, instances=200):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x72, i)
+    def residual(rng, _i):
         n = int(rng.integers(1, 9))
         x, y = _random_matrix(n, rng), _random_matrix(n, rng)
         px, py = singular_values(x), singular_values(y)
         pxy = singular_values(x + y)
         t, s = float(rng.uniform(0, n)), float(rng.uniform(0, n))
-        worst = max(worst, mu_at(pxy, t + s) - mu_at(px, t) - mu_at(py, s))
-    return max(worst, 0.0)
+        return mu_at(pxy, t + s) - mu_at(px, t) - mu_at(py, s)
+
+    return _worst(seed, 0x72, instances, residual)
 
 
 def tensor_kron_residual(seed, instances=10, max_n=6):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x73, i)
+    def residual(rng, _i):
         n1, n2 = int(rng.integers(1, max_n + 1)), int(rng.integers(1, max_n + 1))
         a, b = _random_matrix(n1, rng), _random_matrix(n2, rng)
         direct = tensor_profile(singular_values(a), singular_values(b))
         kron = singular_values(np.kron(a, b))
-        worst = max(worst, float(np.max(np.abs(direct.values - kron.values)))
-                    / (1.0 + float(kron.values[0])))
-    return worst
+        return (float(np.max(np.abs(direct.values - kron.values)))
+                / (1.0 + float(kron.values[0])))
+
+    return _worst(seed, 0x73, instances, residual)
 
 
 def tensor_weak_bound_margin(seed, instances=10, max_n=6):
     """max of ||A (x) B||_{1,inf} - ||A||_1 ||B||_{1,inf}, clipped at 0."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x74, i)
+    def residual(rng, _i):
         n1, n2 = int(rng.integers(1, max_n + 1)), int(rng.integers(1, max_n + 1))
         a, b = _random_matrix(n1, rng), _random_matrix(n2, rng)
         lhs = weak_l1(tensor_profile(singular_values(a), singular_values(b)))
         rhs = matrix_trace_norm(a) * matrix_weak_l1(b)
-        worst = max(worst, lhs - rhs)
-    return max(worst, 0.0)
+        return lhs - rhs
+
+    return _worst(seed, 0x74, instances, residual)
 
 
 def weak_dominated_margin(seed, instances=200):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x75, i)
+    def residual(rng, _i):
         n = int(rng.integers(1, 12))
         vals = np.abs(rng.standard_normal(n))
         wts = rng.uniform(0.1, 2.0, size=n)
         p = profile_from_values(vals, wts)
-        worst = max(worst, weak_l1(p) - schatten_norm(p, 1))
-    return max(worst, 0.0)
+        return weak_l1(p) - schatten_norm(p, 1)
+
+    return _worst(seed, 0x75, instances, residual)
 
 
 def weak_homogeneity_residual(seed, instances=100):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x76, i)
+    def residual(rng, _i):
         n = int(rng.integers(1, 12))
         p = profile_from_values(np.abs(rng.standard_normal(n)),
                                 rng.uniform(0.1, 2.0, size=n))
         c = float(rng.uniform(0.1, 10.0))
-        worst = max(worst, abs(weak_l1(p.scaled(c)) - c * weak_l1(p))
-                    / (1.0 + c * weak_l1(p)))
-    return worst
+        return abs(weak_l1(p.scaled(c)) - c * weak_l1(p)) / (1.0 + c * weak_l1(p))
+
+    return _worst(seed, 0x76, instances, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +313,7 @@ def weak_homogeneity_residual(seed, instances=100):
 
 
 def plancherel_residual(seed, instances=4):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x81, i)
+    def residual(rng, i):
         d_torus = 1 + (i % 2)
         n_grid = 8 * (1 + (i % 2))
         w = TorusSignal(
@@ -345,14 +322,13 @@ def plancherel_residual(seed, instances=4):
         )
         _, l2, _ = signal_norms(w)
         coeff_l2 = TWO_PI ** (d_torus / 2.0) * float(np.linalg.norm(coefficients(w)))
-        worst = max(worst, _rel(abs(l2 - coeff_l2), abs(coeff_l2)))
-    return worst
+        return _rel(abs(l2 - coeff_l2), abs(coeff_l2))
+
+    return _worst(seed, 0x81, instances, residual)
 
 
 def multiplier_composition_residual(seed, instances=4):
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x82, i)
+    def residual(rng, i):
         d_torus = 1 + (i % 2)
         n_grid = 8
         w = TorusSignal(
@@ -364,17 +340,16 @@ def multiplier_composition_residual(seed, instances=4):
         m12 = lambda k: m1(k) * m2(k)
         lhs = fourier_multiplier_apply(m2, fourier_multiplier_apply(m1, w))
         rhs = fourier_multiplier_apply(m12, w)
-        worst = max(worst, _rel(np.linalg.norm(lhs.samples - rhs.samples),
-                                np.linalg.norm(rhs.samples)))
-    return worst
+        return _rel(np.linalg.norm(lhs.samples - rhs.samples), np.linalg.norm(rhs.samples))
+
+    return _worst(seed, 0x82, instances, residual)
 
 
 def l2_contraction_margin(seed, instances=4):
     """Multipliers of sup-norm <= 1 do not increase the L2 norm."""
-    worst = 0.0
     g = HomogeneousSymbol(d=1, k0=1)
-    for i in range(instances):
-        rng = generator(seed, 0x83, i)
+
+    def residual(rng, _i):
         n_grid = 16
         w = TorusSignal(
             rng.standard_normal((n_grid, n_grid, 2, 2))
@@ -384,8 +359,9 @@ def l2_contraction_margin(seed, instances=4):
         bounded = lambda k: g(k) / sup
         _, before, _ = signal_norms(w)
         _, after, _ = signal_norms(fourier_multiplier_apply(bounded, w))
-        worst = max(worst, (after - before) / (1.0 + before))
-    return max(worst, 0.0)
+        return (after - before) / (1.0 + before)
+
+    return _worst(seed, 0x83, instances, residual)
 
 
 def fejer_brute(w: TorusSignal, order: int) -> TorusSignal:
@@ -478,13 +454,16 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1, fiber=2,
     return results
 
 
+def deleeuw_spread(ratios):
+    """max/min of one signal's ratios across grid sizes; 1.0 when the min is 0."""
+    return max(ratios) / min(ratios) if min(ratios) > 0 else 1.0
+
+
 def deleeuw_stability_factor(seed, sizes=(32, 64, 128), signals=10, d=1):
-    """Largest max/min ratio spread over the family (should stay below 2)."""
+    """Largest ratio spread over the family (should stay below 2)."""
     worst = 1.0
     for ratios in deleeuw_ratios(seed, sizes, signals, d):
-        vals = list(ratios.values())
-        if min(vals) > 0:
-            worst = max(worst, max(vals) / min(vals))
+        worst = max(worst, deleeuw_spread(ratios.values()))
     return worst
 
 
@@ -528,9 +507,7 @@ def conjugation_sweep(seed, count=10, grid_size=64):
 
 def isometry_residual(seed, instances=3):
     """L1 and weak-L1 of I(V) equal (2 pi)^(d+1) times those of V."""
-    worst = 0.0
-    for i in range(instances):
-        rng = generator(seed, 0x92, i)
+    def residual(rng, i):
         d = 1 + (i % 2)
         n = int(rng.integers(2, 5))
         tup, _, _ = planted_commuting_tuple(
@@ -542,11 +519,20 @@ def isometry_residual(seed, instances=3):
         w = build_embedding(it, h, v, 32)
         l1, _, weak = signal_norms(w)
         factor = TWO_PI ** (d + 1)
-        worst = max(worst, _rel(abs(l1 - factor * matrix_trace_norm(v)),
-                                factor * matrix_trace_norm(v)))
-        worst = max(worst, _rel(abs(weak - factor * matrix_weak_l1(v)),
-                                factor * matrix_weak_l1(v)))
-    return worst
+        return max(_rel(abs(l1 - factor * matrix_trace_norm(v)),
+                        factor * matrix_trace_norm(v)),
+                   _rel(abs(weak - factor * matrix_weak_l1(v)),
+                        factor * matrix_weak_l1(v)))
+
+    return _worst(seed, 0x92, instances, residual)
+
+
+def rounded_contractions(d, n_values, names=None):
+    """``(name, n, h)``: each built-in contraction of dimension d rounded at each n."""
+    for name in (names or contraction_names(d)):
+        f = builtin_function(name, d)
+        for n in n_values:
+            yield name, n, round_contraction(f, n)
 
 
 def contraction_rounding_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
@@ -555,14 +541,11 @@ def contraction_rounding_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
     violations = 0
     checked = 0
     for d in d_values:
-        for name in (names or contraction_names(d)):
-            f = builtin_function(name, d)
-            for n in n_values:
-                h = round_contraction(f, n)
-                report = contraction_check(h, radius, d, report_margin=False)
-                checked += 1
-                if not report.ok:
-                    violations += 1
+        for _, _, h in rounded_contractions(d, n_values, names):
+            report = contraction_check(h, radius, d, report_margin=False)
+            checked += 1
+            if not report.ok:
+                violations += 1
     return violations, checked
 
 
@@ -606,15 +589,12 @@ def symbol_agreement_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
     """
     worst = 0.0
     for d in d_values:
-        for name in (names or contraction_names(d)):
-            f = builtin_function(name, d)
-            for n in n_values:
-                h = round_contraction(f, n)
-                if not contraction_check(h, radius, d, report_margin=False).ok:
-                    raise GuardViolationError(
-                        f"{name} rounded at n={n} is not a contraction on the "
-                        f"radius-{radius} box"
-                    )
+        for name, n, h in rounded_contractions(d, n_values, names):
+            if not contraction_check(h, radius, d, report_margin=False).ok:
+                raise GuardViolationError(
+                    f"{name} rounded at n={n} is not a contraction on the "
+                    f"radius-{radius} box"
+                )
         worst = max(worst, _cone_deviation(radius, d))
     return worst
 
@@ -661,17 +641,18 @@ def run_identity_suite(seed: int, tolerance_scale: float = 1.0) -> dict:
     """Execute every cross-module identity/property with the given seed.
 
     ``tolerance_scale`` multiplies every tolerance; it exists as a test hook
-    (a corrupted scale must flip the exit status).  The report contains no
-    wall-clock data, so identical inputs produce byte-identical reports.
+    (a corrupted scale must flip the exit status) and must be finite and > 0.
+    The report contains no wall-clock data, so identical inputs produce
+    byte-identical reports.
     """
+    if not 0 < tolerance_scale < math.inf:
+        raise DomainError(f"tolerance scale must be finite and > 0, got {tolerance_scale}")
     checks = []
 
     def add(name, residual, tolerance, details=""):
-        tol = tolerance * tolerance_scale
-        checks.append(
-            CheckResult(name, bool(residual <= tol), float(residual), float(tol),
-                        details)
-        )
+        tol = float(tolerance * tolerance_scale)
+        checks.append(dict(name=name, passed=bool(residual <= tol), residual=float(residual),
+                           tolerance=tol, details=details))
 
     add("spectral.roundtrip", roundtrip_residual(seed), 1e-8)
     add("spectral.calculus-morphism", morphism_residual(seed), 1e-9)
@@ -716,15 +697,6 @@ def run_identity_suite(seed: int, tolerance_scale: float = 1.0) -> dict:
         "version": 1,
         "seed": int(seed),
         "tolerance_scale": float(tolerance_scale),
-        "all_passed": all(c.passed for c in checks),
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "details": c.details,
-            }
-            for c in checks
-        ],
+        "all_passed": all(c["passed"] for c in checks),
+        "checks": checks,
     }

@@ -125,7 +125,6 @@ class HomogeneousSymbol:
 
     d: int
     k0: int
-    smoothing: object = smoothing_eval
 
     def __post_init__(self):
         if not 1 <= self.k0 <= self.d:
@@ -144,7 +143,7 @@ def symbol_eval(g: HomogeneousSymbol, t):
     safe = np.where(norms > 0, norms, 1.0)
     unit = pts / safe[..., np.newaxis]
     u = np.clip(np.sum(unit[..., : g.d] ** 2, axis=-1), 0.0, 1.0)
-    vals = unit[..., g.k0 - 1] * unit[..., g.d] / g.smoothing(u)
+    vals = unit[..., g.k0 - 1] * unit[..., g.d] / smoothing_eval(u)
     return np.where(norms > 0, vals, 0.0)
 
 

@@ -74,14 +74,14 @@ class IntegerTuple:
         return [(np.array(key), np.array(rows)) for key, rows in seen.items()]
 
 
-def integer_tuple(source, tol: float = INTEGER_GATE) -> IntegerTuple:
+def integer_tuple(source) -> IntegerTuple:
     """Validate integer spectra and attach the rounded table."""
     js = joint_diagonalize(source) if isinstance(source, CommutingTuple) else source
     rounded = np.round(js.eigenvalues)
     dev = float(np.max(np.abs(js.eigenvalues - rounded))) if js.eigenvalues.size else 0.0
-    if dev > tol:
+    if dev > INTEGER_GATE:
         raise NonIntegerSpectrumError(
-            f"eigenvalues deviate from integers by {dev:.3e} (gate {tol:.1e})"
+            f"eigenvalues deviate from integers by {dev:.3e} (gate {INTEGER_GATE:.1e})"
         )
     return IntegerTuple(spectrum=js, table=rounded.astype(np.int64))
 

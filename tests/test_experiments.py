@@ -21,6 +21,7 @@ from oplip.experiments import (
     lp_ratio,
     normal_ratio,
 )
+from oplip.suite import deleeuw_stability_factor
 
 
 def trials(records):
@@ -173,13 +174,22 @@ def test_cli_unknown_function_exits_2(capsys):
     ["periodization", "--d", "1", "--l", "0"],  # GuardViolationError
     ["periodization", "--d", "1", "--l", "1000"],  # m = 162975 past the point cap
     ["periodization", "--d", "1", "--step", "1e-6"],  # rejected before allocating
-    ["periodization", "--torus-dim", "0"],
     ["periodization", "--d", "-1"],  # torus dimension d + 1 = 0
     ["ratio-commutator", "--trials", "0"],
     ["ratio-commutator", "--lipschitz", "0"],
     ["ratio-commutator", "--f", "poly:0,1"],  # needs --lipschitz
     ["ratio-commutator", "--n", "0"],
     ["ratio-doi", "--d", "0"],
+    ["transference-check", "--trials", "0"],
+    ["deleeuw-sweep", "--trials", "0"],
+    ["deleeuw-sweep", "--trials", "-2"],
+    ["contraction-test", "--max-rounding", "0"],
+    ["deleeuw-sweep", "--sizes", "8,x"],
+    ["deleeuw-sweep", "--sizes", "32,-8"],
+    # NonFiniteError: f overflows on the spectrum
+    ["ratio-commutator", "--f", "poly:1e308,1e308,1e308", "--lipschitz", "1", "--trials", "1"],
+    ["identity-suite", "--tolerance-scale", "nan"],
+    ["identity-suite", "--tolerance-scale", "0"],
 ])
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
@@ -192,6 +202,7 @@ def test_cli_domain_errors_exit_2(argv, capsys):
     ["periodization", "--d", "1", "--trials", "2"],
     ["identity-suite", "--format", "csv"],
     ["ratio-normal", "--d", "3"],  # the normal stream works in C = R^2
+    ["periodization", "--torus-dim", "0"],  # --d sets the torus dimension
 ])
 def test_cli_rejects_flags_the_command_ignores(argv):
     with pytest.raises(SystemExit) as exc:
@@ -279,6 +290,15 @@ def test_cli_identity_suite_corrupted_tolerance(tmp_path):
     rc = _run_cli(["identity-suite", "--seed", "5", "--tolerance-scale", "1e-30",
                    "--out", str(tmp_path / "bad.json")])
     assert rc != 0
+
+
+def test_cli_deleeuw_sweep_spread_of_a_zero_ratio_signal(capsys):
+    # seed 247 draws a signal whose ratio is 0 at every N: its spread is 1, as
+    # in the suite's stability factor, not inf
+    assert _run_cli(["deleeuw-sweep", "--seed", "247", "--trials", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("0,") and rows[1].split(",")[-1] == "1"
+    assert deleeuw_stability_factor(247, signals=1) == 1.0
 
 
 def test_cli_contraction_test(tmp_path):

@@ -125,7 +125,7 @@ def test_joint_diagonalize_polish_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_offdiag_ok", lambda *args: False)
     tup, _, _ = planted_commuting_tuple(6, 2, "uniform", seed=6)
     with pytest.raises(NoConvergenceError):
-        joint_diagonalize(tup, max_polish_sweeps=0)
+        joint_diagonalize(tup)
 
 
 def _adversarial_case(seed):
