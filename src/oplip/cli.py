@@ -7,6 +7,7 @@ wall-clock data.
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -117,6 +118,8 @@ def cmd_ratio(args):
 
 def cmd_transference_check(args):
     _at_least_one("trials", args.trials)
+    if not 0 <= args.tolerance < math.inf:
+        raise DomainError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     with _open_out(args.out) as out:
         worst = 0.0
         for index, (it, h, name, v, k0) in enumerate(

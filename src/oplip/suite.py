@@ -68,6 +68,8 @@ from .transference import (
     verify_conjugation,
 )
 
+DELEEUW_MAX_ENTRIES = 1 << 23  # N^(d+1) fiber^2 entries; d=2 at N=128 fits, ~0.95 GB RSS
+
 
 def _rel(diff, ref) -> float:
     return float(diff / (1.0 + ref))
@@ -424,8 +426,14 @@ def fejer_convergence_profile(d_torus=1, amplitude=0.04, orders=(1, 3, 10, 25, 5
 
 def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1, fiber=2,
                    freq_radius=4, freq_count=4):
-    """weak-L1(g(grad)W)/L1(W) for a fixed signal family across grid sizes."""
+    """weak-L1(g(grad)W)/L1(W) for a fixed signal family across grid sizes.
+
+    A grid past ``DELEEUW_MAX_ENTRIES`` raises DomainError before any draw.
+    """
     d_torus = d + 1
+    if max(sizes, default=0) ** d_torus * fiber**2 > DELEEUW_MAX_ENTRIES:
+        raise DomainError(f"a de Leeuw grid of N={max(sizes)} in d={d} has more than "
+                          f"DELEEUW_MAX_ENTRIES = {DELEEUW_MAX_ENTRIES} coefficient entries")
     g = HomogeneousSymbol(d=d, k0=1)
     rng = generator(seed, 0x85)
     family = []

@@ -66,13 +66,6 @@ class IntegerTuple:
     def d(self) -> int:
         return self.spectrum.d
 
-    def groups(self):
-        """Distinct integer eigenvalue rows with their row index arrays."""
-        seen = {}
-        for i, row in enumerate(self.table):
-            seen.setdefault(tuple(int(v) for v in row), []).append(i)
-        return [(np.array(key), np.array(rows)) for key, rows in seen.items()]
-
 
 def integer_tuple(source) -> IntegerTuple:
     """Validate integer spectra and attach the rounded table."""
@@ -171,20 +164,18 @@ def contraction_check(h, box_radius: int, d: int,
     return ContractionReport(ok, (points[i].copy(), points[j].copy()), worst)
 
 
-def _pair_frequencies(it: IntegerTuple, f):
-    """All (frequency vector, row group pair) items over distinct spectrum rows."""
-    groups = it.groups()
-    values = _integer_values(f, np.array([key for key, _ in groups]))
-    items = []
-    for (key_a, rows_a), f_a in zip(groups, values):
-        for (key_b, rows_b), f_b in zip(groups, values):
-            items.append((np.append(key_a - key_b, f_a - f_b), rows_a, rows_b))
-    return items
+def _frequency_table(it: IntegerTuple, h) -> np.ndarray:
+    """F[i, j] = (lambda_i - lambda_j, h(lambda_i) - h(lambda_j)), shape (n, n, d+1).
+
+    Entry (i, j) of V in the joint eigenbasis sits at frequency F[i, j] of I(V).
+    """
+    rows = np.column_stack([it.table, _integer_values(h, it.table)])
+    return rows[:, None, :] - rows[None, :, :]
 
 
-def _check_alias(items, grid_size: int):
-    """Raise unless an N^(d+1) grid separates every occurring frequency."""
-    maxfreq = max(int(np.max(np.abs(freq))) for freq, _, _ in items)
+def _check_alias(freqs, grid_size: int):
+    """Raise unless an N^(d+1) grid separates every frequency of the table."""
+    maxfreq = int(np.max(np.abs(freqs)))
     if grid_size <= 2 * maxfreq + 1:
         raise AliasRiskError(
             f"grid N={grid_size} cannot separate frequencies up to {maxfreq}; "
@@ -192,33 +183,27 @@ def _check_alias(items, grid_size: int):
         )
 
 
-def _embedding_blocks(it: IntegerTuple, f, v):
-    """Coefficient map of I(V) with fibers expressed in the joint eigenbasis."""
+def _in_eigenbasis(it: IntegerTuple, v) -> np.ndarray:
     v = as_matrix(v)
-    n = it.dim
-    if v.shape != (n, n):
-        raise DimMismatchError(f"expected a {n}x{n} matrix, got {v.shape}")
+    if v.shape != (it.dim, it.dim):
+        raise DimMismatchError(f"expected a {it.dim}x{it.dim} matrix, got {v.shape}")
     U = it.spectrum.basis
-    v_eig = U.conj().T @ v @ U
-    items = _pair_frequencies(it, f)
-    blocks = {}
-    for freq, rows_a, rows_b in items:
-        key = tuple(int(c) for c in freq)
-        fiber = blocks.setdefault(key, np.zeros((n, n), dtype=complex))
-        fiber[np.ix_(rows_a, rows_b)] += v_eig[np.ix_(rows_a, rows_b)]
-    return blocks, items
+    return U.conj().T @ v @ U
 
 
 def build_embedding(it: IntegerTuple, f, v, grid_size: int) -> TorusSignal:
     """Materialize I(V) = U_f (V tensor 1) U_f^* on an aliasing-free N^(d+1) grid."""
-    blocks, items = _embedding_blocks(it, f, v)
-    _check_alias(items, grid_size)
+    v_eig = _in_eigenbasis(it, v)
+    freqs = _frequency_table(it, f)
+    _check_alias(freqs, grid_size)
     n = it.dim
-    d_torus = it.d + 1
+    keys, which = np.unique(freqs.reshape(n * n, -1), axis=0, return_inverse=True)
+    which = which.reshape(n, n)
     U = it.spectrum.basis
-    coeffs = np.zeros((grid_size,) * d_torus + (n, n), dtype=complex)
-    for key, fiber in blocks.items():
-        coeffs[frequency_index(np.array(key), grid_size)] = U @ fiber @ U.conj().T
+    coeffs = np.zeros((grid_size,) * (it.d + 1) + (n, n), dtype=complex)
+    for index, key in enumerate(keys):
+        fiber = np.where(which == index, v_eig, 0.0)
+        coeffs[frequency_index(key, grid_size)] = U @ fiber @ U.conj().T
     return signal_from_coefficients(coeffs)
 
 
@@ -259,19 +244,17 @@ def verify_conjugation(it: IntegerTuple, f, v, grid_size: int, k0: int = 1) -> f
     """Residual of the exact conjugation identity S(I(V)) = I(T(V)).
 
     The two sides travel independent routes: the left evaluates the
-    homogeneous symbol g at the occurring frequencies, the right applies the
-    double operator integral with the divided-difference symbol and embeds the
-    result.  The L2 distance is evaluated on the coefficient representation,
-    which equals the grid L2 distance by the Plancherel identity.
+    homogeneous symbol g at the frequency of every eigenbasis entry (g(0) = 0
+    is the off-diagonal compression), the right applies the double operator
+    integral with the divided-difference symbol.  The frequencies partition
+    the entries, so the entrywise Frobenius distance is the coefficient L2
+    distance, which equals the grid L2 distance by the Plancherel identity.
     """
     _check_contraction_on_box(it, f)
-    blocks, items = _embedding_blocks(it, f, v)
-    _check_alias(items, grid_size)
-    g = HomogeneousSymbol(d=it.d, k0=k0)
-    # same-group blocks (zero leading frequency) die in the off-diagonal compression
-    keys = [key for key in blocks if any(key[: it.d])]
-    g_values = g(np.array(keys, dtype=float).reshape(-1, it.d + 1))
-    left = {key: g_key * blocks[key] for key, g_key in zip(keys, g_values)}
+    v_eig = _in_eigenbasis(it, v)
+    freqs = _frequency_table(it, f)
+    _check_alias(freqs, grid_size)
+    left = HomogeneousSymbol(d=it.d, k0=k0)(freqs) * v_eig
 
     symbol = divided_difference_symbol(f, k0, it.d)
     js_int = JointSpectrum(
@@ -279,25 +262,11 @@ def verify_conjugation(it: IntegerTuple, f, v, grid_size: int, k0: int = 1) -> f
         eigenvalues=it.table.astype(float),
         provenance=it.spectrum.provenance,
     )
-    transformed = doi_apply(js_int, symbol, as_matrix(v))
-    right, _ = _embedding_blocks(it, f, transformed)
+    right = _in_eigenbasis(it, doi_apply(js_int, symbol, as_matrix(v)))
 
-    d_torus = it.d + 1
-    scale = TWO_PI ** (d_torus / 2.0)
-    diff_sq = 0.0
-    right_sq = 0.0
-    for key in set(left) | set(right):
-        a = left.get(key)
-        b = right.get(key)
-        if a is None:
-            a = np.zeros_like(b)
-        if b is None:
-            b = np.zeros_like(a)
-        diff_sq += float(np.linalg.norm(a - b, "fro") ** 2)
-        right_sq += float(np.linalg.norm(b, "fro") ** 2)
-    diff = scale * math.sqrt(diff_sq)
-    denom = 1.0 + scale * math.sqrt(right_sq)
-    return diff / denom
+    scale = TWO_PI ** ((it.d + 1) / 2.0)
+    diff = scale * float(np.linalg.norm(left - right))
+    return diff / (1.0 + scale * float(np.linalg.norm(right)))
 
 
 class DiscretizationReport(NamedTuple):

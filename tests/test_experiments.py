@@ -190,6 +190,9 @@ def test_cli_unknown_function_exits_2(capsys):
     ["ratio-commutator", "--f", "poly:1e308,1e308,1e308", "--lipschitz", "1", "--trials", "1"],
     ["identity-suite", "--tolerance-scale", "nan"],
     ["identity-suite", "--tolerance-scale", "0"],
+    ["transference-check", "--trials", "2", "--tolerance", "nan"],
+    ["transference-check", "--trials", "2", "--tolerance", "-1"],
+    ["deleeuw-sweep", "--trials", "1", "--sizes", "1000000"],  # rejected before allocating
 ])
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2

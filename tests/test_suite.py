@@ -17,6 +17,18 @@ def test_deleeuw_family_is_fixed_per_seed():
     assert all(set(r) == {16, 32} for r in a)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_deleeuw_default_sizes_fit_the_grid_cap(d):
+    # signals=0 runs the cap check and draws nothing.
+    assert deleeuw_ratios(0, sizes=(32, 64, 128), signals=0, d=d) == []
+
+
+@pytest.mark.parametrize("d, sizes", [(1, (1449,)), (2, (32, 129)), (3, (32, 64, 128))])
+def test_deleeuw_grid_past_the_cap_is_rejected(d, sizes):
+    with pytest.raises(DomainError):
+        deleeuw_ratios(0, sizes=sizes, signals=1, d=d)
+
+
 def test_deleeuw_ratios_pin():
     ratios = deleeuw_ratios(0, sizes=(32, 64, 128), signals=2)
     pinned = [

@@ -341,25 +341,48 @@ def test_verify_conjugation_d2_maxabs():
         assert verify_conjugation(it, h, v, 32, k0=k0) <= 1e-9
 
 
-def test_verify_conjugation_matches_grid_route():
-    # the coefficient-space residual agrees with a literal grid computation
-    tup, _, _ = planted_commuting_tuple(3, 1, "integer:2", seed=41)
-    it = integer_tuple(tup)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = lambda iv: np.abs(iv[..., 0])
-    res = verify_conjugation(it, h, v, 16)
+# several eigenvalue groups, with colliding frequencies: the d = 1 instance
+# (table [-3, -2, -1, 0, 1]) puts 25 group pairs on 15 frequencies, the d = 2
+# one 25 group pairs on 21
+_ABS = lambda iv: np.abs(iv[..., 0])
+_MAX_ABS = lambda iv: np.max(np.abs(iv), axis=-1)
+_COLLIDING = {"d1-abs": (5, 1, 55, _ABS), "d2-maxabs": (6, 2, 37, _MAX_ABS)}
 
-    g = HomogeneousSymbol(d=1, k0=1)
+
+@pytest.mark.parametrize("name, k0", [("d1-abs", 1), ("d2-maxabs", 1), ("d2-maxabs", 2)])
+def test_verify_conjugation_matches_grid_route(name, k0):
+    # the coefficient-space residual agrees with a literal grid computation
+    n, d, seed, h = _COLLIDING[name]
+    it, v = _integer_instance(n, d, seed)
+    res = verify_conjugation(it, h, v, 16, k0=k0)
+
+    g = HomogeneousSymbol(d=d, k0=k0)
     left = apply_S(it, g, build_embedding(it, h, v, 16))
     js_int = JointSpectrum(it.spectrum.basis, it.table.astype(float),
                            it.spectrum.provenance)
-    tv = doi_apply(js_int, divided_difference_symbol(h, 1, 1), v)
+    tv = doi_apply(js_int, divided_difference_symbol(h, k0, d), v)
+    assert np.linalg.norm(tv) > 0.1 * np.linalg.norm(v)  # T(V) = 0 would compare 0 with 0
     right = build_embedding(it, h, tv, 16)
-    cell = (TWO_PI / 16) ** 2
+    cell = (TWO_PI / 16) ** (d + 1)
     grid_res = np.sqrt(cell) * np.linalg.norm(left.samples - right.samples)
     grid_den = 1.0 + np.sqrt(cell) * np.linalg.norm(right.samples)
     np.testing.assert_allclose(res, grid_res / grid_den, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", _COLLIDING)
+def test_build_embedding_matches_definition(name):
+    # I(V)(t) = U_h(t) V U_h(t)^*, U_h(t) = U diag(e^{i <(lambda_i, h(lambda_i)), t>}) U^*,
+    # at every point t = 2 pi m / N of the grid
+    n, d, seed, h = _COLLIDING[name]
+    it, v = _integer_instance(n, d, seed)
+    w = build_embedding(it, h, v, 16)
+    rows = np.column_stack([it.table, h(it.table.astype(float))])
+    mesh = np.meshgrid(*[np.arange(16)] * (d + 1), indexing="ij")
+    t = TWO_PI / 16 * np.stack(mesh, axis=-1)
+    u = it.spectrum.basis
+    u_t = np.einsum("ak,...k,bk->...ab", u, np.exp(1j * t @ rows.T), u.conj())
+    expect = u_t @ v @ np.conj(np.swapaxes(u_t, -1, -2))
+    np.testing.assert_allclose(w.samples, expect, atol=1e-10)
 
 
 def test_verify_conjugation_rejects_expansion():
