@@ -13,11 +13,8 @@ from .errors import (
     DimMismatchError,
     DomainError,
     GuardViolationError,
-    NegativeTimeError,
     NoConvergenceError,
-    NonCommutingError,
     NonFiniteError,
-    NonIntegerSpectrumError,
     OplipError,
 )
 from .spectral import (

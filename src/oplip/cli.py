@@ -120,6 +120,10 @@ def cmd_transference_check(args):
     _at_least_one("trials", args.trials)
     if not 0 <= args.tolerance < math.inf:
         raise DomainError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    if args.discretization:
+        f = builtin_function(args.f_name, args.d)
+        tup, _, _ = planted_commuting_tuple(args.n, args.d, "uniform", seed=args.seed)
+        js = joint_diagonalize(tup)
     with _open_out(args.out) as out:
         worst = 0.0
         for index, (it, h, name, v, k0) in enumerate(
@@ -133,9 +137,6 @@ def cmd_transference_check(args):
             )
         out.write(f"max-residual={format_float(worst)}\n")
         if args.discretization:
-            f = builtin_function(args.f_name, args.d)
-            tup, _, _ = planted_commuting_tuple(args.n, args.d, "uniform", seed=args.seed)
-            js = joint_diagonalize(tup)
             out.write("discretization report (symbol vs half divided difference):\n")
             for n_round in (1, 2, 4, 8, 16, 32):
                 rep = discretization_report(js, f, n_round)

@@ -9,12 +9,8 @@ class DimMismatchError(OplipError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class NonCommutingError(OplipError, ValueError):
-    """A tuple of matrices fails the pairwise commutation gate."""
-
-
 class NoConvergenceError(OplipError, RuntimeError):
-    """An iterative refinement exceeded its sweep cap without meeting tolerance."""
+    """Refinement left off-diagonal energy above ``DIAG_TOL``."""
 
 
 class NonFiniteError(OplipError, ValueError):
@@ -29,10 +25,6 @@ class BadExponentError(OplipError, ValueError):
     """Exponent outside the admissible range for the requested norm."""
 
 
-class NegativeTimeError(OplipError, ValueError):
-    """The singular value function is only defined for t >= 0."""
-
-
 class DomainError(OplipError, ValueError):
     """Argument outside the function's domain."""
 
@@ -43,7 +35,3 @@ class GuardViolationError(OplipError, ValueError):
 
 class AliasRiskError(OplipError, ValueError):
     """The requested grid is too small to represent all occurring frequencies."""
-
-
-class NonIntegerSpectrumError(OplipError, ValueError):
-    """Eigenvalue table is not integer-valued within the rounding gate."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, DomainError, NegativeTimeError
+from .errors import BadExponentError, DomainError
 
 
 @dataclass
@@ -73,7 +73,7 @@ def mu_at(profile: SingularValueProfile, t: float) -> float:
     the total weight.
     """
     if t < 0:
-        raise NegativeTimeError("mu is defined for t >= 0 only")
+        raise DomainError("mu is defined for t >= 0 only")
     cum = np.cumsum(profile.weights)
     idx = int(np.searchsorted(cum, t, side="right"))
     if idx >= profile.values.size:

@@ -3,9 +3,8 @@
 The joint diagonalization strategy: diagonalize one generic random linear
 combination of the tuple, split its spectrum into clusters at relative gap
 below ``CLUSTER_GAP``, and re-diagonalize each cluster recursively against the
-next matrix of the tuple.  Only when that still misses the diagonality
-tolerance do Jacobi polish sweeps run, each minimizing the total off-diagonal
-energy across the whole tuple.  Degenerate joint eigenvalues are snapped to a
+next matrix of the tuple.  One diagonality gate then accepts the basis or
+raises ``NoConvergenceError``.  Degenerate joint eigenvalues are snapped to a
 common float so that equal rows of the eigenvalue table compare bitwise equal
 downstream.
 """
@@ -19,7 +18,6 @@ from .errors import (
     DimMismatchError,
     DomainError,
     NoConvergenceError,
-    NonCommutingError,
     NonFiniteError,
 )
 from .rng import generator
@@ -30,7 +28,9 @@ UNITARITY_TOL = 1e-10
 DIAG_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-8
 CLUSTER_GAP = 1e-8
-MAX_POLISH_SWEEPS = 16
+# Planted tuples past these are refused before any draw (memory ~ n*n*d, commuting ~ d*d).
+MAX_TUPLE_ENTRIES = 2**21
+MAX_TUPLE_D = 256
 
 # Fixed substream for the generic linear combination inside joint_diagonalize.
 _COMBO_STREAM = 0x6F704C4A
@@ -89,7 +89,7 @@ class CommutingTuple:
             for l in range(k + 1, len(arrays)):
                 comm = arrays[k] @ arrays[l] - arrays[l] @ arrays[k]
                 if _frob(comm) > COMMUTATION_TOL * norms[k] * norms[l]:
-                    raise NonCommutingError(
+                    raise DomainError(
                         f"matrices {k} and {l} do not commute: "
                         f"residual {_frob(comm):.3e}"
                     )
@@ -113,7 +113,6 @@ class JointSpectrum:
     basis: np.ndarray
     eigenvalues: np.ndarray
     provenance: CommutingTuple = field(repr=False)
-    polish_sweeps: int = 0
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=complex)
@@ -162,48 +161,10 @@ def commutator(x, y) -> np.ndarray:
 
 
 def _split_clusters(sorted_vals, gap):
-    """Index ranges of consecutive values closer than ``gap``."""
-    clusters = []
-    start = 0
-    for i in range(1, sorted_vals.size):
-        if sorted_vals[i] - sorted_vals[i - 1] > gap:
-            clusters.append(np.arange(start, i))
-            start = i
-    clusters.append(np.arange(start, sorted_vals.size))
-    return clusters
-
-
-def _jacobi_sweep(rotated, U):
-    """One two-sided Jacobi sweep minimizing total off-diagonal energy.
-
-    ``rotated`` holds the tuple expressed in the current basis and is updated
-    in place together with the accumulated basis ``U``.
-    """
-    n = U.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            m3 = np.zeros((3, 3))
-            for a in rotated:
-                apq = a[p, q]
-                u = np.array(
-                    [a[p, p].real - a[q, q].real, 2.0 * apq.real, 2.0 * apq.imag]
-                )
-                m3 += np.outer(u, u)
-            w, vecs = np.linalg.eigh(m3)
-            v = vecs[:, np.argmax(w)]
-            if v[0] < 0:
-                v = -v
-            c = np.sqrt(0.5 + v[0] / 2.0)
-            if c < 1e-300:
-                continue
-            s = 0.5 * (v[1] - 1j * v[2]) / c
-            if abs(s) < 1e-18:
-                continue
-            g = np.array([[c, -np.conj(s)], [s, c]])
-            for a in rotated:
-                a[[p, q], :] = g.conj().T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ g
-            U[:, [p, q]] = U[:, [p, q]] @ g
+    """Index ranges of two or more consecutive values closer than ``gap``."""
+    breaks = (np.flatnonzero(np.diff(sorted_vals) > gap) + 1).tolist()
+    bounds = [0, *breaks, sorted_vals.size]
+    return [np.arange(a, b) for a, b in zip(bounds, bounds[1:]) if b - a > 1]
 
 
 def _offdiag_ok(rotated, norms):
@@ -219,23 +180,18 @@ def _snap_degenerate(column, scale):
     order = np.argsort(column, kind="stable")
     snapped = column.copy()
     width = 64 * column.size * np.finfo(float).eps * scale
-    start = 0
     vals = column[order]
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > width:
-            if i - start > 1:
-                snapped[order[start:i]] = float(np.mean(vals[start:i]))
-            start = i
+    for run in _split_clusters(vals, width):
+        snapped[order[run]] = float(np.mean(vals[run]))
     return snapped
 
 
 def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     """Simultaneously diagonalize a commuting Hermitian tuple.
 
-    Jacobi polish runs only while the generic-combination ``eigh`` plus
-    cluster refinement leaves off-diagonal energy above ``DIAG_TOL``, at
-    most ``MAX_POLISH_SWEEPS`` sweeps (else ``NoConvergenceError``); the
-    count is recorded in ``polish_sweeps``.  Returns a JointSpectrum whose
+    One pass: the generic-combination ``eigh``, the cluster refinement,
+    then a gate that raises ``NoConvergenceError`` if off-diagonal energy
+    is left above ``DIAG_TOL``.  Returns a JointSpectrum whose
     eigenvalue rows are sorted lexicographically (ascending per coordinate)
     and whose basis columns carry a deterministic phase (largest-magnitude
     entry made real positive).
@@ -252,7 +208,7 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     rotated = [U.conj().T @ a @ U for a in arrays]
 
     def refine(idx, k):
-        if k >= d or idx.size < 2:
+        if k >= d:
             return
         block = rotated[k][np.ix_(idx, idx)]
         block = (block + block.conj().T) / 2.0
@@ -263,22 +219,14 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
             a[idx, :] = q.conj().T @ a[idx, :]
         gap = CLUSTER_GAP * (1.0 + norms[k])
         for sub in _split_clusters(w, gap):
-            if sub.size > 1:
-                refine(idx[sub], k + 1)
+            refine(idx[sub], k + 1)
 
     combo_gap = CLUSTER_GAP * (1.0 + _frob(combo))
     for cluster in _split_clusters(vals, combo_gap):
-        if cluster.size > 1:
-            refine(cluster, 0)
+        refine(cluster, 0)
 
-    sweeps = 0
-    while not _offdiag_ok(rotated, norms):
-        if sweeps >= MAX_POLISH_SWEEPS:
-            raise NoConvergenceError(
-                f"off-diagonal energy above tolerance after {sweeps} polish sweeps"
-            )
-        _jacobi_sweep(rotated, U)
-        sweeps += 1
+    if not _offdiag_ok(rotated, norms):
+        raise NoConvergenceError("off-diagonal energy above tolerance after refinement")
 
     table = np.column_stack([np.real(np.diag(a)) for a in rotated])
     for k in range(d):
@@ -294,8 +242,7 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     phases = phases / np.abs(phases)
     U = U / phases[np.newaxis, :]
 
-    return JointSpectrum(basis=U, eigenvalues=table, provenance=tup,
-                         polish_sweeps=sweeps)
+    return JointSpectrum(basis=U, eigenvalues=table, provenance=tup)
 
 
 def evaluate_rows(f, rows) -> np.ndarray:
@@ -360,6 +307,9 @@ def planted_commuting_tuple(n, d, spectrum_law="uniform", seed=0):
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be positive")
+    if n * n * d > MAX_TUPLE_ENTRIES or d > MAX_TUPLE_D:
+        raise DomainError(f"n*n*d must be <= {MAX_TUPLE_ENTRIES} and d <= {MAX_TUPLE_D}, "
+                          f"got n={n}, d={d}")
     rng = generator(seed)
     U = haar_unitary(n, rng)
     lambdas = _draw_spectra(n, d, spectrum_law, rng)

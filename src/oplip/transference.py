@@ -25,7 +25,6 @@ from .errors import (
     DimMismatchError,
     DomainError,
     GuardViolationError,
-    NonIntegerSpectrumError,
 )
 from .doi import Symbol, divided_difference_symbol, doi_apply
 from .rng import generator
@@ -73,7 +72,7 @@ def integer_tuple(source) -> IntegerTuple:
     rounded = np.round(js.eigenvalues)
     dev = float(np.max(np.abs(js.eigenvalues - rounded))) if js.eigenvalues.size else 0.0
     if dev > INTEGER_GATE:
-        raise NonIntegerSpectrumError(
+        raise DomainError(
             f"eigenvalues deviate from integers by {dev:.3e} (gate {INTEGER_GATE:.1e})"
         )
     return IntegerTuple(spectrum=js, table=rounded.astype(np.int64))

@@ -193,6 +193,9 @@ def test_cli_unknown_function_exits_2(capsys):
     ["transference-check", "--trials", "2", "--tolerance", "nan"],
     ["transference-check", "--trials", "2", "--tolerance", "-1"],
     ["deleeuw-sweep", "--trials", "1", "--sizes", "1000000"],  # rejected before allocating
+    # planted tuples past n*n*d = 2**21 or d = 256, rejected before the first draw
+    ["ratio-commutator", "--n", "1000000", "--trials", "1"],
+    ["ratio-difference", "--n", "2", "--d", "1024", "--trials", "1"],
 ])
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
@@ -232,12 +235,12 @@ def test_readme_cli_commands_parse():
 
 def test_cli_no_convergence_exits_2(monkeypatch, capsys):
     def diverge(_tup):
-        raise NoConvergenceError("joint diagonalization exceeded its sweep cap")
+        raise NoConvergenceError("off-diagonal energy above tolerance after refinement")
 
     monkeypatch.setattr(experiments, "joint_diagonalize", diverge)
     assert _run_cli(["ratio-commutator", "--n", "3", "--trials", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: joint diagonalization exceeded its sweep cap"]
+    assert err == ["error: off-diagonal energy above tolerance after refinement"]
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):
@@ -246,6 +249,17 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "1000000"), ("--f", "nope")])
+def test_transference_check_refusal_writes_nothing(tmp_path, capsys, flag, value):
+    # the discretization tuple and --f are resolved before any instance line
+    out = tmp_path / "t.txt"
+    argv = ["transference-check", "--trials", "1", "--discretization", flag, value]
+    assert _run_cli(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert _run_cli(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_python_dash_m_runs_cli():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplip.errors import BadExponentError, DomainError, NegativeTimeError
+from oplip.errors import BadExponentError, DomainError
 from oplip.norms import (
     SingularValueProfile,
     matrix_trace_norm,
@@ -58,7 +58,7 @@ def test_mu_at_steps():
     # right-continuity at the step boundary
     assert mu_at(p, 1.0) == 1.0
     assert mu_at(p, 0.0) == 3.0
-    with pytest.raises(NegativeTimeError):
+    with pytest.raises(DomainError, match="t >= 0"):
         mu_at(p, -0.1)
 
 

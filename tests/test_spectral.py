@@ -7,7 +7,6 @@ from oplip.errors import (
     DimMismatchError,
     DomainError,
     NoConvergenceError,
-    NonCommutingError,
     NonFiniteError,
 )
 from oplip.spectral import (
@@ -35,7 +34,7 @@ def test_hermitian_gate():
 def test_commutation_gate():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])
-    with pytest.raises(NonCommutingError):
+    with pytest.raises(DomainError, match="do not commute"):
         CommutingTuple([x, z])
 
 
@@ -91,41 +90,54 @@ def test_joint_diagonalize_deterministic():
     assert np.array_equal(a.basis, b.basis)
 
 
-def _no_sweep(*args):
-    raise AssertionError("Jacobi polish ran")
-
-
 @pytest.mark.parametrize("n,d,law", [(32, 3, "uniform"), (24, 2, "integer:3")])
-def test_joint_diagonalize_skips_polish_when_refinement_meets_tolerance(
-        monkeypatch, n, d, law):
-    monkeypatch.setattr(spectral, "_jacobi_sweep", _no_sweep)
+def test_joint_diagonalize_skips_polish_when_refinement_meets_tolerance(n, d, law):
     tup, _, planted = planted_commuting_tuple(n, d, law, seed=5)
     js = joint_diagonalize(tup)
-    assert js.polish_sweeps == 0
     want = planted[np.lexsort(planted.T[::-1])]
     np.testing.assert_allclose(js.eigenvalues, want, rtol=0, atol=1e-10)
 
 
-def test_joint_diagonalize_polishes_on_demand(monkeypatch):
-    real_ok = spectral._offdiag_ok
+def test_joint_diagonalize_gate_raises_at_once(monkeypatch):
     calls = []
 
-    def fail_once(*args):
+    def refuse(*args):
         calls.append(None)
-        return len(calls) > 1 and real_ok(*args)
+        return False
 
-    monkeypatch.setattr(spectral, "_offdiag_ok", fail_once)
-    tup, _, _ = planted_commuting_tuple(8, 2, "uniform", seed=6)
-    js = joint_diagonalize(tup)
-    assert js.polish_sweeps == 1
-    spectral.validate_joint_spectrum(js)
-
-
-def test_joint_diagonalize_polish_cap(monkeypatch):
-    monkeypatch.setattr(spectral, "_offdiag_ok", lambda *args: False)
+    monkeypatch.setattr(spectral, "_offdiag_ok", refuse)
     tup, _, _ = planted_commuting_tuple(6, 2, "uniform", seed=6)
     with pytest.raises(NoConvergenceError):
         joint_diagonalize(tup)
+    assert len(calls) == 1
+
+
+def _integer_centred_case(seed):
+    """A seeded commuting tuple whose rows cluster tightly around integer centres.
+
+    n in 4..24, d in 1..3, 2-5 centres with entries in -3..3, relative spread
+    10^U(-12, -4) and column scales 10^U(-3, 3).
+    """
+    rng = generator(seed, 0xBEEF)
+    n = int(rng.integers(4, 25))
+    d = int(rng.integers(1, 4))
+    centres = rng.integers(-3, 4, size=(int(rng.integers(2, 6)), d)).astype(float)
+    spread = 10.0 ** rng.uniform(-12.0, -4.0)
+    table = centres[rng.integers(0, len(centres), size=n)]
+    table = table + spread * rng.standard_normal((n, d))
+    table = table * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+    U = haar_unitary(n, rng)
+    matrices = [(U * table[:, k]) @ U.conj().T for k in range(d)]
+    return [(a + a.conj().T) / 2.0 for a in matrices]
+
+
+@pytest.mark.parametrize("seed,n,d", [(44, 23, 3), (207, 8, 3)])
+def test_joint_diagonalize_refuses_unresolved_clusters(seed, n, d):
+    # real input that the refinement leaves above DIAG_TOL: the gate refuses it
+    matrices = _integer_centred_case(seed)
+    assert (matrices[0].shape[0], len(matrices)) == (n, d)
+    with pytest.raises(NoConvergenceError):
+        joint_diagonalize(CommutingTuple(matrices))
 
 
 def _adversarial_case(seed):
@@ -173,6 +185,30 @@ def test_joint_diagonalize_adversarial_spectra():
     errors = [e for e in outcomes if e != "raised"]
     assert errors, "every adversarial case was refused"
     assert max(errors) <= 1e-8
+
+
+def _snap_by_scan(column, scale):
+    """Reference loop for ``spectral._snap_degenerate``."""
+    order = np.argsort(column, kind="stable")
+    snapped = column.copy()
+    width = 64 * column.size * np.finfo(float).eps * scale
+    vals = column[order]
+    start = 0
+    for i in range(1, vals.size + 1):
+        if i == vals.size or vals[i] - vals[i - 1] > width:
+            if i - start > 1:
+                snapped[order[start:i]] = float(np.mean(vals[start:i]))
+            start = i
+    return snapped
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_snap_degenerate_matches_scan(seed):
+    rng = generator(seed, 0x5A)
+    column = rng.integers(-3, 4, size=40) + 1e-15 * rng.standard_normal(40)
+    column[::7] += rng.uniform(-1.0, 1.0, size=column[::7].size)
+    np.testing.assert_array_equal(spectral._snap_degenerate(column, 4.0),
+                                  _snap_by_scan(column, 4.0))
 
 
 def test_apply_function_constant_and_square():
@@ -255,8 +291,11 @@ def test_random_tuple_determinism_and_laws():
     lambda: CommutingTuple([]),
     lambda: planted_commuting_tuple(0, 2, "uniform", seed=0),
     lambda: planted_commuting_tuple(3, 0, "uniform", seed=0),
+    lambda: planted_commuting_tuple(1449, 1, "uniform", seed=0),
+    lambda: planted_commuting_tuple(1, 257, "uniform", seed=0),
     lambda: discretize_tuple(joint_diagonalize(CommutingTuple([np.diag([0.5])])), 0),
-], ids=["non-hermitian", "empty-tuple", "n-zero", "d-zero", "refinement-zero"])
+], ids=["non-hermitian", "empty-tuple", "n-zero", "d-zero", "n-too-large", "d-too-large",
+        "refinement-zero"])
 def test_input_checks_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()

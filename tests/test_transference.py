@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oplip import transference
 from oplip.doi import divided_difference_symbol, doi_apply
-from oplip.errors import AliasRiskError, DomainError, NonIntegerSpectrumError
+from oplip.errors import AliasRiskError, DomainError
 from oplip.functions import builtin_function
 from oplip.norms import matrix_trace_norm, matrix_weak_l1
 from oplip.spectral import CommutingTuple, JointSpectrum, planted_commuting_tuple
@@ -31,7 +31,7 @@ def test_integer_tuple_gate():
     assert it.table.dtype == np.int64
     assert np.max(np.abs(it.spectrum.eigenvalues - it.table)) <= 1e-9
     bad, _, _ = planted_commuting_tuple(5, 1, "uniform", seed=1)
-    with pytest.raises(NonIntegerSpectrumError):
+    with pytest.raises(DomainError, match="deviate from integers"):
         integer_tuple(bad)
 
 
