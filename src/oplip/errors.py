@@ -10,7 +10,7 @@ class DimMismatchError(OplipError, ValueError):
 
 
 class NoConvergenceError(OplipError, RuntimeError):
-    """Refinement left off-diagonal energy above ``DIAG_TOL``."""
+    """A joint basis fails to reconstruct the tuple within ``RECONSTRUCTION_TOL``."""
 
 
 class NonFiniteError(OplipError, ValueError):

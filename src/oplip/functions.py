@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .rng import generator
-from .spectral import evaluate_rows
+from .spectral import MAX_TUPLE_D, evaluate_rows
 
 
 class BuiltinFunction:
@@ -42,8 +42,15 @@ def _dot(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def _check_d(d):
+    """DomainError unless 1 <= d <= MAX_TUPLE_D, the dimensions a tuple can have."""
+    if not 1 <= d <= MAX_TUPLE_D:
+        raise DomainError(f"dimension d must be in 1..{MAX_TUPLE_D}, got {d}")
+
+
 def builtin_function(name: str, d: int) -> BuiltinFunction:
     """Resolve a CLI function name for dimension d."""
+    _check_d(d)
     if name == "identity":
         return BuiltinFunction(name, _coordinate(1), 1.0)
     if name == "abs":
@@ -81,6 +88,7 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
 
 def contraction_names(d: int):
     """Built-in Euclidean contractions (Lipschitz constant <= 1) for dimension d."""
+    _check_d(d)
     names = ["identity", "abs", "euclid-norm", "max-abs", "max-abs-scaled", "crease"]
     names += [f"coordinate:{k}" for k in range(2, d + 1)]
     return names

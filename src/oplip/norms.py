@@ -38,10 +38,6 @@ class SingularValueProfile:
         if np.any(self.weights <= 0):
             raise DomainError("weights must be positive")
 
-    @property
-    def total_weight(self):
-        return float(np.sum(self.weights))
-
     def scaled(self, c):
         """Profile of c*x for c >= 0 (values scaled, weights kept)."""
         if c < 0:

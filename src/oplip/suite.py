@@ -49,6 +49,7 @@ from .torus import (
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
+    _multiplied,
     _multiplier_tensor,
     coefficients,
     fejer,
@@ -264,9 +265,9 @@ def mu_subadditivity_margin(seed, instances=200):
     return _worst(seed, 0x72, instances, residual)
 
 
-def tensor_kron_residual(seed, instances=10, max_n=6):
+def tensor_kron_residual(seed, instances=10):
     def residual(rng, _i):
-        n1, n2 = int(rng.integers(1, max_n + 1)), int(rng.integers(1, max_n + 1))
+        n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         a, b = _random_matrix(n1, rng), _random_matrix(n2, rng)
         direct = tensor_profile(singular_values(a), singular_values(b))
         kron = singular_values(np.kron(a, b))
@@ -276,10 +277,10 @@ def tensor_kron_residual(seed, instances=10, max_n=6):
     return _worst(seed, 0x73, instances, residual)
 
 
-def tensor_weak_bound_margin(seed, instances=10, max_n=6):
+def tensor_weak_bound_margin(seed, instances=10):
     """max of ||A (x) B||_{1,inf} - ||A||_1 ||B||_{1,inf}, clipped at 0."""
     def residual(rng, _i):
-        n1, n2 = int(rng.integers(1, max_n + 1)), int(rng.integers(1, max_n + 1))
+        n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         a, b = _random_matrix(n1, rng), _random_matrix(n2, rng)
         lhs = weak_l1(tensor_profile(singular_values(a), singular_values(b)))
         rhs = matrix_trace_norm(a) * matrix_weak_l1(b)
@@ -357,10 +358,10 @@ def l2_contraction_margin(seed, instances=4):
             rng.standard_normal((n_grid, n_grid, 2, 2))
             + 1j * rng.standard_normal((n_grid, n_grid, 2, 2))
         )
-        sup = max(float(np.max(np.abs(_multiplier_tensor(g, n_grid, 2)))), 1e-300)
-        bounded = lambda k: g(k) / sup
+        table = _multiplier_tensor(g, n_grid, 2)
+        sup = max(float(np.max(np.abs(table))), 1e-300)
         _, before, _ = signal_norms(w)
-        _, after, _ = signal_norms(fourier_multiplier_apply(bounded, w))
+        _, after, _ = signal_norms(_multiplied(coefficients(w), table / sup))
         return (after - before) / (1.0 + before)
 
     return _worst(seed, 0x83, instances, residual)
@@ -382,15 +383,15 @@ def fejer_brute(w: TorusSignal, order: int) -> TorusSignal:
     return signal_from_coefficients(acc / (order + 1) ** d_torus)
 
 
-def fejer_bruteforce_residual(seed, orders=(0, 1, 2, 3), grid=8, fiber=2):
+def fejer_bruteforce_residual(seed):
     worst = 0.0
     for d_torus in (1, 2):
         rng = generator(seed, 0x84, d_torus)
         w = TorusSignal(
-            rng.standard_normal((grid,) * d_torus + (fiber, fiber))
-            + 1j * rng.standard_normal((grid,) * d_torus + (fiber, fiber))
+            rng.standard_normal((8,) * d_torus + (2, 2))
+            + 1j * rng.standard_normal((8,) * d_torus + (2, 2))
         )
-        for order in orders:
+        for order in (0, 1, 2, 3):
             closed = fejer(w, order)
             brute = fejer_brute(w, order)
             worst = max(
@@ -400,10 +401,10 @@ def fejer_bruteforce_residual(seed, orders=(0, 1, 2, 3), grid=8, fiber=2):
     return worst
 
 
-def fejer_convergence_profile(d_torus=1, amplitude=0.04, orders=(1, 3, 10, 25, 50, 57, 100)):
+def fejer_convergence_profile(d_torus=1):
     """(order, ||A_n W - W||_1 / ||W||_1) for the fixed degree-1 test signal.
 
-    The signal is 1 + amplitude*cos(t_1): its oscillatory mass is small
+    The signal is 1 + 0.04*cos(t_1): its oscillatory mass is small
     relative to its mean, which is what makes the 1e-3 threshold at n = 50x
     degree attainable (the deficiency of a degree-m coefficient is exactly
     m/(n+1) per axis).
@@ -413,24 +414,25 @@ def fejer_convergence_profile(d_torus=1, amplitude=0.04, orders=(1, 3, 10, 25, 5
     coeffs[frequency_index(np.zeros(d_torus, int), n_grid)] = 1.0
     plus = np.zeros(d_torus, int)
     plus[0] = 1
-    coeffs[frequency_index(plus, n_grid)] = amplitude / 2.0
-    coeffs[frequency_index(-plus, n_grid)] = amplitude / 2.0
+    coeffs[frequency_index(plus, n_grid)] = 0.02
+    coeffs[frequency_index(-plus, n_grid)] = 0.02
     w = signal_from_coefficients(coeffs)
     base_l1 = signal_norms(w)[0]
     out = []
-    for order in orders:
+    for order in (1, 3, 10, 25, 50, 57, 100):
         diff = fejer(w, order).samples - w.samples
         out.append((order, signal_norms(TorusSignal(diff))[0] / base_l1))
     return out
 
 
-def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1, fiber=2,
-                   freq_radius=4, freq_count=4):
+def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     """weak-L1(g(grad)W)/L1(W) for a fixed signal family across grid sizes.
 
-    A grid past ``DELEEUW_MAX_ENTRIES`` raises DomainError before any draw.
+    A signal is four 2 x 2 fibers at nonzero frequencies in [-4, 4]^(d+1), drawn
+    as coefficients: W and g(grad)W take one inverse FFT each.  A grid past
+    ``DELEEUW_MAX_ENTRIES`` raises DomainError before any draw.
     """
-    d_torus = d + 1
+    d_torus, fiber = d + 1, 2
     if max(sizes, default=0) ** d_torus * fiber**2 > DELEEUW_MAX_ENTRIES:
         raise DomainError(f"a de Leeuw grid of N={max(sizes)} in d={d} has more than "
                           f"DELEEUW_MAX_ENTRIES = {DELEEUW_MAX_ENTRIES} coefficient entries")
@@ -439,26 +441,24 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1, fiber=2,
     family = []
     for _ in range(signals):
         terms = []
-        while len(terms) < freq_count:
-            k = rng.integers(-freq_radius, freq_radius + 1, size=d_torus)
+        while len(terms) < 4:
+            k = rng.integers(-4, 5, size=d_torus)
             if np.any(k != 0):
                 fib = rng.standard_normal((fiber, fiber)) + 1j * rng.standard_normal(
                     (fiber, fiber)
                 )
                 terms.append((k.copy(), fib))
         family.append(terms)
-    results = []
-    for terms in family:
-        ratios = {}
-        for n_grid in sizes:
+    results = [{} for _ in family]
+    for n_grid in sizes:
+        table = _multiplier_tensor(g, n_grid, d_torus)
+        for terms, ratios in zip(family, results):
             coeffs = np.zeros((n_grid,) * d_torus + (fiber, fiber), dtype=complex)
             for k, fib in terms:
                 coeffs[frequency_index(k, n_grid)] += fib
-            w = signal_from_coefficients(coeffs)
-            l1 = signal_norms(w)[0]
-            weak = signal_norms(fourier_multiplier_apply(g, w))[2]
+            l1 = signal_norms(signal_from_coefficients(coeffs))[0]
+            weak = signal_norms(_multiplied(coeffs, table))[2]
             ratios[n_grid] = weak / l1
-        results.append(ratios)
     return results
 
 

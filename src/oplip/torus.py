@@ -153,6 +153,11 @@ def _multiplier_tensor(m, grid_size: int, torus_dim: int) -> np.ndarray:
     return evaluate_rows(m, np.stack(mesh, axis=-1))
 
 
+def _multiplied(coeffs, table) -> TorusSignal:
+    """The signal whose coefficient of e_k is coeffs[k] * table[k]."""
+    return signal_from_coefficients(coeffs * table[..., np.newaxis, np.newaxis])
+
+
 def fourier_multiplier_apply(m, w: TorusSignal) -> TorusSignal:
     """Multiply the coefficient of e_k by m(k); fibers are only scaled.
 
@@ -160,9 +165,7 @@ def fourier_multiplier_apply(m, w: TorusSignal) -> TorusSignal:
     :func:`~oplip.spectral.evaluate_rows`: it takes the whole (..., D) table of
     integer frequencies as floats and returns the multiplier values (...).
     """
-    coeffs = coefficients(w)
-    mult = _multiplier_tensor(m, w.grid_size, w.torus_dim)
-    return signal_from_coefficients(coeffs * mult[..., np.newaxis, np.newaxis])
+    return _multiplied(coefficients(w), _multiplier_tensor(m, w.grid_size, w.torus_dim))
 
 
 def fejer(w: TorusSignal, n: int) -> TorusSignal:
@@ -173,19 +176,32 @@ def fejer(w: TorusSignal, n: int) -> TorusSignal:
     """
     if n < 0:
         raise DomainError("Fejer order must be nonnegative")
-    coeffs = coefficients(w)
-    freqs = frequencies(w.grid_size)
-    damp_1d = np.maximum(0.0, 1.0 - np.abs(freqs) / (n + 1.0))
-    weight = np.ones((w.grid_size,) * w.torus_dim)
-    for axis in range(w.torus_dim):
-        shape = [1] * w.torus_dim
-        shape[axis] = w.grid_size
-        weight = weight * damp_1d.reshape(shape)
-    return signal_from_coefficients(coeffs * weight[..., np.newaxis, np.newaxis])
+    damp = lambda k: np.prod(np.maximum(0.0, 1.0 - np.abs(k) / (n + 1.0)), axis=-1)
+    return fourier_multiplier_apply(damp, w)
 
 
 def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values (F, n) of a stack (F, n, n) of fibers; see signal_profile."""
+    """Singular values (F, n) of a stack (F, n, n) of fibers.
+
+    The method depends on the fiber size n:
+
+    - n = 1: the moduli of the samples, which is the exact 1 x 1 SVD.
+    - n = 2: a closed form for [[a, b], [c, d]] through the Gram matrix
+      M^* M = [[p, z], [conj(z), r]], with p = |a|^2 + |c|^2,
+      r = |b|^2 + |d|^2 and z = conj(a) b + conj(c) d:
+      s1 = sqrt((p + r)/2 + sqrt(((p - r)/2)^2 + |z|^2)) and
+      s2 = min(|ad - bc| / s1, s1).  Each fiber is first scaled by a power of
+      two just above its largest |entry|, which is exact, so no square
+      overflows or underflows at the fiber's own scale; a zero fiber gives
+      0, 0 without a division.  Every term under the roots of s1 is
+      nonnegative, so s1 has a small relative error, and s2 an absolute
+      error of a few eps * s1.  The textbook s2^2 = (||M||_F^2 -
+      sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not used: it cancels when
+      s1 ~ s2 and loses about half the digits there.  The Gram form is a few
+      array passes over all fibers at once, where a batched LAPACK SVD makes
+      one call per fiber.
+    - n >= 3: ``np.linalg.svd``.
+    """
     n = stack.shape[-1]
     if n == 1:
         return np.abs(stack[:, :, 0])
@@ -214,38 +230,12 @@ def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
     return np.ldexp(np.stack([s1, s2], axis=-1), e[:, None])
 
 
-def signal_profile(w: TorusSignal) -> SingularValueProfile:
-    """Pool all fiber singular values with the grid cell volume as weight.
-
-    The method depends on the fiber size n:
-
-    - n = 1: the moduli of the samples, which is the exact 1 x 1 SVD.
-    - n = 2: a closed form for [[a, b], [c, d]] through the Gram matrix
-      M^* M = [[p, z], [conj(z), r]], with p = |a|^2 + |c|^2,
-      r = |b|^2 + |d|^2 and z = conj(a) b + conj(c) d:
-      s1 = sqrt((p + r)/2 + sqrt(((p - r)/2)^2 + |z|^2)) and
-      s2 = min(|ad - bc| / s1, s1).  Each fiber is first scaled by a power of
-      two just above its largest |entry|, which is exact, so no square
-      overflows or underflows at the fiber's own scale; a zero fiber gives
-      0, 0 without a division.  Every term under the roots of s1 is
-      nonnegative, so s1 has a small relative error, and s2 an absolute
-      error of a few eps * s1.  The textbook s2^2 = (||M||_F^2 -
-      sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not used: it cancels when
-      s1 ~ s2 and loses about half the digits there.  The Gram form is a few
-      array passes over all fibers at once, where a batched LAPACK SVD makes
-      one call per fiber.
-    - n >= 3: ``np.linalg.svd``.
-    """
-    d_torus, n_grid, n_fib = w.torus_dim, w.grid_size, w.fiber_dim
-    stack = w.samples.reshape(-1, n_fib, n_fib)
-    svals = _fiber_singular_values(stack).ravel()
-    svals.sort()
-    return SingularValueProfile(svals[::-1], (TWO_PI / n_grid) ** d_torus)
-
-
 def signal_norms(w: TorusSignal):
     """(L1, L2, weak-L1) of the signal over its grid measure."""
-    profile = signal_profile(w)
+    n_fib = w.fiber_dim
+    svals = _fiber_singular_values(w.samples.reshape(-1, n_fib, n_fib)).ravel()
+    svals.sort()
+    profile = SingularValueProfile(svals[::-1], (TWO_PI / w.grid_size) ** w.torus_dim)
     return (
         schatten_norm(profile, 1),
         schatten_norm(profile, 2),

@@ -196,7 +196,13 @@ def test_cli_unknown_function_exits_2(capsys):
     # planted tuples past n*n*d = 2**21 or d = 256, rejected before the first draw
     ["ratio-commutator", "--n", "1000000", "--trials", "1"],
     ["ratio-difference", "--n", "2", "--d", "1024", "--trials", "1"],
+    # d past 1..256 is refused where --f is resolved, before crease builds its vector
+    ["ratio-commutator", "--d", "100000000000", "--f", "crease", "--trials", "1"],
+    ["transference-check", "--d", "100000000000", "--f", "crease", "--discretization"],
+    ["transference-check", "--d", "0", "--f", "crease", "--discretization"],
+    ["contraction-test", "--d", "100000000000"],  # no list of 1e11 names
 ])
+@pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -235,12 +241,12 @@ def test_readme_cli_commands_parse():
 
 def test_cli_no_convergence_exits_2(monkeypatch, capsys):
     def diverge(_tup):
-        raise NoConvergenceError("off-diagonal energy above tolerance after refinement")
+        raise NoConvergenceError("matrix 0 fails reconstruction from the spectrum")
 
     monkeypatch.setattr(experiments, "joint_diagonalize", diverge)
     assert _run_cli(["ratio-commutator", "--n", "3", "--trials", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: off-diagonal energy above tolerance after refinement"]
+    assert err == ["error: matrix 0 fails reconstruction from the spectrum"]
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

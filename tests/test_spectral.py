@@ -12,6 +12,7 @@ from oplip.errors import (
 from oplip.spectral import (
     CommutingTuple,
     HermitianMatrix,
+    JointSpectrum,
     apply_function,
     commutator,
     discretize_tuple,
@@ -99,17 +100,24 @@ def test_joint_diagonalize_skips_polish_when_refinement_meets_tolerance(n, d, la
 
 
 def test_joint_diagonalize_gate_raises_at_once(monkeypatch):
-    calls = []
-
-    def refuse(*args):
-        calls.append(None)
-        return False
-
-    monkeypatch.setattr(spectral, "_offdiag_ok", refuse)
+    monkeypatch.setattr(spectral, "RECONSTRUCTION_TOL", 0.0)
     tup, _, _ = planted_commuting_tuple(6, 2, "uniform", seed=6)
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError, match="fails reconstruction"):
         joint_diagonalize(tup)
-    assert len(calls) == 1
+
+
+def test_joint_diagonalize_tiny_matrix_refusal_is_typed():
+    # at |A| ~ 1e-13 the snapping width's absolute floor merges every eigenvalue
+    tup, _, _ = planted_commuting_tuple(4, 1, "uniform", seed=0)
+    with pytest.raises(NoConvergenceError, match="fails reconstruction"):
+        joint_diagonalize(CommutingTuple([1e-13 * tup.arrays()[0]]))
+
+
+def test_caller_built_spectrum_with_non_unitary_basis_is_refused():
+    tup, U, lambdas = planted_commuting_tuple(4, 2, "uniform", seed=1)
+    JointSpectrum(U, lambdas, tup)
+    with pytest.raises(DomainError, match="not unitary"):
+        JointSpectrum(2.0 * U, lambdas, tup)
 
 
 def _integer_centred_case(seed):
@@ -133,7 +141,7 @@ def _integer_centred_case(seed):
 
 @pytest.mark.parametrize("seed,n,d", [(44, 23, 3), (207, 8, 3)])
 def test_joint_diagonalize_refuses_unresolved_clusters(seed, n, d):
-    # real input that the refinement leaves above DIAG_TOL: the gate refuses it
+    # real input that the refinement leaves unresolved: the gate refuses it
     matrices = _integer_centred_case(seed)
     assert (matrices[0].shape[0], len(matrices)) == (n, d)
     with pytest.raises(NoConvergenceError):
@@ -173,7 +181,7 @@ def _adversarial_outcome(seed):
     matrices, table = _adversarial_case(seed)
     try:
         js = joint_diagonalize(CommutingTuple(matrices))
-    except (NoConvergenceError, ValueError):
+    except NoConvergenceError:
         return "raised"
     want = table[np.lexsort(table.T[::-1])]
     err = np.max(np.abs(js.eigenvalues - want), axis=0)

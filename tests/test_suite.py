@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -102,3 +105,15 @@ def test_symbol_agreement_covers_the_realized_pairs():
         swept = symbol_agreement_sweep(d_values=d_values, radius=radius)
         brute = _realized_pair_deviation(radius, d_values)
         assert brute <= swept <= 1e-12
+
+
+def test_traced_benchmark_names_resolve():
+    # the benchmark's tracer wraps functions by name; a deleted one would break its passes
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TIMED.items():
+        home = importlib.import_module(f"oplip.{module}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"oplip.{module}.{name}"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oplip.errors import DimMismatchError, DomainError, GuardViolationError
+from oplip.norms import SingularValueProfile, schatten_norm, weak_l1
 from oplip.suite import fejer_brute, fejer_convergence_profile
 from oplip.torus import (
     PROBE_BLOCK_ROWS,
@@ -22,7 +23,6 @@ from oplip.torus import (
     periodization_probe,
     signal_from_coefficients,
     signal_norms,
-    signal_profile,
     smoothing_eval,
     symbol_eval,
 )
@@ -241,9 +241,10 @@ def test_larger_fibers_use_lapack():
     for stack in _adversarial_fibers(3, seed=43).values():
         ref = np.linalg.svd(stack, compute_uv=False)
         np.testing.assert_array_equal(_fiber_singular_values(stack), ref)
-        # the pooled profile is the descending sort of every fiber value, bitwise
-        profile = signal_profile(TorusSignal(stack))
-        np.testing.assert_array_equal(profile.values, -np.sort(-ref.ravel()))
+        # the norms pool the descending sort of every fiber value, bitwise
+        profile = SingularValueProfile(-np.sort(-ref.ravel()), TWO_PI / len(stack))
+        want = (schatten_norm(profile, 1), schatten_norm(profile, 2), weak_l1(profile))
+        assert signal_norms(TorusSignal(stack)) == want
 
 
 def test_plancherel():
