@@ -116,13 +116,25 @@ def cmd_ratio(args):
     return 0
 
 
+# transference-check reads these only for its --discretization table; their
+# parser defaults are None so that one given without it can be refused.
+_DISCRETIZATION_FLAGS = (("n", "n"), ("d", "d"), ("f", "f_name"))
+
+
 def cmd_transference_check(args):
     _at_least_one("trials", args.trials)
     if not 0 <= args.tolerance < math.inf:
         raise DomainError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    if args.discretization:
-        f = builtin_function(args.f_name, args.d)
-        tup, _, _ = planted_commuting_tuple(args.n, args.d, "uniform", seed=args.seed)
+    given = {flag: getattr(args, dest) for flag, dest in _DISCRETIZATION_FLAGS}
+    if not args.discretization:
+        ignored = [f"--{flag}" for flag, value in given.items() if value is not None]
+        if ignored:
+            raise DomainError(f"{', '.join(ignored)}: read only with --discretization")
+    else:
+        n, d, f_name = (_FLAGS[flag]["default"] if value is None else value
+                        for flag, value in given.items())
+        f = builtin_function(f_name, d)
+        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=args.seed)
         js = joint_diagonalize(tup)
     with _open_out(args.out) as out:
         worst = 0.0
@@ -241,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transference-check", help="verify S(I(V)) = I(T(V))")
     _flags(p, ("seed", "n", "d", "trials", "f", "out"))
+    p.set_defaults(**{dest: None for _, dest in _DISCRETIZATION_FLAGS})
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--discretization", action="store_true",

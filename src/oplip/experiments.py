@@ -5,7 +5,9 @@ seed, and trials run in trial order.  Every stream emits one summary record
 holding the maximum observed ratio (an empirical lower bound on the unknown
 dimensional constant -- never an asserted upper bound).  Degenerate trials
 (zero denominator) are emitted as ``skipped`` records and counted in the
-summary.
+summary.  Every stream takes its joint spectra from the plant that
+``planted_commuting_tuple`` returns; only the difference stream's cross-check
+recovers one with ``joint_diagonalize``.
 """
 
 from dataclasses import dataclass, replace
@@ -13,11 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .doi import block_difference_embed, divided_difference_symbol, doi_apply
-from .errors import BadExponentError, DomainError
+from .errors import BadExponentError, DomainError, GuardViolationError
 from .functions import builtin_function
 from .norms import matrix_trace_norm, matrix_weak_l1, schatten_norm, singular_values
 from .rng import generator
-from .spectral import commutator, joint_diagonalize, apply_function, planted_commuting_tuple
+from .spectral import (
+    JointSpectrum,
+    apply_function,
+    commutator,
+    joint_diagonalize,
+    planted_commuting_tuple,
+)
 
 CROSSCHECK_TOL = 1e-9
 
@@ -100,10 +108,11 @@ def _stream(config, substream, trial):
 
 
 def _planted(config, rng):
-    tup, _, _ = planted_commuting_tuple(
+    """A planted tuple and its joint spectrum, taken from the plant itself."""
+    tup, basis, lambdas = planted_commuting_tuple(
         config.n, config.d, "uniform", seed=int(rng.integers(2**63))
     )
-    return tup
+    return tup, JointSpectrum(basis=basis, eigenvalues=lambdas, provenance=tup)
 
 
 def _random_matrix(n, rng):
@@ -115,11 +124,8 @@ def _random_hermitian(n, rng):
     return (z + z.conj().T) / 2.0
 
 
-def _function_difference(x, y, f):
-    return (
-        apply_function(joint_diagonalize(x), f).data
-        - apply_function(joint_diagonalize(y), f).data
-    )
+def _function_difference(x_js, y_js, f):
+    return apply_function(x_js, f).data - apply_function(y_js, f).data
 
 
 def commutator_ratio(config: ExperimentConfig):
@@ -127,57 +133,46 @@ def commutator_ratio(config: ExperimentConfig):
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        tup = _planted(config, rng)
+        tup, js = _planted(config, rng)
         b = _random_hermitian(config.n, rng)
         denom = bound * max(
             matrix_trace_norm(commutator(a, b)) for a in tup.arrays()
         )
-        num = matrix_weak_l1(commutator(apply_function(joint_diagonalize(tup), f), b))
+        num = matrix_weak_l1(commutator(apply_function(js, f), b))
         return [(0, num, denom)]
 
     return _stream(config, 1, trial)
 
 
-def _difference(config, f, bound, rng):
-    """(numerator, denominator, cross-check residual) of one difference trial.
-
-    The cross-check computes f(X) - f(Y) twice: directly, and as the corner
-    block of [f(A), B] for the block embedding.
-    """
-    x = _planted(config, rng)
-    y = _planted(config, rng)
-    direct = _function_difference(x, y, f)
-    embedded, b = block_difference_embed(x, y)
-    corner = commutator(apply_function(joint_diagonalize(embedded), f), b)[
-        : config.n, config.n :
-    ]
-    crosscheck = float(
-        np.linalg.norm(direct - corner, "fro") / (1.0 + np.linalg.norm(direct, "fro"))
-    )
-    denom = bound * max(
-        matrix_trace_norm(xa - ya) for xa, ya in zip(x.arrays(), y.arrays())
-    )
-    return matrix_weak_l1(direct), denom, crosscheck
-
-
-def difference_trial(config: ExperimentConfig, t: int):
-    """One difference-ratio trial; returns (record, cross-check residual)."""
-    f, bound = config.resolve_function()
-    num, denom, crosscheck = _difference(config, f, bound, generator(config.seed, 2, t))
-    return _record(config, t, 0, num, denom), crosscheck
-
-
 def difference_ratio(config: ExperimentConfig):
-    """weak-L1(f(X) - f(Y)) / (L * max_k ||X_k - Y_k||_1) via the block embedding."""
+    """weak-L1(f(X) - f(Y)) / (L * max_k ||X_k - Y_k||_1), cross-checked.
+
+    f(X) - f(Y) comes from the planted spectra and is checked against the
+    corner block of [f(A), B] for the block embedding, whose spectrum
+    ``joint_diagonalize`` recovers independently; a relative residual above
+    ``CROSSCHECK_TOL`` raises GuardViolationError.
+    """
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        num, denom, crosscheck = _difference(config, f, bound, rng)
+        x, x_js = _planted(config, rng)
+        y, y_js = _planted(config, rng)
+        direct = _function_difference(x_js, y_js, f)
+        embedded, b = block_difference_embed(x, y)
+        corner = commutator(apply_function(joint_diagonalize(embedded), f), b)[
+            : config.n, config.n :
+        ]
+        crosscheck = float(
+            np.linalg.norm(direct - corner, "fro") / (1.0 + np.linalg.norm(direct, "fro"))
+        )
         if crosscheck > CROSSCHECK_TOL:
-            raise RuntimeError(
+            raise GuardViolationError(
                 f"block-embedding cross-check failed at trial {t}: {crosscheck:.3e}"
             )
-        return [(0, num, denom)]
+        denom = bound * max(
+            matrix_trace_norm(xa - ya) for xa, ya in zip(x.arrays(), y.arrays())
+        )
+        return [(0, matrix_weak_l1(direct), denom)]
 
     return _stream(config, 2, trial)
 
@@ -186,7 +181,7 @@ def _symbol_trial(config, f, numerator, denominator):
     """Trial giving ``(k0, numerator(T_{f_k0}(V)), denominator(V))`` per k0."""
 
     def trial(t, rng):
-        js = joint_diagonalize(_planted(config, rng))
+        _, js = _planted(config, rng)
         v = _random_matrix(config.n, rng)
         denom = denominator(v)
         return [
@@ -229,12 +224,12 @@ def normal_ratio(config: ExperimentConfig):
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        x = _planted(config, rng)
-        y = _planted(config, rng)
+        x, x_js = _planted(config, rng)
+        y, y_js = _planted(config, rng)
         normal_diff = (x.arrays()[0] - y.arrays()[0]) + 1j * (
             x.arrays()[1] - y.arrays()[1]
         )
         denom = bound * matrix_trace_norm(normal_diff)
-        return [(0, matrix_weak_l1(_function_difference(x, y, f)), denom)]
+        return [(0, matrix_weak_l1(_function_difference(x_js, y_js, f)), denom)]
 
     return _stream(config, 5, trial)

@@ -56,10 +56,38 @@ def profile_from_values(values, weights=None):
 
 
 def singular_values(x) -> SingularValueProfile:
-    """Singular value profile of a matrix (descending, unit weights)."""
+    """Singular value profile of a matrix (descending, unit weights).
+
+    A square x that equals x* bitwise has the moduli of its eigenvalues as
+    singular values, taken from ``eigvalsh``; one that equals -x* bitwise
+    does so through the Hermitian 1j*x (multiplying by 1j is exact).  Any
+    other matrix goes through the SVD.
+    """
     x = np.asarray(x)
-    s = np.linalg.svd(x, compute_uv=False)
+    h = _hermitian_form(x)
+    if h is None:
+        s = np.linalg.svd(x, compute_uv=False)
+    else:
+        s = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
     return SingularValueProfile(s, np.ones_like(s))
+
+
+def _hermitian_form(x):
+    """x if x == x* bitwise, 1j*x if x == -x* bitwise, else None.
+
+    The first column against the first row rules a form out before the full
+    comparison, which reads x in transposed order.
+    """
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.size == 0:
+        return None
+    col, row = x[:, 0], x[0].conj()
+    if np.array_equal(col, row) and np.array_equal(x, x.conj().T):
+        return x
+    if np.array_equal(col, -row):
+        h = 1j * x
+        if np.array_equal(h, h.conj().T):
+            return h
+    return None
 
 
 def mu_at(profile: SingularValueProfile, t: float) -> float:

@@ -48,7 +48,11 @@ def _frob(x) -> float:
 
 @dataclass
 class HermitianMatrix:
-    """Dense complex square matrix within the Hermitian gate."""
+    """Dense complex square matrix within the Hermitian gate.
+
+    The stored array is (data + data*)/2, so it equals its conjugate transpose
+    bitwise.
+    """
 
     data: np.ndarray
 
@@ -56,10 +60,12 @@ class HermitianMatrix:
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise DimMismatchError(f"expected a square matrix, got {self.data.shape}")
-        dev = np.max(np.abs(self.data - self.data.conj().T))
+        adjoint = self.data.conj().T
+        dev = np.max(np.abs(self.data - adjoint))
         scale = 1.0 + float(np.max(np.abs(self.data))) if self.data.size else 1.0
         if dev > HERMITIAN_TOL * scale:
             raise DomainError(f"matrix is not Hermitian: deviation {dev:.3e}")
+        self.data = (self.data + adjoint) / 2.0
 
     @property
     def dim(self) -> int:
@@ -193,7 +199,6 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     rng = generator(_COMBO_STREAM)
     coeffs = rng.standard_normal(d)
     combo = sum(c * a for c, a in zip(coeffs, arrays))
-    combo = (combo + combo.conj().T) / 2.0
     vals, U = np.linalg.eigh(combo)
     rotated = [U.conj().T @ a @ U for a in arrays]
 
@@ -300,10 +305,7 @@ def planted_commuting_tuple(n, d, spectrum_law="uniform", seed=0):
     rng = generator(seed)
     U = haar_unitary(n, rng)
     lambdas = _draw_spectra(n, d, spectrum_law, rng)
-    matrices = []
-    for k in range(d):
-        a = (U * lambdas[:, k]) @ U.conj().T
-        matrices.append(HermitianMatrix((a + a.conj().T) / 2.0))
+    matrices = [(U * lambdas[:, k]) @ U.conj().T for k in range(d)]
     return CommutingTuple(matrices), U, lambdas
 
 
@@ -313,8 +315,4 @@ def discretize_tuple(js: JointSpectrum, n: int) -> CommutingTuple:
         raise DomainError("grid refinement n must be positive")
     U = js.basis
     floored = np.floor(n * js.eigenvalues)
-    matrices = []
-    for k in range(js.d):
-        a = (U * floored[:, k]) @ U.conj().T
-        matrices.append(HermitianMatrix((a + a.conj().T) / 2.0))
-    return CommutingTuple(matrices)
+    return CommutingTuple([(U * floored[:, k]) @ U.conj().T for k in range(js.d)])

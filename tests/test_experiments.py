@@ -11,16 +11,17 @@ import pytest
 import oplip
 from oplip import experiments
 from oplip.cli import build_parser, main
-from oplip.errors import BadExponentError, NoConvergenceError
+from oplip.errors import BadExponentError, GuardViolationError, NoConvergenceError
 from oplip.experiments import (
     ExperimentConfig,
     commutator_ratio,
     difference_ratio,
-    difference_trial,
     doi_ratio,
     lp_ratio,
     normal_ratio,
 )
+from oplip.rng import generator
+from oplip.spectral import apply_function, joint_diagonalize, planted_commuting_tuple
 from oplip.suite import deleeuw_stability_factor
 
 
@@ -69,15 +70,56 @@ def test_commutator_ratio_degenerate_skipped():
 
 
 def test_difference_ratio_crosscheck_and_pin():
+    # difference_ratio raises when a trial's cross-check exceeds CROSSCHECK_TOL,
+    # so returning at all means every trial passed it
     records = difference_ratio(ExperimentConfig(seed=5, n=6, d=1, trials=10,
                                                 f_name="abs"))
     s = summary(records)
     np.testing.assert_allclose(s.ratio, 0.48203340624046015, rtol=1e-9)  # pin
-    for t in range(3):
-        _, crosscheck = difference_trial(
-            ExperimentConfig(seed=5, n=6, d=1, trials=10, f_name="abs"), t
-        )
-        assert crosscheck <= 1e-9
+
+
+def _diagonalized_plant(config, rng):
+    tup, _, _ = planted_commuting_tuple(config.n, config.d, "uniform",
+                                        seed=int(rng.integers(2**63)))
+    return tup, joint_diagonalize(tup)
+
+
+def _svd_trace_norm(m):
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def _svd_weak_l1(m):
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(np.max(np.arange(1, s.size + 1) * s))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ratio_streams_match_the_diagonalized_svd_route(seed):
+    # the streams take their spectra from the plant and their singular values
+    # from eigvalsh; this route recovers the spectra with joint_diagonalize and
+    # takes every norm from the SVD
+    cfg = ExperimentConfig(seed=seed, n=8, d=2, trials=3, f_name="euclid-norm")
+    f, bound = cfg.resolve_function()
+    for r in trials(commutator_ratio(cfg)):
+        rng = generator(seed, 1, r.instance)
+        tup, js = _diagonalized_plant(cfg, rng)
+        z = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
+        b = (z + z.conj().T) / 2.0
+        fa = apply_function(js, f).data
+        denom = bound * max(_svd_trace_norm(a @ b - b @ a) for a in tup.arrays())
+        np.testing.assert_allclose(r.ratio, _svd_weak_l1(fa @ b - b @ fa) / denom,
+                                   rtol=1e-12)
+
+    cfg = replace(cfg, n=6, f_name="max-abs")
+    f, bound = cfg.resolve_function()
+    for r in trials(difference_ratio(cfg)):
+        rng = generator(seed, 2, r.instance)
+        x, x_js = _diagonalized_plant(cfg, rng)
+        y, y_js = _diagonalized_plant(cfg, rng)
+        num = _svd_weak_l1(apply_function(x_js, f).data - apply_function(y_js, f).data)
+        denom = bound * max(_svd_trace_norm(xa - ya)
+                            for xa, ya in zip(x.arrays(), y.arrays()))
+        np.testing.assert_allclose(r.ratio, num / denom, rtol=1e-12)
 
 
 def test_doi_ratio_per_k0_and_bound():
@@ -140,10 +182,13 @@ def test_normal_ratio():
     assert all(r.ratio <= 1.0 + 1e-12 for r in trials(re_records))
 
 
-def test_difference_ratio_raises_on_crosscheck_failure(monkeypatch):
+def test_difference_ratio_raises_on_crosscheck_failure(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "CROSSCHECK_TOL", -1.0)
-    with pytest.raises(RuntimeError, match="cross-check failed at trial 0"):
+    with pytest.raises(GuardViolationError, match="cross-check failed at trial 0"):
         difference_ratio(ExperimentConfig(seed=5, n=3, d=1, trials=2, f_name="abs"))
+    assert _run_cli(["ratio-difference", "--n", "3", "--trials", "2", "--f", "abs"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: block-embedding cross-check failed")
 
 
 def _run_cli(args):
@@ -244,7 +289,7 @@ def test_cli_no_convergence_exits_2(monkeypatch, capsys):
         raise NoConvergenceError("matrix 0 fails reconstruction from the spectrum")
 
     monkeypatch.setattr(experiments, "joint_diagonalize", diverge)
-    assert _run_cli(["ratio-commutator", "--n", "3", "--trials", "1"]) == 2
+    assert _run_cli(["ratio-difference", "--n", "3", "--trials", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: matrix 0 fails reconstruction from the spectrum"]
 
@@ -266,6 +311,32 @@ def test_transference_check_refusal_writes_nothing(tmp_path, capsys, flag, value
     assert capsys.readouterr().out == ""
     assert _run_cli(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--n", "4"], "--n"),
+    (["--f", "max-abs"], "--f"),
+    (["--d", "100000000000", "--f", "nope", "--n", "0"], "--n, --d, --f"),
+])
+def test_transference_check_refuses_discretization_flags_without_it(tmp_path, capsys,
+                                                                    flags, named):
+    out = tmp_path / "t.txt"
+    assert _run_cli(["transference-check", "--trials", "1", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {named}: read only with --discretization"]
+    assert not out.exists()
+
+
+def test_transference_check_reads_discretization_flags(capsys):
+    base = ["transference-check", "--seed", "3", "--trials", "1", "--discretization"]
+    assert _run_cli(base) == 0
+    default = capsys.readouterr().out
+    assert _run_cli(base + ["--n", "8", "--d", "1", "--f", "euclid-norm"]) == 0
+    assert capsys.readouterr().out == default  # the defaults, spelled out
+    assert _run_cli(base + ["--n", "5", "--d", "2", "--f", "max-abs"]) == 0
+    table = capsys.readouterr().out.split("discretization report")
+    assert table[0] == default.split("discretization report")[0]  # same instances
+    assert table[1] != default.split("discretization report")[1]
 
 
 def test_python_dash_m_runs_cli():

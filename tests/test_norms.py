@@ -34,6 +34,35 @@ def test_singular_values_antisymmetric():
     np.testing.assert_allclose(p.values, [2.0, 2.0])
 
 
+def _normal_and_general_matrices():
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    hermitian = (z + z.conj().T) / 2.0
+    off = hermitian.copy()
+    off[2, 5] = complex(np.nextafter(off[2, 5].real, np.inf), off[2, 5].imag)
+    return {
+        "hermitian": (hermitian, False),
+        "skew-hermitian": ((z - z.conj().T) / 2.0, False),
+        "real-symmetric": (z.real + z.real.T, False),
+        "general": (z, True),
+        "one-ulp-off-hermitian": (off, True),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_normal_and_general_matrices()))
+def test_singular_values_match_svd(kind, monkeypatch):
+    # eigvalsh serves the exactly (skew-)Hermitian matrices, the SVD the rest;
+    # both agree with LAPACK's SVD to 1e-13 of the largest singular value
+    x, takes_svd = _normal_and_general_matrices()[kind]
+    svd = np.linalg.svd
+    ref = svd(x, compute_uv=False)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    got = singular_values(x).values
+    assert len(calls) == int(takes_svd)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * ref[0]
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         SingularValueProfile(np.array([1.0, 2.0]), np.array([1.0, 1.0]))  # ascending

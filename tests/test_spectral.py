@@ -32,6 +32,16 @@ def test_hermitian_gate():
         HermitianMatrix(np.zeros((2, 3)))
 
 
+def test_hermitian_matrix_is_stored_exactly_hermitian():
+    rng = np.random.default_rng(4)
+    u = haar_unitary(9, rng)
+    m = (u * rng.uniform(-1.0, 1.0, 9)) @ u.conj().T  # Hermitian up to rounding
+    assert not np.array_equal(m, m.conj().T)
+    data = HermitianMatrix(m).data
+    assert np.array_equal(data, data.conj().T)
+    np.testing.assert_allclose(data, m, rtol=0, atol=1e-15)
+
+
 def test_commutation_gate():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])
