@@ -7,6 +7,7 @@ wall-clock data.
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -228,14 +229,16 @@ def cmd_contraction_test(args):
 
 
 def cmd_identity_suite(args):
-    report = suite.run_identity_suite(args.seed, tolerance_scale=args.tolerance_scale)
+    report = suite.run_identity_suite(args.seed)
     text = canonical_json(report) + "\n"
     with _open_out(args.out) as out:
         out.write(text)
     return 0 if report["all_passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="oplip",
         description="Seeded experiments on double operator integrals, weak-L1 "
@@ -282,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity-suite", help="run every identity/property check")
     _flags(p, ("seed", "out"))
-    p.add_argument("--tolerance-scale", type=float, default=1.0,
-                   help="test hook: scales every tolerance")
     p.set_defaults(func=cmd_identity_suite)
 
     return parser

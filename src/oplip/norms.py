@@ -1,9 +1,9 @@
 """Singular value profiles and the norms built on them.
 
-A profile is the finite step function t -> s_i (value s_i on the i-th weight
-interval): the decreasing rearrangement of singular values weighted by the
-measure of each step.  Plain matrices carry unit weights; grid signals carry
-the cell volume, so the same profile arithmetic serves both.
+A profile is the finite step function t -> s_k on the k-th step of one
+common measure, the cell: the decreasing rearrangement of singular values.
+Plain matrices have cell 1; grid signals have the grid's cell volume, so the
+same profile arithmetic serves both.
 """
 
 from dataclasses import dataclass
@@ -15,48 +15,38 @@ from .errors import BadExponentError, DomainError
 
 @dataclass
 class SingularValueProfile:
-    """Descending nonnegative values with positive step weights.
-
-    A scalar weight is a constant step weight; it is kept as a read-only
-    broadcast view, so equal-cell grid profiles allocate no weight array.
-    """
+    """Descending nonnegative values on steps of one positive measure ``cell``."""
 
     values: np.ndarray
-    weights: np.ndarray
+    cell: float = 1.0
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim == 0:
-            self.weights = np.broadcast_to(self.weights, self.values.shape)
-        if self.values.ndim != 1 or self.values.shape != self.weights.shape:
-            raise DomainError("values and weights must be 1-d and of equal length")
+        self.cell = float(self.cell)
+        if self.values.ndim != 1:
+            raise DomainError("values must be 1-d")
         if self.values.size and np.any(np.diff(self.values) > 0):
             raise DomainError("values must be sorted in descending order")
         if np.any(self.values < 0):
             raise DomainError("values must be nonnegative")
-        if np.any(self.weights <= 0):
-            raise DomainError("weights must be positive")
+        if not 0.0 < self.cell < np.inf:
+            raise DomainError(f"cell must be finite and positive, got {self.cell}")
 
     def scaled(self, c):
-        """Profile of c*x for c >= 0 (values scaled, weights kept)."""
+        """Profile of c*x for c >= 0 (values scaled, cell kept)."""
         if c < 0:
             raise DomainError("scale must be nonnegative")
-        return SingularValueProfile(self.values * c, self.weights.copy())
+        return SingularValueProfile(self.values * c, self.cell)
 
 
-def profile_from_values(values, weights=None):
-    """Build a profile from unordered values; sorts descending, keeps weight pairing."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if weights is None:
-        weights = np.ones_like(values)
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    order = np.argsort(-values, kind="stable")
-    return SingularValueProfile(values[order], weights[order])
+def profile_from_values(values, cell=1.0):
+    """Build a profile from unordered values by a descending sort."""
+    values = np.sort(np.atleast_1d(np.asarray(values, dtype=float)))[::-1]
+    return SingularValueProfile(values, cell)
 
 
 def singular_values(x) -> SingularValueProfile:
-    """Singular value profile of a matrix (descending, unit weights).
+    """Singular value profile of a matrix (descending, cell 1).
 
     A square x that equals x* bitwise has the moduli of its eigenvalues as
     singular values, taken from ``eigvalsh``; one that equals -x* bitwise
@@ -69,7 +59,7 @@ def singular_values(x) -> SingularValueProfile:
         s = np.linalg.svd(x, compute_uv=False)
     else:
         s = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
-    return SingularValueProfile(s, np.ones_like(s))
+    return SingularValueProfile(s)
 
 
 def _hermitian_form(x):
@@ -93,41 +83,39 @@ def _hermitian_form(x):
 def mu_at(profile: SingularValueProfile, t: float) -> float:
     """Value of the singular value step function at t >= 0.
 
-    Returns s_i on the i-th weight interval (right-continuous) and 0 beyond
-    the total weight.
+    Returns s_k on the k-th cell step [(k-1)*cell, k*cell) (right-continuous)
+    and 0 beyond the last step.
     """
     if t < 0:
         raise DomainError("mu is defined for t >= 0 only")
-    cum = np.cumsum(profile.weights)
-    idx = int(np.searchsorted(cum, t, side="right"))
-    if idx >= profile.values.size:
+    idx = t // profile.cell
+    if not idx < profile.values.size:
         return 0.0
-    return float(profile.values[idx])
+    return float(profile.values[int(idx)])
 
 
 def schatten_norm(profile: SingularValueProfile, q) -> float:
-    """(sum_i w_i s_i^q)^(1/q); max value for q = inf."""
+    """(cell * sum_k s_k^q)^(1/q); max value for q = inf."""
     if q == np.inf:
         return float(profile.values[0]) if profile.values.size else 0.0
     q = float(q)
     if q < 1:
         raise BadExponentError(f"exponent must be >= 1 or inf, got {q}")
-    return float(np.sum(profile.weights * profile.values**q) ** (1.0 / q))
+    return float((profile.cell * np.sum(profile.values**q)) ** (1.0 / q))
 
 
 def weak_l1(profile: SingularValueProfile) -> float:
-    """sup_t t*mu(t): attained at right endpoints of the weight steps."""
+    """sup_t t*mu(t) = cell * max_k k*s_k, attained at a step's right end."""
     if profile.values.size == 0:
         return 0.0
-    return float(np.max(np.cumsum(profile.weights) * profile.values))
+    steps = np.arange(1.0, profile.values.size + 1.0)
+    steps *= profile.values
+    return profile.cell * float(np.max(steps))
 
 
 def tensor_profile(p: SingularValueProfile, q: SingularValueProfile) -> SingularValueProfile:
-    """Profile of a tensor product: all pairwise value products, weights multiplied."""
-    vals = np.outer(p.values, q.values).ravel()
-    wts = np.outer(p.weights, q.weights).ravel()
-    order = np.argsort(-vals, kind="stable")
-    return SingularValueProfile(vals[order], wts[order])
+    """Profile of a tensor product: all pairwise value products, cells multiplied."""
+    return profile_from_values(np.outer(p.values, q.values).ravel(), p.cell * q.cell)
 
 
 def matrix_trace_norm(x) -> float:

@@ -222,7 +222,7 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
 
     table = np.column_stack([np.real(np.diag(a)) for a in rotated])
     for k in range(d):
-        table[:, k] = _snap_degenerate(table[:, k], 1.0 + norms[k])
+        table[:, k] = _snap_degenerate(table[:, k], norms[k])
 
     order = np.lexsort(table.T[::-1])
     table = table[order]

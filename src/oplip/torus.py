@@ -294,19 +294,18 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
 
     For D = 2 the m^2 weighted samples are built ``PROBE_BLOCK_ROWS`` grid
     rows at a time, and only the samples that can attain the weak-L1 maximum
-    max_k v_(k) s_k are kept (s_k is the sequential cumsum of the constant
-    cell weight step^2):
+    step^2 max_k k v_(k) are kept:
 
     - The centre block (the one holding row m//2, where the Gaussian peaks)
       comes first.  Its values are a subset of all values, so its weak-L1 is
       a lower bound L on the pooled one.
     - Every block keeps only its values v >= tau = L / (m^2 step^2 (1 + 1e-6)).
-      A dropped value has v s_k < L for every k, since s_k <= m^2 step^2 up
-      to a cumsum error far below the 1e-6 slack, so the maximum is attained
-      among the kept values.  Those outrank every dropped one, so their
-      sorted order is v_(1..K) and the cumsum over them is the first K terms
-      of the full one: the weak-L1 is bitwise the full-pool value.  L = 0
-      keeps everything, so exactness never depends on how tight L is.
+      A dropped value has step^2 k v < L for every k <= m^2 (the 1e-6 slack
+      covers rounding), so the maximum is attained among the kept values.
+      Those outrank every dropped one, so their sorted order is v_(1..K)
+      with the same step indices k: the weak-L1 is bitwise the full-pool
+      value.  L = 0 keeps everything, so exactness never depends on how
+      tight L is.
     - Each block's sum is stored and the sums are added in row order, so the
       integral is bitwise independent of the visiting order; it does depend
       on the block shape, because ``np.sum`` is pairwise within a block.

@@ -65,6 +65,11 @@ class IntegerTuple:
     def d(self) -> int:
         return self.spectrum.d
 
+    def rounded_spectrum(self) -> JointSpectrum:
+        """The spectrum with the exact integer table as its eigenvalues."""
+        return JointSpectrum(basis=self.spectrum.basis, eigenvalues=self.table.astype(float),
+                             provenance=self.spectrum.provenance)
+
 
 def integer_tuple(source) -> IntegerTuple:
     """Validate integer spectra and attach the rounded table."""
@@ -256,12 +261,7 @@ def verify_conjugation(it: IntegerTuple, f, v, grid_size: int, k0: int = 1) -> f
     left = HomogeneousSymbol(d=it.d, k0=k0)(freqs) * v_eig
 
     symbol = divided_difference_symbol(f, k0, it.d)
-    js_int = JointSpectrum(
-        basis=it.spectrum.basis,
-        eigenvalues=it.table.astype(float),
-        provenance=it.spectrum.provenance,
-    )
-    right = _in_eigenbasis(it, doi_apply(js_int, symbol, as_matrix(v)))
+    right = _in_eigenbasis(it, doi_apply(it.rounded_spectrum(), symbol, as_matrix(v)))
 
     scale = TWO_PI ** ((it.d + 1) / 2.0)
     diff = scale * float(np.linalg.norm(left - right))
@@ -282,6 +282,9 @@ def discretization_report(js: JointSpectrum, f, n: int, k0: int = 1,
 
     xi_n(lambda, mu) = (f^n)_{k0}(floor(n lambda), floor(n mu)); the sup
     difference against f_{k0}/2 is reported as data (it shrinks as n grows).
+    The identity's two sides take independent routes: the left applies xi_n
+    in the basis of ``js``, the right applies (f^n)_{k0} to the floored tuple
+    through its own joint diagonalization and integer table.
     """
     d = js.d
     hk = divided_difference_symbol(round_contraction(f, n), k0, d)
@@ -295,12 +298,7 @@ def discretization_report(js: JointSpectrum, f, n: int, k0: int = 1,
     nmat = js.dim
     v = rng.standard_normal((nmat, nmat)) + 1j * rng.standard_normal((nmat, nmat))
     lhs = doi_apply(js, Symbol(d=d, func=xi_n), v)
-    js_floor = JointSpectrum(
-        basis=js.basis,
-        eigenvalues=np.floor(n * js.eigenvalues),
-        provenance=discretize_tuple(js, n),
-    )
-    rhs = doi_apply(js_floor, hk, v)
+    rhs = doi_apply(integer_tuple(discretize_tuple(js, n)).rounded_spectrum(), hk, v)
     residual = float(
         np.linalg.norm(lhs - rhs, "fro") / (1.0 + np.linalg.norm(rhs, "fro"))
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oplip
-from oplip import experiments
+from oplip import experiments, suite
 from oplip.cli import build_parser, main
 from oplip.errors import BadExponentError, GuardViolationError, NoConvergenceError
 from oplip.experiments import (
@@ -233,8 +233,6 @@ def test_cli_unknown_function_exits_2(capsys):
     ["deleeuw-sweep", "--sizes", "32,-8"],
     # NonFiniteError: f overflows on the spectrum
     ["ratio-commutator", "--f", "poly:1e308,1e308,1e308", "--lipschitz", "1", "--trials", "1"],
-    ["identity-suite", "--tolerance-scale", "nan"],
-    ["identity-suite", "--tolerance-scale", "0"],
     ["transference-check", "--trials", "2", "--tolerance", "nan"],
     ["transference-check", "--trials", "2", "--tolerance", "-1"],
     ["deleeuw-sweep", "--trials", "1", "--sizes", "1000000"],  # rejected before allocating
@@ -339,6 +337,19 @@ def test_transference_check_reads_discretization_flags(capsys):
     assert table[1] != default.split("discretization report")[1]
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    assert _run_cli(["transference-check", "--discretization", "--n", "4"]) == 0
+    # a leaked --n would be refused without --discretization
+    assert _run_cli(["transference-check", "--trials", "1"]) == 0
+    assert "error" not in capsys.readouterr().err
+    outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for out in outs:
+        assert _run_cli(["ratio-doi", "--seed", "4", "--n", "5", "--trials", "3",
+                         "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_python_dash_m_runs_cli():
     src = os.path.dirname(os.path.dirname(oplip.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -380,10 +391,12 @@ def test_cli_identity_suite_roundtrip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_identity_suite_corrupted_tolerance(tmp_path):
-    rc = _run_cli(["identity-suite", "--seed", "5", "--tolerance-scale", "1e-30",
-                   "--out", str(tmp_path / "bad.json")])
-    assert rc != 0
+def test_cli_identity_suite_corrupted_tolerance(tmp_path, monkeypatch):
+    # one check above its tolerance fails the report and the exit status
+    monkeypatch.setattr(suite, "roundtrip_residual", lambda seed: 1.0)
+    out = tmp_path / "bad.json"
+    assert _run_cli(["identity-suite", "--seed", "5", "--out", str(out)]) == 1
+    assert '"all_passed": false' in out.read_text()
 
 
 def test_cli_deleeuw_sweep_spread_of_a_zero_ratio_signal(capsys):

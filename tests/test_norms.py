@@ -20,7 +20,7 @@ from oplip.norms import (
 def test_singular_values_identity():
     p = singular_values(np.eye(3))
     np.testing.assert_allclose(p.values, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(p.weights, [1.0, 1.0, 1.0])
+    assert p.cell == 1.0
 
 
 def test_singular_values_absolute():
@@ -65,16 +65,19 @@ def test_singular_values_match_svd(kind, monkeypatch):
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        SingularValueProfile(np.array([1.0, 2.0]), np.array([1.0, 1.0]))  # ascending
+        SingularValueProfile(np.array([1.0, 2.0]))  # ascending
     with pytest.raises(ValueError):
-        SingularValueProfile(np.array([1.0, -0.5]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        SingularValueProfile(np.array([1.0]), np.array([0.0]))
+        SingularValueProfile(np.array([1.0, -0.5]))
+    for cell in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SingularValueProfile(np.array([1.0]), cell)
 
 
 def test_profile_errors_are_typed():
     with pytest.raises(DomainError, match="descending"):
-        SingularValueProfile(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        SingularValueProfile(np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="cell"):
+        SingularValueProfile(np.array([1.0]), 0.0)
     with pytest.raises(DomainError, match="scale"):
         profile_from_values([2.0, 1.0]).scaled(-1.0)
 
@@ -87,8 +90,11 @@ def test_mu_at_steps():
     # right-continuity at the step boundary
     assert mu_at(p, 1.0) == 1.0
     assert mu_at(p, 0.0) == 3.0
+    assert mu_at(p, np.inf) == 0.0
     with pytest.raises(DomainError, match="t >= 0"):
         mu_at(p, -0.1)
+    half = profile_from_values([1.0, 3.0], 0.5)
+    assert [mu_at(half, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)] == [3.0, 3.0, 1.0, 1.0, 0.0]
 
 
 def test_schatten_norms():
@@ -107,21 +113,24 @@ def test_weak_l1_examples():
 
 
 def test_weak_l1_weighted():
-    # weights change the attained supremum
-    p = SingularValueProfile(np.array([2.0, 1.0]), np.array([0.5, 5.0]))
-    assert weak_l1(p) == max(0.5 * 2.0, 5.5 * 1.0)
+    # the cell scales the supremum, attained here at the second step
+    p = SingularValueProfile(np.array([2.0, 1.5]), 0.5)
+    assert weak_l1(p) == 0.5 * max(1 * 2.0, 2 * 1.5)
+    assert schatten_norm(p, 1) == 0.5 * 3.5
 
 
 def test_tensor_profile_example():
-    p = tensor_profile(profile_from_values([2.0, 1.0]), profile_from_values([3.0, 1.0]))
+    p = tensor_profile(profile_from_values([2.0, 1.0], 0.5),
+                       profile_from_values([3.0, 1.0], 0.25))
     np.testing.assert_allclose(p.values, [6.0, 3.0, 2.0, 1.0])
+    assert p.cell == 0.125
 
 
 def test_tensor_profile_unit():
     base = profile_from_values([2.0, 0.5])
     out = tensor_profile(base, profile_from_values([1.0]))
     np.testing.assert_allclose(out.values, base.values)
-    np.testing.assert_allclose(out.weights, base.weights)
+    assert out.cell == base.cell
 
 
 @pytest.mark.parametrize("seed", range(8))

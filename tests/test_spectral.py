@@ -116,11 +116,15 @@ def test_joint_diagonalize_gate_raises_at_once(monkeypatch):
         joint_diagonalize(tup)
 
 
-def test_joint_diagonalize_tiny_matrix_refusal_is_typed():
-    # at |A| ~ 1e-13 the snapping width's absolute floor merges every eigenvalue
-    tup, _, _ = planted_commuting_tuple(4, 1, "uniform", seed=0)
-    with pytest.raises(NoConvergenceError, match="fails reconstruction"):
-        joint_diagonalize(CommutingTuple([1e-13 * tup.arrays()[0]]))
+@pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-6])
+def test_joint_diagonalize_tiny_matrix_matches_its_unscaled_self(scale):
+    # the snapping width is relative to each matrix, so a tiny tuple keeps its
+    # distinct eigenvalues instead of merging them all
+    for n, d, seed in ((4, 1, 0), (6, 1, 1), (6, 2, 2), (6, 3, 3)):
+        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=seed)
+        ref = joint_diagonalize(tup).eigenvalues
+        got = joint_diagonalize(CommutingTuple([scale * a for a in tup.arrays()])).eigenvalues
+        np.testing.assert_allclose(got / scale, ref, rtol=0, atol=1e-13)
 
 
 def test_caller_built_spectrum_with_non_unitary_basis_is_refused():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from oplip import suite
 from oplip.errors import DomainError, GuardViolationError
 from oplip.functions import builtin_function, contraction_names
 from oplip.serialize import canonical_json
@@ -62,9 +63,11 @@ def test_identity_suite_reports_residuals_and_is_canonical():
     assert canonical_json(run_identity_suite(2)) == text
 
 
-def test_identity_suite_tolerance_hook_flips_exit():
-    report = run_identity_suite(2, tolerance_scale=1e-30)
+def test_identity_suite_tolerance_hook_flips_exit(monkeypatch):
+    monkeypatch.setattr(suite, "roundtrip_residual", lambda seed: 1.0)
+    report = run_identity_suite(2)
     assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["spectral.roundtrip"]
 
 
 def test_symbol_agreement_rejects_a_rounded_non_contraction():

@@ -371,7 +371,7 @@ def _full_pool_probe(w, l):
         integral += float(np.sum(ablock))
         blocks.append(ablock.ravel())
     values = np.sort(np.concatenate(blocks))[::-1]
-    weak = float(np.max(np.cumsum(np.full(values.size, step**2)) * values))
+    weak = step**2 * float(np.max(np.arange(1, values.size + 1) * values))
     ref_coeffs = np.zeros((256, 256, 1, 1), dtype=complex)
     for k, c in terms:
         ref_coeffs[frequency_index(k, 256)] = c

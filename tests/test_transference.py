@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplip import transference
+from oplip import spectral, transference
 from oplip.doi import divided_difference_symbol, doi_apply
 from oplip.errors import AliasRiskError, DomainError
 from oplip.functions import builtin_function
@@ -407,3 +407,13 @@ def test_discretization_report_converges():
     # xi_n approaches half the divided difference as the grid refines
     assert sups[-1] <= 0.25 * sups[0] + 1e-12
     assert sups[-1] <= 0.05
+
+
+def test_discretization_report_sees_a_wrong_floored_tuple(monkeypatch):
+    # the identity's right side diagonalizes the floored tuple itself, so a
+    # tuple floored on the wrong grid shows in the residual
+    js = spectral.joint_diagonalize(planted_commuting_tuple(6, 2, "uniform", seed=47)[0])
+    f = builtin_function("euclid-norm", 2)
+    monkeypatch.setattr(transference, "discretize_tuple",
+                        lambda js, n: spectral.discretize_tuple(js, n + 1))
+    assert discretization_report(js, f, 4).identity_residual > 0.4
