@@ -53,7 +53,6 @@ from .norms import (
 from .torus import (
     HomogeneousSymbol,
     TorusSignal,
-    character_signal,
     coefficients,
     fejer,
     fourier_multiplier_apply,
@@ -74,7 +73,7 @@ from .transference import (
     round_contraction,
     verify_conjugation,
 )
-from .functions import builtin_function, lipschitz_lower_bound
+from .functions import builtin_function
 from .experiments import (
     ExperimentConfig,
     RatioRecord,

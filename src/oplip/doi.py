@@ -73,10 +73,6 @@ def symbol_product(a: Symbol, b: Symbol) -> Symbol:
     )
 
 
-def constant_symbol(d: int, c) -> Symbol:
-    return Symbol(d=d, func=lambda lam, mu: c, symmetric=float(np.imag(c)) == 0.0)
-
-
 def symbol_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
     """out[i, j] = xi(l_i, l_j); a symmetric symbol must give a Hermitian matrix."""
     if xi.d != js.d:

@@ -14,7 +14,7 @@ class NoConvergenceError(OplipError, RuntimeError):
 
 
 class NonFiniteError(OplipError, ValueError):
-    """A scalar function returned NaN or infinity on a spectrum point."""
+    """A NaN or infinity: a scalar function's value on a spectrum point, or a matrix entry."""
 
 
 class BadLawError(OplipError, ValueError):

@@ -44,8 +44,9 @@ class ExperimentConfig:
             raise DomainError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if self.lipschitz_bound is not None and self.lipschitz_bound <= 0:
-            raise DomainError("lipschitz bound must be positive")
+        if self.lipschitz_bound is not None and not 0 < self.lipschitz_bound < np.inf:
+            raise DomainError(f"lipschitz bound must be finite and positive, "
+                              f"got {self.lipschitz_bound}")
 
     def resolve_function(self):
         f = builtin_function(self.f_name, self.d)

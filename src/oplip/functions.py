@@ -17,8 +17,7 @@ double as CLI identifiers:
 import numpy as np
 
 from .errors import DomainError
-from .rng import generator
-from .spectral import MAX_TUPLE_D, evaluate_rows
+from .spectral import MAX_TUPLE_D
 
 
 class BuiltinFunction:
@@ -96,18 +95,3 @@ def contraction_names(d: int):
 
 # The ratio experiments sweep exactly the built-in contractions.
 experiment_function_names = contraction_names
-
-
-def lipschitz_lower_bound(f, d, box=1.0, samples=2000, seed=0):
-    """Sampled finite-difference LOWER bound on the Lipschitz constant.
-
-    This is a lower estimate only: no finite sample certifies a supremum.
-    """
-    rng = generator(seed, 0xE57)
-    a = rng.uniform(-box, box, size=(samples, d))
-    b = a + rng.uniform(-box, box, size=(samples, d)) * rng.uniform(
-        1e-6, 1.0, size=(samples, 1)
-    )
-    dist = np.linalg.norm(a - b, axis=1)
-    rise = np.abs(evaluate_rows(f, a) - evaluate_rows(f, b))
-    return float(np.max(rise[dist > 0.0] / dist[dist > 0.0], initial=0.0))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, DomainError
+from .errors import BadExponentError, DomainError, NonFiniteError
 
 
 @dataclass
@@ -27,8 +27,8 @@ class SingularValueProfile:
             raise DomainError("values must be 1-d")
         if self.values.size and np.any(np.diff(self.values) > 0):
             raise DomainError("values must be sorted in descending order")
-        if np.any(self.values < 0):
-            raise DomainError("values must be nonnegative")
+        if not np.all(self.values >= 0):
+            raise DomainError("values must be nonnegative (NaN is refused)")
         if not 0.0 < self.cell < np.inf:
             raise DomainError(f"cell must be finite and positive, got {self.cell}")
 
@@ -51,9 +51,12 @@ def singular_values(x) -> SingularValueProfile:
     A square x that equals x* bitwise has the moduli of its eigenvalues as
     singular values, taken from ``eigvalsh``; one that equals -x* bitwise
     does so through the Hermitian 1j*x (multiplying by 1j is exact).  Any
-    other matrix goes through the SVD.
+    other matrix goes through the SVD.  A NaN or infinite entry raises
+    ``NonFiniteError`` first.
     """
     x = np.asarray(x)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("matrix has a NaN or infinite entry")
     h = _hermitian_form(x)
     if h is None:
         s = np.linalg.svd(x, compute_uv=False)
@@ -86,8 +89,8 @@ def mu_at(profile: SingularValueProfile, t: float) -> float:
     Returns s_k on the k-th cell step [(k-1)*cell, k*cell) (right-continuous)
     and 0 beyond the last step.
     """
-    if t < 0:
-        raise DomainError("mu is defined for t >= 0 only")
+    if not t >= 0:
+        raise DomainError(f"mu is defined for t >= 0 only, got {t}")
     idx = t // profile.cell
     if not idx < profile.values.size:
         return 0.0
@@ -99,7 +102,7 @@ def schatten_norm(profile: SingularValueProfile, q) -> float:
     if q == np.inf:
         return float(profile.values[0]) if profile.values.size else 0.0
     q = float(q)
-    if q < 1:
+    if not q >= 1:
         raise BadExponentError(f"exponent must be >= 1 or inf, got {q}")
     return float((profile.cell * np.sum(profile.values**q)) ** (1.0 / q))
 

@@ -212,11 +212,11 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
         for a in rotated:
             a[:, idx] = a[:, idx] @ q
             a[idx, :] = q.conj().T @ a[idx, :]
-        gap = CLUSTER_GAP * (1.0 + norms[k])
+        gap = CLUSTER_GAP * norms[k]
         for sub in _split_clusters(w, gap):
             refine(idx[sub], k + 1)
 
-    combo_gap = CLUSTER_GAP * (1.0 + _frob(combo))
+    combo_gap = CLUSTER_GAP * _frob(combo)
     for cluster in _split_clusters(vals, combo_gap):
         refine(cluster, 0)
 

@@ -17,7 +17,7 @@ from .norms import SingularValueProfile, schatten_norm, weak_l1
 from .spectral import evaluate_rows
 
 TWO_PI = 2.0 * np.pi
-PROBE_BLOCK_ROWS = 512  # grid rows per block of the D = 2 periodization probe
+PROBE_BLOCK_ROWS = 512  # grid rows per block of the periodization probe
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 
 
@@ -81,16 +81,6 @@ def signal_from_coefficients(coeffs) -> TorusSignal:
     d_torus = coeffs.ndim - 2
     samples = np.fft.ifftn(coeffs * n_grid**d_torus, axes=tuple(range(d_torus)))
     return TorusSignal(samples)
-
-
-def character_signal(torus_dim: int, grid_size: int, k, fiber=None) -> TorusSignal:
-    """The signal fiber * e_k sampled on the grid (fiber defaults to scalar 1)."""
-    if fiber is None:
-        fiber = np.eye(1)
-    fiber = np.asarray(fiber, dtype=complex)
-    coeffs = np.zeros((grid_size,) * torus_dim + fiber.shape, dtype=complex)
-    coeffs[frequency_index(k, grid_size)] = fiber
-    return signal_from_coefficients(coeffs)
 
 
 def smoothing_eval(u):
@@ -254,35 +244,6 @@ class PeriodizationResult:
     points_per_axis: int
 
 
-def _nonzero_coefficients(w: TorusSignal):
-    coeffs = coefficients(w)
-    flat = coeffs[..., 0, 0]
-    top = float(np.max(np.abs(flat))) if flat.size else 0.0
-    freqs = frequencies(w.grid_size)
-    out = []
-    for index in np.ndindex(*flat.shape):
-        c = flat[index]
-        if abs(c) > 1e-13 * max(top, 1.0):
-            out.append((np.array([freqs[i] for i in index]), complex(c)))
-    return out
-
-
-def _probe_block(terms, phases, gauss_1d, rows: slice) -> np.ndarray:
-    """|W(x_i, x_j)| G_l(x_i) G_l(x_j) for the grid rows i in ``rows``, every j."""
-    shape = (rows.stop - rows.start, gauss_1d.size)
-    block = np.zeros(shape, dtype=complex)
-    term = np.empty(shape, dtype=complex)
-    for k, c in terms:
-        np.multiply.outer(phases[(0, int(k[0]))][rows], phases[(1, int(k[1]))], out=term)
-        term *= c
-        block += term
-    del term
-    ablock = np.abs(block)
-    del block
-    ablock *= np.multiply.outer(gauss_1d[rows], gauss_1d)
-    return ablock
-
-
 def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> PeriodizationResult:
     """Gaussian-weighted periodization of a scalar trig polynomial.
 
@@ -292,15 +253,19 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     More than ``PROBE_MAX_POINTS`` midpoints per axis raise
     ``GuardViolationError`` before any grid is built.
 
-    For D = 2 the m^2 weighted samples are built ``PROBE_BLOCK_ROWS`` grid
-    rows at a time, and only the samples that can attain the weak-L1 maximum
-    step^2 max_k k v_(k) are kept:
+    The nonzero coefficients form an a x b table C over the frequencies
+    k_x, k_y in use (b = 1 and k_y = 0 for D = 1, whose y axis is the single
+    point 0 with weight 1).  With the per-axis phase tables
+    E_x = e^{i x k_x} (m x a) and E_y = e^{i k_y y} (b x m^{D-1}), the m^D
+    weighted samples are built ``PROBE_BLOCK_ROWS`` grid rows at a time, each
+    block as |E_x[rows] (C E_y)| G_l(x_rows) G_l(y), and only the samples that
+    can attain the weak-L1 maximum step^D max_k k v_(k) are kept:
 
     - The centre block (the one holding row m//2, where the Gaussian peaks)
       comes first.  Its values are a subset of all values, so its weak-L1 is
       a lower bound L on the pooled one.
-    - Every block keeps only its values v >= tau = L / (m^2 step^2 (1 + 1e-6)).
-      A dropped value has step^2 k v < L for every k <= m^2 (the 1e-6 slack
+    - Every block keeps only its values v >= tau = L / (m^D step^D (1 + 1e-6)).
+      A dropped value has step^D k v < L for every k <= m^D (the 1e-6 slack
       covers rounding), so the maximum is attained among the kept values.
       Those outrank every dropped one, so their sorted order is v_(1..K)
       with the same step indices k: the weak-L1 is bitwise the full-pool
@@ -327,68 +292,60 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
             f"2R/h = {points:.6g} midpoints per axis exceed the cap {PROBE_MAX_POINTS}"
         )
 
-    terms = _nonzero_coefficients(w)
-    m = int(math.ceil(points))
-    step = 2.0 * r / m
-    x = -r + (np.arange(m) + 0.5) * step
-    gauss_1d = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
+    flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
+    flat[np.abs(flat) <= 1e-13 * max(float(np.max(np.abs(flat))), 1.0)] = 0.0
+    used_x, used_y = np.any(flat, axis=1), np.any(flat, axis=0)
+    table = flat[np.ix_(used_x, used_y)]
+    k_x = frequencies(flat.shape[0])[used_x]
+    k_y = frequencies(flat.shape[1])[used_y]
 
     # Reference torus norms from a refined resampling of the same coefficients.
     n_ref = 512 if d_torus == 1 else 256
-    ref_coeffs = np.zeros((n_ref,) * d_torus + (1, 1), dtype=complex)
-    for k, c in terms:
-        ref_coeffs[frequency_index(k, n_ref)] = c
-    ref = signal_from_coefficients(ref_coeffs)
-    ref_l1, _, ref_weak = signal_norms(ref)
+    ref = np.zeros((n_ref, n_ref ** (d_torus - 1)), dtype=complex)
+    ref[np.ix_(frequency_index(k_x, n_ref), frequency_index(k_y, ref.shape[1]))] = table
+    ref_l1, _, ref_weak = signal_norms(signal_from_coefficients(
+        ref.reshape((n_ref,) * d_torus + (1, 1))))
     if ref_l1 == 0.0:
         raise DomainError("probe requires a nonzero signal")
 
-    if d_torus == 1:
-        vals = np.zeros(m, dtype=complex)
-        for k, c in terms:
-            vals += c * np.exp(1j * k[0] * x)
-        avals = np.abs(vals)
-        integral = float(np.sum(avals * gauss_1d) * step)
-        pooled = avals * gauss_1d
-    else:
-        phases = {}
-        for k, _ in terms:
-            for axis in (0, 1):
-                key = (axis, int(k[axis]))
-                if key not in phases:
-                    phases[key] = np.exp(1j * k[axis] * x)
-        starts = range(0, m, PROBE_BLOCK_ROWS)
-        centre = (m // 2) // PROBE_BLOCK_ROWS
-        sums = [0.0] * len(starts)
-        kept = []
-        tau = None
-        for index in [centre] + [i for i in range(len(starts)) if i != centre]:
-            rows = slice(starts[index], min(starts[index] + PROBE_BLOCK_ROWS, m))
-            ablock = _probe_block(terms, phases, gauss_1d, rows)
-            sums[index] = float(np.sum(ablock))
-            if tau is None:
-                lower = weak_l1(SingularValueProfile(np.sort(ablock, axis=None)[::-1], step**2))
-                tau = lower / (m * m * step**2 * (1.0 + 1e-6))
-            kept.append(ablock[ablock >= tau])
-            del ablock
-        integral = 0.0
-        for block_sum in sums:  # not sum(): it is compensated from Python 3.12
-            integral += block_sum
-        integral *= step**2
-        pooled = np.concatenate(kept)
-        del kept
+    m = int(math.ceil(points))
+    step = 2.0 * r / m
+    cell = step**d_torus
+    x = -r + (np.arange(m) + 0.5) * step
+    gauss_x = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
+    y, gauss_y = (x, gauss_x) if d_torus == 2 else (np.zeros(1), np.ones(1))
+    left = np.exp(1j * np.multiply.outer(x, k_x))
+    right = table @ np.exp(1j * np.multiply.outer(k_y, y))
 
-    sup = max((sum(abs(c) for _, c in terms)), 1e-300)
-    tail = d_torus * math.erfc(r / (l * math.sqrt(2.0)))
-    ratio = integral / (ref_l1 / TWO_PI**d_torus)
-
+    starts = range(0, m, PROBE_BLOCK_ROWS)
+    centre = (m // 2) // PROBE_BLOCK_ROWS
+    sums = [0.0] * len(starts)
+    kept = []
+    tau = None
+    for index in [centre] + [i for i in range(len(starts)) if i != centre]:
+        rows = slice(starts[index], starts[index] + PROBE_BLOCK_ROWS)
+        ablock = np.abs(left[rows] @ right)
+        ablock *= np.multiply.outer(gauss_x[rows], gauss_y)
+        sums[index] = float(np.sum(ablock))
+        if tau is None:
+            lower = weak_l1(SingularValueProfile(np.sort(ablock, axis=None)[::-1], cell))
+            tau = lower / (m**d_torus * cell * (1.0 + 1e-6))
+        kept.append(ablock[ablock >= tau])
+        del ablock
+    integral = 0.0
+    for block_sum in sums:  # not sum(): it is compensated from Python 3.12
+        integral += block_sum
+    integral *= cell
+    pooled = np.concatenate(kept)
+    del kept
     pooled.sort()
-    trunc_profile = SingularValueProfile(pooled[::-1], step**d_torus)
-    weak_ratio = weak_l1(trunc_profile) / (ref_weak / TWO_PI**d_torus)
+    weak = weak_l1(SingularValueProfile(pooled[::-1], cell))
 
+    sup = max(float(np.sum(np.abs(table))), 1e-300)
+    tail = d_torus * math.erfc(r / (l * math.sqrt(2.0)))
     return PeriodizationResult(
-        ratio=ratio,
-        weak_ratio=weak_ratio,
+        ratio=integral / (ref_l1 / TWO_PI**d_torus),
+        weak_ratio=weak / (ref_weak / TWO_PI**d_torus),
         truncation_bound=float(sup * tail),
         step=step,
         points_per_axis=m,

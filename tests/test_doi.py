@@ -6,7 +6,6 @@ import pytest
 from oplip.doi import (
     Symbol,
     block_difference_embed,
-    constant_symbol,
     divided_difference_symbol,
     doi_apply,
     doi_l2_norm,
@@ -24,6 +23,11 @@ from oplip.spectral import (
     joint_diagonalize,
     planted_commuting_tuple,
 )
+
+
+def constant_symbol(d, c):
+    """The real constant symbol (lam, mu) -> c."""
+    return Symbol(d=d, func=lambda lam, mu: c, symmetric=True)
 
 
 def _hermitian(n, rng):

@@ -244,6 +244,8 @@ def test_cli_unknown_function_exits_2(capsys):
     ["transference-check", "--d", "100000000000", "--f", "crease", "--discretization"],
     ["transference-check", "--d", "0", "--f", "crease", "--discretization"],
     ["contraction-test", "--d", "100000000000"],  # no list of 1e11 names
+    ["ratio-commutator", "--lipschitz", "nan"],  # would write "ratio": NaN lines
+    ["ratio-commutator", "--lipschitz", "inf"],  # would write ratio 0
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
 def test_cli_domain_errors_exit_2(argv, capsys):

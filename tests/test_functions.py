@@ -6,8 +6,21 @@ from oplip.functions import (
     builtin_function,
     contraction_names,
     experiment_function_names,
-    lipschitz_lower_bound,
 )
+from oplip.rng import generator
+from oplip.spectral import evaluate_rows
+
+
+def lipschitz_lower_bound(f, d, box=1.0, samples=2000, seed=0):
+    """Sampled finite-difference lower bound on the Lipschitz constant of f."""
+    rng = generator(seed, 0xE57)
+    a = rng.uniform(-box, box, size=(samples, d))
+    b = a + rng.uniform(-box, box, size=(samples, d)) * rng.uniform(
+        1e-6, 1.0, size=(samples, 1)
+    )
+    dist = np.linalg.norm(a - b, axis=1)
+    rise = np.abs(evaluate_rows(f, a) - evaluate_rows(f, b))
+    return float(np.max(rise[dist > 0.0] / dist[dist > 0.0], initial=0.0))
 
 
 def test_builtin_values():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplip.errors import BadExponentError, DomainError
+from oplip.errors import BadExponentError, DomainError, NonFiniteError
 from oplip.norms import (
     SingularValueProfile,
     matrix_trace_norm,
@@ -80,6 +80,21 @@ def test_profile_errors_are_typed():
         SingularValueProfile(np.array([1.0]), 0.0)
     with pytest.raises(DomainError, match="scale"):
         profile_from_values([2.0, 1.0]).scaled(-1.0)
+    for values in ([np.nan, 1.0], [1.0, np.nan], [np.nan]):
+        with pytest.raises(DomainError, match="nonnegative"):
+            SingularValueProfile(np.array(values))
+    with pytest.raises(DomainError, match="nonnegative"):
+        profile_from_values([1.0, np.nan])
+    with pytest.raises(DomainError, match="t >= 0"):
+        mu_at(profile_from_values([1.0]), np.nan)
+    with pytest.raises(BadExponentError):
+        schatten_norm(profile_from_values([1.0]), np.nan)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        x = np.eye(3, dtype=complex)
+        x[1, 2] = bad
+        for norm in (singular_values, matrix_trace_norm, matrix_weak_l1):
+            with pytest.raises(NonFiniteError):
+                norm(x)
 
 
 def test_mu_at_steps():

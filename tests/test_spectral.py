@@ -120,8 +120,13 @@ def test_joint_diagonalize_gate_raises_at_once(monkeypatch):
 def test_joint_diagonalize_tiny_matrix_matches_its_unscaled_self(scale):
     # the snapping width is relative to each matrix, so a tiny tuple keeps its
     # distinct eigenvalues instead of merging them all
-    for n, d, seed in ((4, 1, 0), (6, 1, 1), (6, 2, 2), (6, 3, 3)):
-        tup, _, _ = planted_commuting_tuple(n, d, "uniform", seed=seed)
+    # integer plants have exactly repeated eigenvalues, which relative cluster
+    # gaps keep together at any scale
+    cases = ((4, 1, 0, "uniform"), (6, 1, 1, "uniform"), (6, 2, 2, "uniform"),
+             (6, 3, 3, "uniform"), (6, 2, 4, "integer:3"), (6, 2, 5, "integer:3"),
+             (8, 3, 6, "integer:2"))
+    for n, d, seed, law in cases:
+        tup, _, _ = planted_commuting_tuple(n, d, law, seed=seed)
         ref = joint_diagonalize(tup).eigenvalues
         got = joint_diagonalize(CommutingTuple([scale * a for a in tup.arrays()])).eigenvalues
         np.testing.assert_allclose(got / scale, ref, rtol=0, atol=1e-13)
@@ -150,16 +155,19 @@ def _integer_centred_case(seed):
     table = table * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
     U = haar_unitary(n, rng)
     matrices = [(U * table[:, k]) @ U.conj().T for k in range(d)]
-    return [(a + a.conj().T) / 2.0 for a in matrices]
+    return [(a + a.conj().T) / 2.0 for a in matrices], table
 
 
 @pytest.mark.parametrize("seed,n,d", [(44, 23, 3), (207, 8, 3)])
-def test_joint_diagonalize_refuses_unresolved_clusters(seed, n, d):
-    # real input that the refinement leaves unresolved: the gate refuses it
-    matrices = _integer_centred_case(seed)
+def test_joint_diagonalize_resolves_integer_centred_clusters(seed, n, d):
+    # a column scaled far below 1 (seed 44: max |entry| 8e-12) is still split
+    # into its clusters, because the cluster gaps are relative to each matrix
+    matrices, table = _integer_centred_case(seed)
     assert (matrices[0].shape[0], len(matrices)) == (n, d)
-    with pytest.raises(NoConvergenceError):
-        joint_diagonalize(CommutingTuple(matrices))
+    js = joint_diagonalize(CommutingTuple(matrices))
+    want = table[np.lexsort(table.T[::-1])]
+    err = np.max(np.abs(js.eigenvalues - want), axis=0)
+    assert np.all(err <= 1e-10 * np.max(np.abs(want), axis=0))
 
 
 def _adversarial_case(seed):

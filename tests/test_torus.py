@@ -14,7 +14,6 @@ from oplip.torus import (
     HomogeneousSymbol,
     TorusSignal,
     _fiber_singular_values,
-    character_signal,
     coefficients,
     fejer,
     fourier_multiplier_apply,
@@ -26,6 +25,14 @@ from oplip.torus import (
     smoothing_eval,
     symbol_eval,
 )
+
+
+def character_signal(torus_dim, grid_size, k, fiber=None):
+    """The signal fiber * e_k sampled on the grid (fiber defaults to scalar 1)."""
+    fiber = np.eye(1) if fiber is None else np.asarray(fiber, dtype=complex)
+    coeffs = np.zeros((grid_size,) * torus_dim + fiber.shape, dtype=complex)
+    coeffs[frequency_index(k, grid_size)] = fiber
+    return signal_from_coefficients(coeffs)
 
 
 def _random_signal(d_torus, grid, fiber, seed):
@@ -359,15 +366,16 @@ def _full_pool_probe(w, l):
     flat = coefficients(w)[..., 0, 0]
     top = max(float(np.max(np.abs(flat))), 1.0)
     freqs = frequencies(w.grid_size)
-    terms = [((freqs[i], freqs[j]), flat[i, j])
-             for i, j in zip(*np.nonzero(np.abs(flat) > 1e-13 * top))]
+    used = np.abs(flat) > 1e-13 * top
+    terms = [((freqs[i], freqs[j]), flat[i, j]) for i, j in zip(*np.nonzero(used))]
+    rows_in_use, cols_in_use = np.any(used, axis=1), np.any(used, axis=0)
+    table = np.where(used, flat, 0.0)[np.ix_(rows_in_use, cols_in_use)]
+    left = np.exp(1j * np.multiply.outer(x, freqs[rows_in_use]))
+    right = table @ np.exp(1j * np.multiply.outer(freqs[cols_in_use], x))
     integral, blocks = 0.0, []
     for start in range(0, m, PROBE_BLOCK_ROWS):
         rows = slice(start, min(start + PROBE_BLOCK_ROWS, m))
-        block = np.zeros((rows.stop - rows.start, m), dtype=complex)
-        for (k0, k1), c in terms:
-            block += c * np.outer(np.exp(1j * k0 * x[rows]), np.exp(1j * k1 * x))
-        ablock = np.abs(block) * np.outer(gauss[rows], gauss)
+        ablock = np.abs(left[rows] @ right) * np.outer(gauss[rows], gauss)
         integral += float(np.sum(ablock))
         blocks.append(ablock.ravel())
     values = np.sort(np.concatenate(blocks))[::-1]
