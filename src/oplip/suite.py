@@ -561,19 +561,28 @@ def _cone_deviation(radius, d):
     m^2 <= |delta|^2, for every k0.  There the smoothing argument is
     |delta|^2 / (|delta|^2 + m^2) >= 1/2, so the smoothing function is the
     identity and the normalized symbol reduces to the divided difference.
-    The cells are taken one m at a time, so memory follows the delta table.
+    The delta table is sorted once by |delta|^2 (stably), so the cells of
+    one m are the contiguous suffix from the first |delta|^2 >= max(m^2, 1).
+    One float (K, d+1) point buffer holds the sorted deltas (integers, so
+    delta_k0 m is exact in it); each m overwrites its last column on that
+    suffix, which is passed on as a view.  Every cell is evaluated for
+    every k0, and memory follows the delta table.
     """
     deltas = _box_points(2 * radius, d)
     dist2 = np.sum(deltas * deltas, axis=-1)
-    mmax = math.isqrt(int(np.max(dist2)))
+    order = np.argsort(dist2, kind="stable")
+    dist2 = dist2[order]
+    points = np.empty((len(order), d + 1))
+    points[:, :d] = deltas[order]
+    mmax = math.isqrt(int(dist2[-1]))
     worst = 0.0
     for m in range(-mmax, mmax + 1):
-        cell = (m * m <= dist2) & (dist2 > 0)
-        delta, denom = deltas[cell], dist2[cell]
-        points = np.column_stack([delta, np.full(len(delta), m)]).astype(float)
+        start = int(np.searchsorted(dist2, max(m * m, 1)))
+        points[start:, d] = m
+        cells, denom = points[start:], dist2[start:]
         for k0 in range(1, d + 1):
-            gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), points)
-            worst = max(worst, float(np.max(np.abs(gv - delta[:, k0 - 1] * m / denom))))
+            gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), cells)
+            worst = max(worst, float(np.max(np.abs(gv - cells[:, k0 - 1] * m / denom))))
     return worst
 
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, DomainError, GuardViolationError
+from .errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
 from .norms import SingularValueProfile, schatten_norm, weak_l1
 from .spectral import evaluate_rows
 
 TWO_PI = 2.0 * np.pi
 PROBE_BLOCK_ROWS = 512  # grid rows per block of the periodization probe
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
+_SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
 
 
 @dataclass
@@ -108,9 +109,10 @@ def smoothing_eval(u):
 class HomogeneousSymbol:
     """Degree-0 homogeneous symbol t -> t_{k0} t_{d+1} / smoothing(sum_{k<=d} t_k^2).
 
-    Arguments are normalized to the unit sphere first, so homogeneity holds by
-    construction; the value at 0 is defined as 0.  k0 is 1-based and d is the
-    number of leading coordinates (the symbol lives on R^{d+1}).
+    Arguments are normalized to the unit sphere first, so g(c t) = g(t) for
+    every c != 0 at every finite scale (see :func:`symbol_eval`); the value
+    at 0 is defined as 0.  k0 is 1-based and d is the number of leading
+    coordinates (the symbol lives on R^{d+1}).
     """
 
     d: int
@@ -124,17 +126,51 @@ class HomogeneousSymbol:
         return symbol_eval(self, t)
 
 
+def _square_norms(rows: np.ndarray) -> np.ndarray:
+    """c_0^2 + c_1^2 + ... added left to right over the columns of a (K, d+1) table."""
+    cols = rows.T
+    n2 = cols[0] * cols[0]
+    for c in cols[1:]:
+        n2 += c * c
+    return n2
+
+
 def symbol_eval(g: HomogeneousSymbol, t):
-    """Evaluate the homogeneous symbol on a table of points (..., d+1) -> (...)."""
+    """Evaluate the homogeneous symbol on a table of points (..., d+1) -> (...).
+
+    The table is read column by column: n^2 = c_0^2 + c_1^2 + ... left to
+    right, u = sum_{k<d} (c_k / n)^2 and the value (c_{k0} / n)(c_d / n) /
+    smoothing(u).  A row whose n^2 is 0, not finite or outside
+    [2^-960, 2^960] is odd: a NaN or infinite coordinate there raises
+    NonFiniteError, and otherwise the row is first scaled by the power of two
+    that brings its largest |coordinate| into [1/2, 1).  That scaling is
+    exact, so no square overflows or underflows and g(c t) = g(t) holds for
+    every finite c != 0; a zero row gives 0.
+    """
     pts = np.asarray(t, dtype=float)
     if pts.shape[-1] != g.d + 1:
         raise DimMismatchError(f"points must have {g.d + 1} coordinates")
-    norms = np.linalg.norm(pts, axis=-1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = pts / safe[..., np.newaxis]
-    u = np.clip(np.sum(unit[..., : g.d] ** 2, axis=-1), 0.0, 1.0)
-    vals = unit[..., g.k0 - 1] * unit[..., g.d] / smoothing_eval(u)
-    return np.where(norms > 0, vals, 0.0)
+    rows = pts.reshape(-1, g.d + 1)
+    with np.errstate(over="ignore"):
+        n2 = _square_norms(rows)
+    odd = np.flatnonzero(~((n2 >= _SQUARE_NORM_LO) & (n2 <= _SQUARE_NORM_HI)))
+    if odd.size:
+        wild = rows[odd]
+        if not np.all(np.isfinite(wild)):
+            raise NonFiniteError("symbol arguments must be finite")
+        _, e = np.frexp(np.max(np.abs(wild), axis=-1))
+        if np.any(e):  # e = 0 only on zero rows, which need no scaling
+            rows = rows.copy()
+            rows[odd] = np.ldexp(wild, -e[:, np.newaxis])
+            n2[odd] = _square_norms(rows[odd])
+    cols = rows.T
+    safe = np.where(n2 > 0, np.sqrt(n2), 1.0)
+    u = np.square(cols[0] / safe)
+    for c in cols[1 : g.d]:
+        u += np.square(c / safe)
+    np.clip(u, 0.0, 1.0, out=u)
+    vals = (cols[g.k0 - 1] / safe) * (cols[g.d] / safe) / smoothing_eval(u)
+    return np.where(n2 > 0, vals, 0.0).reshape(pts.shape[:-1])
 
 
 def _multiplier_tensor(m, grid_size: int, torus_dim: int) -> np.ndarray:
@@ -221,7 +257,12 @@ def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
 
 
 def signal_norms(w: TorusSignal):
-    """(L1, L2, weak-L1) of the signal over its grid measure."""
+    """(L1, L2, weak-L1) of the signal over its grid measure.
+
+    A NaN or infinite sample raises NonFiniteError before any SVD.
+    """
+    if not np.all(np.isfinite(w.samples)):
+        raise NonFiniteError("signal samples must be finite")
     n_fib = w.fiber_dim
     svals = _fiber_singular_values(w.samples.reshape(-1, n_fib, n_fib)).ravel()
     svals.sort()

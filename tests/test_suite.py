@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -108,6 +109,56 @@ def test_symbol_agreement_covers_the_realized_pairs():
         swept = symbol_agreement_sweep(d_values=d_values, radius=radius)
         brute = _realized_pair_deviation(radius, d_values)
         assert brute <= swept <= 1e-12
+
+
+def _mask_cone_deviation(radius, d):
+    """The earlier cone walk: one boolean mask and one copied point table per m."""
+    deltas = _box_points(2 * radius, d)
+    dist2 = np.sum(deltas * deltas, axis=-1)
+    mmax = math.isqrt(int(np.max(dist2)))
+    worst = 0.0
+    for m in range(-mmax, mmax + 1):
+        cell = (m * m <= dist2) & (dist2 > 0)
+        delta, denom = deltas[cell], dist2[cell]
+        points = np.column_stack([delta, np.full(len(delta), m)]).astype(float)
+        for k0 in range(1, d + 1):
+            gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), points)
+            worst = max(worst, float(np.max(np.abs(gv - delta[:, k0 - 1] * m / denom))))
+    return worst
+
+
+def _cone_cells(radius, d):
+    """(k0, sorted points) of every symbol call the cone walk should make, in order."""
+    deltas = _box_points(2 * radius, d)
+    dist2 = np.sum(deltas * deltas, axis=-1)
+    mmax = math.isqrt(int(np.max(dist2)))
+    calls = []
+    for m in range(-mmax, mmax + 1):
+        cell = (m * m <= dist2) & (dist2 > 0)
+        points = np.column_stack([deltas[cell], np.full(int(cell.sum()), m)]).astype(float)
+        calls.extend((k0, np.unique(points, axis=0)) for k0 in range(1, d + 1))
+    return calls
+
+
+@pytest.mark.parametrize("radius, d", [(r, d) for d in (1, 2) for r in range(1, 11)] + [(2, 3)])
+def test_cone_deviation_matches_the_mask_walk(radius, d):
+    assert suite._cone_deviation(radius, d) == _mask_cone_deviation(radius, d)
+
+
+@pytest.mark.parametrize("radius, d", [(1, 1), (4, 1), (3, 2), (10, 2), (2, 3)])
+def test_cone_deviation_evaluates_every_cone_cell(monkeypatch, radius, d):
+    seen = []
+
+    def recording(g, points):
+        seen.append((g.k0, np.unique(points, axis=0)))
+        return symbol_eval(g, points)
+
+    monkeypatch.setattr(suite, "symbol_eval", recording)
+    suite._cone_deviation(radius, d)
+    want = _cone_cells(radius, d)
+    assert [k0 for k0, _ in seen] == [k0 for k0, _ in want]
+    for (_, got), (_, cells) in zip(seen, want):
+        assert np.array_equal(got, cells)
 
 
 def test_traced_benchmark_names_resolve():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oplip.errors import DimMismatchError, DomainError, GuardViolationError
+from oplip.errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
 from oplip.norms import SingularValueProfile, schatten_norm, weak_l1
 from oplip.suite import fejer_brute, fejer_convergence_profile
 from oplip.torus import (
@@ -114,6 +114,57 @@ def test_symbol_batch_matches_scalar():
     np.testing.assert_array_equal(batch, single)
 
 
+def _rowwise_symbol_eval(g, t):
+    """The earlier symbol formula: reductions over the last axis of the table."""
+    pts = np.asarray(t, dtype=float)
+    norms = np.linalg.norm(pts, axis=-1)
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = pts / safe[..., np.newaxis]
+    u = np.clip(np.sum(unit[..., : g.d] ** 2, axis=-1), 0.0, 1.0)
+    vals = unit[..., g.k0 - 1] * unit[..., g.d] / smoothing_eval(u)
+    return np.where(norms > 0, vals, 0.0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_symbol_columns_match_the_rowwise_formula(d):
+    rng = np.random.default_rng(20 + d)
+    table = rng.standard_normal((3000, d + 1)) * 10.0 ** rng.uniform(-100, 100, (3000, 1))
+    table[::40] = 0.0
+    table[1::7, rng.integers(0, d + 1)] = 0.0
+    table[2::11] = rng.integers(-60, 61, table[2::11].shape)
+    for k0 in range(1, d + 1):
+        g = HomogeneousSymbol(d=d, k0=k0)
+        assert np.array_equal(symbol_eval(g, table), _rowwise_symbol_eval(g, table))
+        grid = table[:2400].reshape(40, 60, d + 1)
+        assert np.array_equal(symbol_eval(g, grid), _rowwise_symbol_eval(g, grid))
+        single = symbol_eval(g, table[3])
+        assert single.shape == () and single == _rowwise_symbol_eval(g, table[3])
+
+
+def test_symbol_homogeneous_at_every_finite_scale():
+    g = HomogeneousSymbol(d=2, k0=1)
+    for c in (1e200, 1e-200, 1e300, 1e-300, 2.0**-1074, np.finfo(float).max):
+        assert symbol_eval(g, [c, c, c]) == 0.5
+    t = np.random.default_rng(5).standard_normal((50, 3))
+    want = symbol_eval(g, t)
+    for c in (2.0**700, 2.0**-700, -(2.0**600)):
+        assert np.array_equal(symbol_eval(g, c * t), want)
+    # odd rows are rescaled alone; moderate rows beside them keep their values
+    mixed = np.vstack([t, [[1e200] * 3, [0.0] * 3, [1e-200] * 3]])
+    got = symbol_eval(g, mixed)
+    assert np.array_equal(got[:50], want)
+    np.testing.assert_array_equal(got[50:], [0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 0.0], [1.0, -np.inf, np.nan]])
+def test_symbol_refuses_non_finite_points(bad):
+    g = HomogeneousSymbol(d=2, k0=1)
+    with pytest.raises(NonFiniteError):
+        symbol_eval(g, bad)
+    with pytest.raises(NonFiniteError):
+        symbol_eval(g, np.vstack([np.ones((4, 3)), bad]))
+
+
 def test_multiplier_on_characters():
     g = HomogeneousSymbol(d=1, k0=1)
     # constant coefficient: killed by g(0) = 0
@@ -189,6 +240,15 @@ def test_fejer_convergence_rate():
     for order, rate in profile:
         assert rate <= base / (order + 1) + 1e-12
     assert all(rate < 1e-3 for order, rate in profile if order >= 50)
+
+
+@pytest.mark.parametrize("fiber", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)])
+def test_signal_norms_refuse_non_finite_samples(fiber, bad):
+    samples = np.ones((4, fiber, fiber), dtype=complex)
+    samples[2, 0, fiber - 1] = bad
+    with pytest.raises(NonFiniteError):
+        signal_norms(TorusSignal(samples))
 
 
 def test_signal_norms_constant_identity():
