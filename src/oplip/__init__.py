@@ -65,7 +65,6 @@ from .torus import (
 )
 from .transference import (
     IntegerTuple,
-    apply_S,
     build_embedding,
     contraction_check,
     discretization_report,

@@ -8,20 +8,21 @@ multiplies matrix entries of V, expressed in the joint eigenbasis, by the
 symbol evaluated at eigenvalue row pairs, all n^2 of them in one broadcasting
 call on rows[:, None] and rows[None, :].  f takes a float table (..., d) (see
 :func:`~oplip.spectral.evaluate_rows`), so a divided-difference symbol calls f
-once per side.  It is exactly 0 where |lambda - mu|^2 == 0 (equal rows, -0.0
-against 0.0, differences that underflow); close rows are never merged here
-(degenerate spectra are the joint diagonalization's job).
+once per side.  Its 0/0 is 0 on equal rows (-0.0 against 0.0 included) and
+nowhere else; close rows are never merged here (degenerate spectra are the
+joint diagonalization's job).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, DomainError, GuardViolationError
+from .errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
 from .spectral import (
     CommutingTuple,
     HermitianMatrix,
     JointSpectrum,
+    _binary_exponents,
     apply_function,
     as_matrix,
     commutator,
@@ -45,20 +46,42 @@ class Symbol:
     symmetric: bool = False
 
 
+def _moderate(*tables) -> bool:
+    """Every entry is 0 or in [2^-400, 2^501): then |lambda - mu|^2 cannot under- or
+    overflow (d < 2^20; a nonzero |lambda_k - mu_k| is >= 2^-452), nor f_k."""
+    c = np.concatenate(tables, axis=None)
+    return (np.minimum.reduce(np.frexp(c)[1], initial=0) >= -399
+            and np.maximum.reduce(np.abs(c), initial=0.0) < 2.0**501)
+
+
+def _quotient(df, diff, k: int):
+    denom = np.sum(diff * diff, axis=-1)
+    zero = denom == 0.0
+    return np.where(zero, 0.0, df * diff[..., k - 1] / np.where(zero, 1.0, denom))
+
+
 def divided_difference_symbol(f, k: int, d: int) -> Symbol:
     """The symbol f_k(lambda, mu) = (f(lambda)-f(mu)) (lambda_k-mu_k) / |lambda-mu|^2.
 
-    f is called once on each argument's table; exactly 0 where |lambda-mu|^2 == 0.
+    f is called once on each argument's table; exactly 0 where lambda == mu.
+    Unless all rows and f values are :func:`_moderate`, each pair is first
+    scaled by the power of two s with max |diff/s| in [1/2, 1), which is
+    exact; a value that is not finite then raises NonFiniteError.
     """
     if not 1 <= k <= d:
         raise DomainError(f"coordinate index {k} outside 1..{d}")
 
     def fk(lam, mu):
-        diff = lam - mu
-        denom = np.sum(diff * diff, axis=-1)
-        zero = denom == 0.0
-        num = (evaluate_rows(f, lam) - evaluate_rows(f, mu)) * diff[..., k - 1]
-        return np.where(zero, 0.0, num / np.where(zero, 1.0, denom))
+        fl, fm = evaluate_rows(f, lam), evaluate_rows(f, mu)
+        if _moderate(lam, mu, fl, fm):
+            return _quotient(fl - fm, lam - mu, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = lam - mu
+            e = _binary_exponents(diff)
+            out = _quotient(np.ldexp(fl - fm, -e), np.ldexp(diff, -e[..., np.newaxis]), k)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteError("divided difference is not finite")
+        return out
 
     return Symbol(d=d, func=fk, symmetric=True)
 
@@ -85,7 +108,7 @@ def symbol_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
     out[...] = xi.func(rows[:, None, :], rows[None, :, :])
     if xi.symmetric:
         dev = np.abs(out - out.conj().T)
-        bad = np.argwhere(dev > SYMMETRY_TOL * (1.0 + np.abs(out)))
+        bad = np.argwhere(~(dev <= SYMMETRY_TOL * (1.0 + np.abs(out))))
         if bad.size:
             i, j = bad[0]
             raise GuardViolationError(

@@ -134,8 +134,9 @@ class JointSpectrum:
 
 
 def validate_joint_spectrum(js):
-    """Check that the basis is unitary (else DomainError) and reconstructs every
-    matrix within ``RECONSTRUCTION_TOL`` (else NoConvergenceError).
+    """Check that every entry is finite (else NonFiniteError), that the basis is
+    unitary (else DomainError) and reconstructs every matrix within
+    ``RECONSTRUCTION_TOL`` (else NoConvergenceError).
 
     For a unitary U, ||A - U diag(l) U*||_F >= ||off(U*AU)||_F, so this gate
     also bounds the off-diagonal energy left in the joint basis.
@@ -146,6 +147,8 @@ def validate_joint_spectrum(js):
         raise DimMismatchError("basis must be square")
     if js.eigenvalues.shape[0] != n:
         raise DimMismatchError("eigenvalue table has wrong row count")
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(js.eigenvalues))):
+        raise NonFiniteError("joint spectrum has a NaN or infinite entry")
     gram_dev = _frob(U.conj().T @ U - np.eye(n))
     if gram_dev > UNITARITY_TOL * n:
         raise DomainError(f"basis is not unitary: ||U*U - I||_F = {gram_dev:.3e}")
@@ -249,11 +252,20 @@ def evaluate_rows(f, rows) -> np.ndarray:
     vals = np.asarray(f(rows), dtype=float)
     if vals.shape not in (rows.shape[:-1], ()):
         raise DomainError(f"function gave shape {vals.shape} for {rows.shape[:-1]} rows")
-    vals = np.broadcast_to(vals, rows.shape[:-1])
-    if not np.all(np.isfinite(vals)):
+    if vals.shape != rows.shape[:-1]:  # a 0-d constant
+        vals = np.broadcast_to(vals, rows.shape[:-1])
+    if not np.isfinite(vals).all():
         bad = rows[~np.isfinite(vals)][0]
         raise NonFiniteError(f"function not finite at eigenvalue row {bad}")
     return vals
+
+
+def _binary_exponents(rows) -> np.ndarray:
+    """Per row of a (..., m) table, e with max |entry| in [2^(e-1), 2^e) (0 on zero rows),
+    so ldexp(rows, -e[..., None]) lies in [-1, 1]; NaN or inf raises NonFiniteError."""
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteError("symbol arguments must be finite")
+    return np.frexp(np.max(np.abs(rows), axis=-1))[1]
 
 
 def apply_function(js: JointSpectrum, f) -> HermitianMatrix:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
 from .norms import SingularValueProfile, schatten_norm, weak_l1
-from .spectral import evaluate_rows
+from .spectral import _binary_exponents, evaluate_rows
 
 TWO_PI = 2.0 * np.pi
 PROBE_BLOCK_ROWS = 512  # grid rows per block of the periodization probe
@@ -88,18 +88,19 @@ def smoothing_eval(u):
     """The smoothing function: u on [1/2, 1], a smooth bump keeping it >= 1/3 below.
 
     For u < 1/2 the value is u + exp(1 - 1/(1 - (2u)^2)) / 3; the bump vanishes
-    to all orders at u = 1/2 and equals 1/3 at u = 0.
+    to all orders at u = 1/2 and equals 1/3 at u = 0.  NaN raises NonFiniteError.
     """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("smoothing function is defined on [0, 1] only")
-    low = arr < 0.5
-    out = arr.astype(float).copy()
+    out = np.array(u, dtype=float)
+    if not np.all((out >= 0.0) & (out <= 1.0)):
+        error = NonFiniteError if np.any(np.isnan(out)) else DomainError
+        raise error("smoothing function is defined on [0, 1] only")
+    low = out < 0.5
     if np.any(low):
-        t = 1.0 - (2.0 * arr[low]) ** 2
+        arg = out[low]
+        t = 1.0 - (2.0 * arg) ** 2
         with np.errstate(divide="ignore"):
             bump = np.exp(1.0 - 1.0 / t) / 3.0
-        out[low] = arr[low] + bump
+        out[low] = arg + bump
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(out)
     return out
@@ -156,9 +157,7 @@ def symbol_eval(g: HomogeneousSymbol, t):
     odd = np.flatnonzero(~((n2 >= _SQUARE_NORM_LO) & (n2 <= _SQUARE_NORM_HI)))
     if odd.size:
         wild = rows[odd]
-        if not np.all(np.isfinite(wild)):
-            raise NonFiniteError("symbol arguments must be finite")
-        _, e = np.frexp(np.max(np.abs(wild), axis=-1))
+        e = _binary_exponents(wild)
         if np.any(e):  # e = 0 only on zero rows, which need no scaling
             rows = rows.copy()
             rows[odd] = np.ldexp(wild, -e[:, np.newaxis])

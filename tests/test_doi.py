@@ -19,6 +19,7 @@ from oplip.functions import builtin_function, experiment_function_names
 from oplip.norms import singular_values
 from oplip.spectral import (
     CommutingTuple,
+    JointSpectrum,
     commutator,
     joint_diagonalize,
     planted_commuting_tuple,
@@ -307,14 +308,65 @@ def test_divided_difference_exact_zero_without_warnings():
     fk = divided_difference_symbol(lambda lam: np.copysign(1e200, lam[..., 0]), 1, 2)
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        # |lambda - mu|^2 underflows to 0 for rows 1e-200 apart
-        assert fk.func(np.array([1e-200, 0.0]), np.array([0.0, 0.0])) == 0.0
         # -0.0 and 0.0 differ bitwise and in f, but not in |lambda - mu|^2
         assert fk.func(np.array([-0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
-        rows = np.array([[-0.0, 1.0], [0.0, 1.0], [1e-200, 1.0], [2.0, 1.0]])
+        rows = np.array([[-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]])
         out = fk.func(rows[:, None, :], rows[None, :, :])
-    assert out.shape == (4, 4)
-    assert np.all(out[:3, :3] == 0.0) and out[3, 0] == 1e200
+        # rows 1e-200 apart are not equal rows: equal f values give 0, and a
+        # jump of 2e200 gives 2e400, which is refused instead of read as 0
+        assert fk.func(np.array([1e-200, 0.0]), np.array([0.0, 0.0])) == 0.0
+        with pytest.raises(NonFiniteError):
+            fk.func(np.array([1e-200, 0.0]), np.array([-0.0, 0.0]))
+    assert out.shape == (3, 3)
+    assert np.all(out[:2, :2] == 0.0) and out[2, 0] == 1e200
+
+
+@pytest.mark.parametrize("s", [1e-170, 1.0, 1e150, 1e160])
+@pytest.mark.parametrize("shape", ["3s,s", "s,-s"])
+def test_divided_difference_scale_safe(s, shape):
+    # |lambda - mu|^2 underflows at 1e-170 and overflows at 1e160 unscaled
+    a, b = (3.0 * s, s) if shape == "3s,s" else (s, -s)
+    with np.errstate(over="ignore"):  # the tuple's Frobenius norm overflows at 1e160
+        js = JointSpectrum(np.eye(2), [[a], [b]], CommutingTuple([np.diag([a, b])]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = symbol_matrix(js, divided_difference_symbol(lambda lam: lam[..., 0], 1, 1))
+    assert out[0, 1] == 1.0 and out[1, 0] == 1.0
+    assert out[0, 0] == 0.0 and out[1, 1] == 0.0
+
+
+def test_divided_difference_moderate_rows_unchanged():
+    # rows of moderate scale keep the unscaled quotient bitwise, also beside
+    # an extreme row, which sends the whole table through the scaled path
+    rows = np.random.default_rng(65).uniform(-3.0, 3.0, (9, 2))
+    f = builtin_function("crease", 2)
+    fk = divided_difference_symbol(f, 2, 2).func
+    diff = rows[:, None, :] - rows[None, :, :]
+    df = f(rows)[:, None] - f(rows)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = df * diff[..., 1] / np.sum(diff * diff, axis=-1)
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(fk(rows[:, None, :], rows[None, :, :]), want)
+    mixed = np.vstack([rows, [1e-300, 1e-300]])
+    assert np.array_equal(fk(mixed[:, None, :], mixed[None, :, :])[:9, :9], want)
+
+
+@pytest.mark.parametrize("lam, mu", [([np.nan, 0.0], [1.0, 0.0]),
+                                     ([np.inf, 0.0], [1.0, 0.0]),
+                                     ([1e308, 0.0], [-1e308, 0.0])])
+def test_divided_difference_refuses_non_finite(lam, mu):
+    fk = divided_difference_symbol(lambda rows: 1.0, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            fk.func(np.array(lam), np.array(mu))
+
+
+def test_symbol_symmetry_gate_refuses_nan():
+    js = joint_diagonalize(CommutingTuple([np.diag([1.0, 2.0])]))
+    nan = Symbol(d=1, func=lambda lam, mu: np.nan * (lam[..., 0] + mu[..., 0]), symmetric=True)
+    with pytest.raises(GuardViolationError):
+        symbol_matrix(js, nan)
 
 
 def test_symbol_product_check():

@@ -139,6 +139,17 @@ def test_caller_built_spectrum_with_non_unitary_basis_is_refused():
         JointSpectrum(2.0 * U, lambdas, tup)
 
 
+@pytest.mark.parametrize("where", ["eigenvalues", "basis"])
+def test_caller_built_spectrum_with_nan_is_refused(where):
+    # NaN passes both tolerance gates (a NaN comparison is False), so it is
+    # refused before them; integer_tuple would cast it to -2^63
+    basis, table = np.eye(2), np.array([[np.nan], [1.0]])
+    if where == "basis":
+        basis, table = np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0], [1.0]])
+    with pytest.raises(NonFiniteError):
+        JointSpectrum(basis, table, CommutingTuple([np.eye(2)]))
+
+
 def _integer_centred_case(seed):
     """A seeded commuting tuple whose rows cluster tightly around integer centres.
 

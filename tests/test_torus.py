@@ -74,9 +74,16 @@ def test_smoothing_values():
         smoothing_eval(-0.1)
 
 
+@pytest.mark.parametrize("u", [np.nan, np.array([np.nan, 0.7]), np.array([[0.2], [np.nan]])])
+def test_smoothing_refuses_nan(u):
+    with pytest.raises(NonFiniteError):
+        smoothing_eval(u)
+
+
 def test_smoothing_constraints_on_grid():
     u = np.linspace(0.0, 1.0, 20001)
     vals = smoothing_eval(u)
+    assert np.array_equal(u, np.linspace(0.0, 1.0, 20001))  # the argument is not written
     assert np.all(vals[u >= 0.5] == u[u >= 0.5])
     assert np.all(vals[u <= 0.5] >= 1.0 / 3.0 - 1e-15)
     # smooth junction: values approach 1/2 from above as u -> 1/2-

@@ -13,9 +13,15 @@ from oplip.errors import AliasRiskError, DomainError
 from oplip.functions import builtin_function
 from oplip.norms import matrix_trace_norm, matrix_weak_l1
 from oplip.spectral import CommutingTuple, JointSpectrum, planted_commuting_tuple
-from oplip.torus import TWO_PI, HomogeneousSymbol, coefficients, frequency_index, signal_norms
+from oplip.torus import (
+    TWO_PI,
+    HomogeneousSymbol,
+    coefficients,
+    fourier_multiplier_apply,
+    frequency_index,
+    signal_norms,
+)
 from oplip.transference import (
-    apply_S,
     build_embedding,
     contraction_check,
     discretization_report,
@@ -277,31 +283,23 @@ def test_build_embedding_isometry():
     np.testing.assert_allclose(weak, factor * matrix_weak_l1(v), rtol=1e-10)
 
 
-def test_apply_S_kills_diagonal_fibers():
-    it, _ = _integer_instance(n=4, seed=23)
-    g = HomogeneousSymbol(d=1, k0=1)
-    # a signal whose fibers are functions of the tuple: diagonal in the joint basis
+@pytest.mark.parametrize("n, d, seed", [(6, 1, 23), (8, 2, 37)])
+def test_multiplier_kills_embedded_block_diagonal(n, d, seed):
+    # V block diagonal over the joint eigenvalues (zero between distinct rows of
+    # the table) embeds at frequency 0 only, where g(0) = 0: on I(V), g(nabla)
+    # is the off-diagonal compression
+    it, v = _integer_instance(n, d, seed, law="integer:1")
+    same = np.all(it.table[:, None, :] == it.table[None, :, :], axis=-1)
+    assert np.sum(same) > n  # some block is larger than 1 x 1
     u = it.spectrum.basis
-    fiber = (u * np.arange(1.0, 5.0)) @ u.conj().T
-    w = build_embedding(it, lambda iv: iv[..., 0], np.eye(4), 16)
-    w.samples[...] = fiber
-    out = apply_S(it, g, w)
-    assert np.linalg.norm(out.samples) <= 1e-10 * np.linalg.norm(w.samples)
+    v = u @ (same * (u.conj().T @ v @ u)) @ u.conj().T
+    w = build_embedding(it, lambda iv: np.max(np.abs(iv), axis=-1), v, 16)
+    out = fourier_multiplier_apply(HomogeneousSymbol(d=d, k0=d), w)
+    assert np.linalg.norm(out.samples) <= 1e-12 * np.linalg.norm(w.samples)
 
 
-def test_apply_S_linear():
-    it, v = _integer_instance(n=3, seed=29)
-    g = HomogeneousSymbol(d=1, k0=1)
-    h = lambda iv: np.abs(iv[..., 0])
-    w1 = build_embedding(it, h, v, 16)
-    w2 = build_embedding(it, h, v @ v, 16)
-    lhs = apply_S(it, g, type(w1)(1.5 * w1.samples - 2j * w2.samples))
-    rhs = 1.5 * apply_S(it, g, w1).samples - 2j * apply_S(it, g, w2).samples
-    assert np.linalg.norm(lhs.samples - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
-
-
-def test_apply_S_matches_multiplied_embedding():
-    # S(I(V)) computed on the grid equals the multiplied single term:
+def test_multiplier_on_single_term_embedding():
+    # g(nabla) on I(V) equals the multiplied single term:
     # for V = p_0 V p_1 only the frequency (i - j, h(i) - h(j)) survives
     tup = CommutingTuple([np.diag([0.0, 1.0])])
     it = integer_tuple(tup)
@@ -309,8 +307,8 @@ def test_apply_S_matches_multiplied_embedding():
     h = lambda iv: iv[..., 0]
     g = HomogeneousSymbol(d=1, k0=1)
     w = build_embedding(it, h, v, 8)
-    out = apply_S(it, g, w)
-    # g(-1, -1) = 1, so S(I(V)) = I(V) with the diagonal (zero here) removed
+    out = fourier_multiplier_apply(g, w)
+    # g(-1, -1) = 1, so S(I(V)) = I(V)
     np.testing.assert_allclose(out.samples, w.samples, atol=1e-10)
 
 
@@ -357,7 +355,7 @@ def test_verify_conjugation_matches_grid_route(name, k0):
     res = verify_conjugation(it, h, v, 16, k0=k0)
 
     g = HomogeneousSymbol(d=d, k0=k0)
-    left = apply_S(it, g, build_embedding(it, h, v, 16))
+    left = fourier_multiplier_apply(g, build_embedding(it, h, v, 16))
     js_int = JointSpectrum(it.spectrum.basis, it.table.astype(float),
                            it.spectrum.provenance)
     tv = doi_apply(js_int, divided_difference_symbol(h, k0, d), v)
