@@ -139,16 +139,21 @@ def doi_l2_norm(js: JointSpectrum, xi: Symbol) -> float:
 def doi_operator_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
     """Dense n^2 x n^2 matrix of V -> T_xi(V), built by applying it to matrix units.
 
-    Serves as the independent route for the L2 norm: its largest singular
-    value must agree with :func:`doi_l2_norm`.
+    Column j n + i is the column-major T_xi(E_ij); one symbol matrix serves
+    every unit, and the units of one column j go through one batched step, so
+    the scratch beside the n^4 output is O(n^3).  Serves as the independent
+    route for the L2 norm: its largest singular value must agree with
+    :func:`doi_l2_norm`.
     """
     n = js.dim
+    xi_mat = symbol_matrix(js, xi)
     op = np.empty((n * n, n * n), dtype=complex)
+    i = np.arange(n)
     for j in range(n):
-        for i in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            op[:, j * n + i] = doi_apply(js, xi, unit).reshape(-1, order="F")
+        units = np.zeros((n, n, n), dtype=complex)
+        units[i, i, j] = 1.0
+        images = _schur_step(js, xi_mat, units)
+        op[:, j * n:(j + 1) * n] = images.transpose(0, 2, 1).reshape(n, n * n).T
     return op
 
 

@@ -9,6 +9,7 @@ common float so that equal rows of the eigenvalue table compare bitwise equal
 downstream.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ COMMUTATION_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 CLUSTER_GAP = 1e-8
+_FROB_LO = 2.0**-450  # a smaller plain root of the sum of squares may have lost terms
 # Planted tuples past these are refused before any draw (memory ~ n*n*d, commuting ~ d*d).
 MAX_TUPLE_ENTRIES = 2**21
 MAX_TUPLE_D = 256
@@ -43,7 +45,33 @@ def as_matrix(x) -> np.ndarray:
 
 
 def _frob(x) -> float:
-    return float(np.linalg.norm(x, "fro"))
+    """Frobenius norm.  The plain sum of squares serves whenever its root is
+    finite and at least ``_FROB_LO`` (then no square that matters over- or
+    underflowed); otherwise x is divided by its largest |entry| first."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(x, "fro"))
+        if _FROB_LO <= norm < np.inf:
+            return norm
+        top = float(np.max(np.abs(x), initial=0.0))
+        if not 0.0 < top < np.inf:
+            return top  # a zero, infinite or NaN entry decides
+        return top * float(np.linalg.norm(x / top, "fro"))
+
+
+def _unit_scaled(x) -> tuple:
+    """(x 2^-e, ||x||_F 2^-e) with 2^e the power of two at ||x||_F (e >= -1021),
+    or (x, ||x||_F) when |e| <= 400.
+
+    Only exponents change, so a scale-free test on the pair is the test on x,
+    and products of two returned matrices neither over- nor underflow.
+    Moderate norms make no copy: copying every matrix raised the ``sweep``
+    benchmark's peak RSS in ten of ten pairs (``BENCH_22.json``)."""
+    norm = _frob(x)
+    e = math.frexp(norm)[1]
+    if abs(e) <= 400:
+        return x, norm
+    scale = math.ldexp(1.0, -max(e, -1021))
+    return x * scale, norm * scale
 
 
 @dataclass
@@ -88,15 +116,14 @@ class CommutingTuple:
         dims = {m.dim for m in self.matrices}
         if len(dims) != 1:
             raise DimMismatchError(f"matrices have mixed dimensions {sorted(dims)}")
-        arrays = [m.data for m in self.matrices]
-        norms = [_frob(a) for a in arrays]
+        arrays, norms = zip(*(_unit_scaled(m.data) for m in self.matrices))
         for k in range(len(arrays)):
             for l in range(k + 1, len(arrays)):
                 comm = arrays[k] @ arrays[l] - arrays[l] @ arrays[k]
                 if _frob(comm) > COMMUTATION_TOL * norms[k] * norms[l]:
                     raise DomainError(
-                        f"matrices {k} and {l} do not commute: "
-                        f"residual {_frob(comm):.3e}"
+                        f"matrices {k} and {l} do not commute: relative residual "
+                        f"{_frob(comm) / (norms[k] * norms[l]):.3e}"
                     )
 
     @property

@@ -69,6 +69,7 @@ from .transference import (
     verify_conjugation,
 )
 
+_CONE_BATCH = 1 << 14  # cone cells per symbol evaluation in _cone_deviation
 DELEEUW_MAX_ENTRIES = 1 << 23  # N^(d+1) fiber^2 entries; d=2 at N=128 fits, ~0.95 GB RSS
 
 
@@ -563,26 +564,38 @@ def _cone_deviation(radius, d):
     identity and the normalized symbol reduces to the divided difference.
     The delta table is sorted once by |delta|^2 (stably), so the cells of
     one m are the contiguous suffix from the first |delta|^2 >= max(m^2, 1).
-    One float (K, d+1) point buffer holds the sorted deltas (integers, so
-    delta_k0 m is exact in it); each m overwrites its last column on that
-    suffix, which is passed on as a view.  Every cell is evaluated for
-    every k0, and memory follows the delta table.
+    Consecutive m-suffixes are copied into one float (``_CONE_BATCH``, d+1)
+    buffer, split where it fills, and each full buffer (and the last partial
+    one) takes one symbol evaluation per k0; the divided difference reads
+    delta_k0 and m from it (integers, so delta_k0 m is exact).  Every cell is
+    evaluated once for every k0, and memory follows the delta table.
     """
     deltas = _box_points(2 * radius, d)
     dist2 = np.sum(deltas * deltas, axis=-1)
     order = np.argsort(dist2, kind="stable")
-    dist2 = dist2[order]
-    points = np.empty((len(order), d + 1))
-    points[:, :d] = deltas[order]
+    deltas, dist2 = deltas[order], dist2[order]
     mmax = math.isqrt(int(dist2[-1]))
-    worst = 0.0
+    cells = np.empty((_CONE_BATCH, d + 1))
+    denom = np.empty(_CONE_BATCH)
+    worst, fill = 0.0, 0
+
+    def deviation(cells, denom):
+        return max(float(np.max(np.abs(symbol_eval(HomogeneousSymbol(d=d, k0=k0), cells)
+                                       - cells[:, k0 - 1] * cells[:, d] / denom)))
+                   for k0 in range(1, d + 1))
+
     for m in range(-mmax, mmax + 1):
         start = int(np.searchsorted(dist2, max(m * m, 1)))
-        points[start:, d] = m
-        cells, denom = points[start:], dist2[start:]
-        for k0 in range(1, d + 1):
-            gv = symbol_eval(HomogeneousSymbol(d=d, k0=k0), cells)
-            worst = max(worst, float(np.max(np.abs(gv - cells[:, k0 - 1] * m / denom))))
+        while start < len(dist2):
+            take = min(len(dist2) - start, _CONE_BATCH - fill)
+            cells[fill:fill + take, :d] = deltas[start:start + take]
+            cells[fill:fill + take, d] = m
+            denom[fill:fill + take] = dist2[start:start + take]
+            fill, start = fill + take, start + take
+            if fill == _CONE_BATCH:
+                worst, fill = max(worst, deviation(cells, denom)), 0
+    if fill:
+        worst = max(worst, deviation(cells[:fill], denom[:fill]))
     return worst
 
 

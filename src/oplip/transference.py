@@ -105,15 +105,23 @@ def _integer_values(h, points) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def _difference_dtype(span: int):
+    """The narrowest signed integer type that holds every value in [-span, span]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
+
+
 def contraction_check(h, box_radius: int, d: int,
                       report_margin: bool = True) -> ContractionReport:
     """Test |h(i) - h(j)| <= |i - j|_2 over every pair of a lattice box, in any d.
 
     Each pair is (x, x + delta) with delta lexicographically positive, and
     |i - j| depends on delta alone, so the scan takes one slice difference dH
-    of the value grid H = h(box) per delta: the verdict is the exact integer
-    max |dH|^2 <= |delta|^2, the margin the float max of max |dH| - |delta|.
-    With span = max H - min H, exact pruning skips |delta|^2 >= span^2 (no
+    of the value grid H = h(box) - min h(box) per delta, kept in the
+    narrowest signed integer type that holds +-span (span = max H; int8 for
+    every rounded contraction at radius 30), since the scan is bound by
+    element work on short rows.  The verdict is the exact integer
+    max |dH|^2 <= |delta|^2, taken on int64 maxima, the margin the float max
+    of max |dH| - |delta|.  Exact pruning skips |delta|^2 >= span^2 (no
     violation) and, for margins, |delta| > max(span, 1): there the margin is
     < 0, and for span >= 1 some unit step of the connected box reaches 0.
     The pair reported is (x, x + delta), x the first argmax in delta's
@@ -131,8 +139,8 @@ def contraction_check(h, box_radius: int, d: int,
                           f"SCAN_BUDGET = {SCAN_BUDGET} pairs")
     points = _box_points(box_radius, d)
     values = _integer_values(h, points)
-    grid = values.reshape((side,) * d)
     span = int(values.max() - values.min())
+    grid = (values - values.min()).astype(_difference_dtype(span)).reshape((side,) * d)
     reach2 = max(span, 1) ** 2 if report_margin else max(span * span - 1, 0)
     deltas = _box_points(min(math.isqrt(reach2), side - 1), d)
     deltas = deltas[deltas.shape[0] // 2 + 1:]  # lexicographically positive

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from oplip import doi
 from oplip.doi import (
     Symbol,
     block_difference_embed,
@@ -130,6 +132,41 @@ def test_doi_l2_norm_matches_operator_svd(seed):
     direct = doi_l2_norm(js, fk)
     dense = float(np.linalg.svd(doi_operator_matrix(js, fk), compute_uv=False)[0])
     np.testing.assert_allclose(direct, dense, atol=1e-10 * (1.0 + dense))
+
+
+def test_doi_operator_matrix_is_the_units_route_with_one_symbol_matrix(monkeypatch):
+    n = 5
+    tup, _, _ = planted_commuting_tuple(n, 2, "uniform", seed=3)
+    js = joint_diagonalize(tup)
+    fk = divided_difference_symbol(builtin_function("crease", 2), 2, 2)
+    calls = []
+
+    def counting(js, xi):
+        calls.append(xi)
+        return symbol_matrix(js, xi)
+
+    monkeypatch.setattr(doi, "symbol_matrix", counting)
+    op = doi_operator_matrix(js, fk)
+    assert len(calls) == 1
+    for j in range(n):
+        for i in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            np.testing.assert_allclose(op[:, j * n + i], doi_apply(js, fk, unit).reshape(
+                -1, order="F"), rtol=0, atol=1e-14)
+
+
+def test_doi_operator_matrix_memory_bounded():
+    n = 16
+    js = joint_diagonalize(planted_commuting_tuple(n, 2, "uniform", seed=4)[0])
+    fk = divided_difference_symbol(builtin_function("euclid-norm", 2), 1, 2)
+    tracemalloc.start()
+    try:
+        op = doi_operator_matrix(js, fk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * op.nbytes  # the n^4 output and one column of units at a time
 
 
 def test_doi_linearity():

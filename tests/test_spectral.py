@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,49 @@ def test_caller_built_spectrum_with_nan_is_refused(where):
         basis, table = np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0], [1.0]])
     with pytest.raises(NonFiniteError):
         JointSpectrum(basis, table, CommutingTuple([np.eye(2)]))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_commutation_gate_is_scale_free_past_the_square_overflow(scale):
+    # every square and product of entries under- or overflows a plain sum
+    x = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="do not commute"):
+            CommutingTuple([scale * np.diag([1.0, 2.0]), x])
+        tup = CommutingTuple([scale * np.diag([1.0, 2.0]), scale * np.diag([3.0, 4.0])])
+        js = joint_diagonalize(tup)
+    np.testing.assert_allclose(js.eigenvalues / scale, [[1.0, 3.0], [2.0, 4.0]], rtol=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
+def test_caller_built_spectrum_with_a_wrong_basis_fails_reconstruction(scale):
+    c, s = np.cos(0.3), np.sin(0.3)
+    tup = CommutingTuple([scale * np.diag([1.0, 2.0])])
+    table = scale * np.array([[1.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        JointSpectrum(np.eye(2), table, tup)
+        with pytest.raises(NoConvergenceError, match="reconstruction"):
+            JointSpectrum(np.array([[c, -s], [s, c]]), table, tup)
+
+
+@pytest.mark.parametrize("x, want", [
+    (np.zeros((3, 3)), 0.0),
+    (np.diag([3e-170, 4e-170]), 5e-170),  # every square underflows
+    (np.diag([3e160, 4e160]), 5e160),  # every square overflows
+    (np.array([[3e300, 0.0], [0.0, 4e300j]]), 5e300),
+    (np.diag([3.0, 4.0]), 5.0),
+])
+def test_frob_is_scale_safe(x, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spectral._frob(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_frob_is_the_plain_norm_at_moderate_scale():
+    x = generator(5).standard_normal((7, 7)) * 1e-100
+    assert spectral._frob(x) == float(np.linalg.norm(x, "fro"))
 
 
 def _integer_centred_case(seed):

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def _mask_cone_deviation(radius, d):
 
 
 def _cone_cells(radius, d):
-    """(k0, sorted points) of every symbol call the cone walk should make, in order."""
+    """(k0, sorted points) of the cone cells for each (m, k0), m ascending."""
     deltas = _box_points(2 * radius, d)
     dist2 = np.sum(deltas * deltas, axis=-1)
     mmax = math.isqrt(int(np.max(dist2)))
@@ -147,18 +148,35 @@ def test_cone_deviation_matches_the_mask_walk(radius, d):
 
 @pytest.mark.parametrize("radius, d", [(1, 1), (4, 1), (3, 2), (10, 2), (2, 3)])
 def test_cone_deviation_evaluates_every_cone_cell(monkeypatch, radius, d):
-    seen = []
-
-    def recording(g, points):
-        seen.append((g.k0, np.unique(points, axis=0)))
-        return symbol_eval(g, points)
-
-    monkeypatch.setattr(suite, "symbol_eval", recording)
-    suite._cone_deviation(radius, d)
+    # batched calls: per k0, the evaluated rows are every cone cell exactly once;
+    # a 7-cell buffer splits m-suffixes within and across calls
     want = _cone_cells(radius, d)
-    assert [k0 for k0, _ in seen] == [k0 for k0, _ in want]
-    for (_, got), (_, cells) in zip(seen, want):
-        assert np.array_equal(got, cells)
+    for batch in (suite._CONE_BATCH, 7):
+        monkeypatch.setattr(suite, "_CONE_BATCH", batch)
+        seen = {k0: [] for k0 in range(1, d + 1)}
+
+        def recording(g, points):
+            seen[g.k0].append(np.array(points))
+            return symbol_eval(g, points)
+
+        monkeypatch.setattr(suite, "symbol_eval", recording)
+        worst = suite._cone_deviation(radius, d)
+        for k0, tables in seen.items():
+            cells, counts = np.unique(np.concatenate(tables), axis=0, return_counts=True)
+            assert np.all(counts == 1)
+            assert np.array_equal(cells, np.unique(np.concatenate(
+                [points for k, points in want if k == k0]), axis=0))
+        assert worst == _mask_cone_deviation(radius, d)
+
+
+def test_cone_deviation_memory_bounded():
+    tracemalloc.start()
+    try:
+        suite._cone_deviation(30, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the sorted delta table and one _CONE_BATCH-cell buffer
 
 
 def test_traced_benchmark_names_resolve():

@@ -198,6 +198,25 @@ def test_contraction_check_matches_all_pairs_on_lookup_tables(data, d, radius, t
     _assert_matches_all_pairs(h, radius, d, report_margin)
 
 
+def _lookup(table, radius):
+    """h(i) = table[i + radius] on the radius box."""
+    return lambda iv: table[tuple(np.moveaxis(iv.astype(int) + radius, -1, 0))]
+
+
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("d, radius", [(1, 6), (2, 3)])
+@pytest.mark.parametrize("span, offset", [(127, 0), (128, 0), (32767, 0), (32768, 0),
+                                          (32768, -2**40)])
+def test_contraction_check_at_the_difference_dtype_boundaries(span, offset, d, radius,
+                                                              report_margin):
+    # spans at the edges of int8 and int16: the first two grid values are span
+    # and 0, so a unit step jumps by the whole span
+    side = 2 * radius + 1
+    table = np.random.default_rng(span).integers(0, span + 1, (side,) * d)
+    table.flat[:2] = span, 0
+    _assert_matches_all_pairs(_lookup(table + offset, radius), radius, d, report_margin)
+
+
 def test_contraction_check_memory_bounded():
     h = round_contraction(builtin_function("euclid-norm", 2), 4)
     tracemalloc.start()
