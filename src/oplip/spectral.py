@@ -78,8 +78,10 @@ def _unit_scaled(x) -> tuple:
 class HermitianMatrix:
     """Dense complex square matrix within the Hermitian gate.
 
-    The stored array is (data + data*)/2, so it equals its conjugate transpose
-    bitwise.
+    The stored array is data/2 + (data/2)*, so it equals its conjugate
+    transpose bitwise and the sum cannot overflow; the Hermitian gate reads
+    the same halves.  A NaN or infinite entry (or one whose modulus
+    overflows) raises NonFiniteError.
     """
 
     data: np.ndarray
@@ -88,12 +90,15 @@ class HermitianMatrix:
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise DimMismatchError(f"expected a square matrix, got {self.data.shape}")
-        adjoint = self.data.conj().T
-        dev = np.max(np.abs(self.data - adjoint))
         scale = 1.0 + float(np.max(np.abs(self.data))) if self.data.size else 1.0
+        if not math.isfinite(scale):  # NaN or inf when an entry is
+            raise NonFiniteError("matrix has a NaN or infinite entry")
+        half = self.data / 2.0  # exact, and no sum of halves overflows
+        adjoint = half.conj().T
+        dev = 2.0 * np.max(np.abs(half - adjoint))
         if dev > HERMITIAN_TOL * scale:
             raise DomainError(f"matrix is not Hermitian: deviation {dev:.3e}")
-        self.data = (self.data + adjoint) / 2.0
+        self.data = half + adjoint
 
     @property
     def dim(self) -> int:

@@ -609,10 +609,13 @@ def symbol_agreement_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
     rounded contraction h has |h(i) - h(j)| <= |i - j|, so every realized pair
     lies in the cone m^2 <= |delta|^2 with delta in [-2r, 2r]^d.  The deviation
     is therefore taken over the whole cone, once per d, and each rounded h only
-    has to pass the exact integer verdict of :func:`contraction_check`, an
-    exhaustive displacement scan in every d (a box past its ``SCAN_BUDGET``
-    raises DomainError).  An h that fails the verdict raises: the cone would
-    not be known to cover its pairs.
+    has to pass the exact integer verdict of :func:`contraction_check` over
+    every pair of the box, in every d (a box past its ``SCAN_BUDGET`` raises
+    DomainError): its king-step certificate proves the verdict when no step
+    to a neighbour with |delta|_inf = 1 changes h by more than 1, as for every
+    built-in contraction in d <= 3, and the exhaustive displacement scan runs
+    only when it does not.  An h that fails the verdict raises: the cone
+    would not be known to cover its pairs.
     """
     worst = 0.0
     for d in d_values:

@@ -40,6 +40,7 @@ from .torus import TWO_PI, HomogeneousSymbol, TorusSignal, signal_from_coefficie
 
 INTEGER_GATE = 1e-9
 SCAN_BUDGET = 1 << 30  # pair comparisons one contraction_check may make
+VALUE_LIMIT = 2.0**62  # |h| below it keeps h - min h and its span inside int64
 
 
 @dataclass
@@ -99,6 +100,9 @@ def _box_points(radius: int, d: int) -> np.ndarray:
 
 def _integer_values(h, points) -> np.ndarray:
     raw = evaluate_rows(h, points)
+    top = float(np.max(np.abs(raw)))
+    if top >= VALUE_LIMIT:
+        raise DomainError(f"|h| reaches {top:.3e}, at or past 2^62")
     rounded = np.round(raw)
     if np.max(np.abs(raw - rounded)) > 1e-9:
         raise DomainError("h must be integer-valued on the lattice")
@@ -115,19 +119,28 @@ def contraction_check(h, box_radius: int, d: int,
     """Test |h(i) - h(j)| <= |i - j|_2 over every pair of a lattice box, in any d.
 
     Each pair is (x, x + delta) with delta lexicographically positive, and
-    |i - j| depends on delta alone, so the scan takes one slice difference dH
-    of the value grid H = h(box) - min h(box) per delta, kept in the
-    narrowest signed integer type that holds +-span (span = max H; int8 for
-    every rounded contraction at radius 30), since the scan is bound by
-    element work on short rows.  The verdict is the exact integer
-    max |dH|^2 <= |delta|^2, taken on int64 maxima, the margin the float max
-    of max |dH| - |delta|.  Exact pruning skips |delta|^2 >= span^2 (no
-    violation) and, for margins, |delta| > max(span, 1): there the margin is
-    < 0, and for span >= 1 some unit step of the connected box reaches 0.
-    The pair reported is (x, x + delta), x the first argmax in delta's
-    overlap, smallest in row-major (index x, index x + delta) over the deltas
-    tied on the margin.  With ``report_margin`` off a pass returns ``(True,
-    None, -inf)``.  A box of over ``SCAN_BUDGET`` pairs raises DomainError.
+    |i - j| depends on delta alone, so one slice difference dH of the value
+    grid H = h(box) - min h(box) per delta covers every pair at that delta.
+    H is kept in the narrowest signed integer type that holds +-span (span =
+    max H; int8 for every rounded contraction at radius 30).
+
+    King-step certificate: with ``report_margin`` off, the (3^d - 1)/2
+    deltas with |delta|_inf = 1 come first.  If none jumps by more than 1, h
+    is a contraction: a king path between two box points has |x - y|_inf
+    steps and stays in the box, so |h(x) - h(y)| <= |x - y|_inf <=
+    |x - y|_2, and ``(True, None, -inf)`` is returned.  Otherwise, and for
+    margins, every delta is scanned: for d <= 3 a king jump >= 2 is a
+    violation, but in d >= 4 a jump of 2 along (1, 1, 1, 1) is not.
+
+    The verdict compares each max |dH| with the integer square root of
+    |delta|^2, so it is exact at every span (|h| >= 2^62 raises DomainError,
+    which keeps H and the span in int64); the margin is the float max of
+    max |dH| - |delta|.  Exact pruning skips |delta|^2 >= span^2 (no
+    violation) and, for margins, |delta| > max(span, 1) (margin < 0).  The
+    pair reported is (x, x + delta), x the first argmax in delta's overlap,
+    smallest in row-major (index x, index x + delta) over the deltas tied on
+    the margin.  With ``report_margin`` off a pass returns ``(True, None,
+    -inf)``.  A box of over ``SCAN_BUDGET`` pairs raises DomainError.
     """
     if d < 1:
         raise DomainError(f"dimension d = {d} must be >= 1")
@@ -141,11 +154,6 @@ def contraction_check(h, box_radius: int, d: int,
     values = _integer_values(h, points)
     span = int(values.max() - values.min())
     grid = (values - values.min()).astype(_difference_dtype(span)).reshape((side,) * d)
-    reach2 = max(span, 1) ** 2 if report_margin else max(span * span - 1, 0)
-    deltas = _box_points(min(math.isqrt(reach2), side - 1), d)
-    deltas = deltas[deltas.shape[0] // 2 + 1:]  # lexicographically positive
-    dist2 = np.sum(deltas * deltas, axis=-1)
-    deltas, dist2 = deltas[dist2 <= reach2], dist2[dist2 <= reach2]
     # cut[c]: the x with x + c in the box along one axis (x + c runs over cut[-c])
     cut = [slice(max(0, -c), side - max(0, c)) for c in [*range(side), *range(1 - side, 0)]]
 
@@ -153,8 +161,16 @@ def contraction_check(h, box_radius: int, d: int,
         lo = tuple(map(cut.__getitem__, delta))
         return lo, np.abs(grid[tuple(cut[-c] for c in delta)] - grid[lo])
 
+    king = _box_points(1, d)[3**d // 2 + 1:]  # lexicographically positive
+    if not report_margin and all(step(delta)[1].max() <= 1 for delta in king.tolist()):
+        return ContractionReport(True, None, -np.inf)
+    reach2 = max(span, 1) ** 2 if report_margin else max(span * span - 1, 0)
+    deltas = _box_points(min(math.isqrt(reach2), side - 1), d)
+    deltas = deltas[deltas.shape[0] // 2 + 1:]  # lexicographically positive
+    dist2 = np.sum(deltas * deltas, axis=-1)
+    deltas, dist2 = deltas[dist2 <= reach2], dist2[dist2 <= reach2]
     jump = np.array([step(delta)[1].max() for delta in deltas.tolist()], dtype=np.int64)
-    ok = bool(np.all(jump * jump <= dist2))
+    ok = bool(np.all(jump <= [math.isqrt(q) for q in dist2.tolist()]))
     if ok and not report_margin:
         return ContractionReport(True, None, -np.inf)
     margins = jump - np.sqrt(dist2.astype(float))

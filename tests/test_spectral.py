@@ -44,6 +44,23 @@ def test_hermitian_matrix_is_stored_exactly_hermitian():
     np.testing.assert_allclose(data, m, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_hermitian_gate_refuses_non_finite_entries(entry):
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = entry
+    with pytest.raises(NonFiniteError):
+        HermitianMatrix(m)
+
+
+def test_hermitian_matrix_near_the_float_limit_is_stored_without_overflow():
+    m = 1e308 * np.diag([1.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = HermitianMatrix(m).data
+    assert np.array_equal(data, m)
+    assert np.array_equal(data, data.conj().T)
+
+
 def test_commutation_gate():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])

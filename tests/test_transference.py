@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oplip import spectral, transference
@@ -215,6 +215,64 @@ def test_contraction_check_at_the_difference_dtype_boundaries(span, offset, d, r
     table = np.random.default_rng(span).integers(0, span + 1, (side,) * d)
     table.flat[:2] = span, 0
     _assert_matches_all_pairs(_lookup(table + offset, radius), radius, d, report_margin)
+
+
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("span", [2**31, 2**32, 2**40, 2**62 - 512, 2**63 - 1024])
+def test_contraction_check_verdict_is_exact_at_large_spans(span, report_margin):
+    # a square of the jump would wrap in int64 from 2^31.5 on; the verdict must not
+    lo = -(span // 2)
+    h = lambda iv: np.where(iv[..., 0] > 0, float(lo + span), float(lo))
+    ok, pair, margin = contraction_check(h, 2, 1, report_margin=report_margin)
+    assert not ok and margin == float(span) - 1.0
+    # past 2^53 the margins of all four deltas round to one float, and the
+    # row-major first of the tied pairs is reported
+    assert [p.tolist() for p in pair] == ([[0], [1]] if span < 2**53 else [[-2], [1]])
+
+
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("top", [2.0**62, -2.0**62, 2.0**70, 1e300])
+def test_contraction_check_refuses_values_past_int64_headroom(top, report_margin):
+    h = lambda iv: np.where(iv[..., 0] > 0, top, 0.0)
+    with pytest.raises(DomainError, match="2\\^62"):
+        contraction_check(h, 2, 1, report_margin=report_margin)
+
+
+@pytest.mark.parametrize("report_margin", [True, False])
+def test_contraction_check_falls_back_when_the_king_certificate_fails(report_margin):
+    # d = 4: h(0) = 0 and h(1,1,1,1) = 2 jump by 2 over one king step, yet
+    # |(1,1,1,1)| = 2, so h is a contraction the full scan has to confirm
+    table = np.ones((3,) * 4, dtype=np.int64)
+    table[1, 1, 1, 1], table[2, 2, 2, 2] = 0, 2
+    h = _lookup(table, 1)
+    _assert_matches_all_pairs(h, 1, 4, report_margin)
+    ok, pair, margin = contraction_check(h, 1, 4, report_margin=report_margin)
+    if report_margin:
+        assert ok and margin == 0.0
+        assert [p.tolist() for p in pair] == [[-1, 0, 0, 0], [0, 0, 0, 0]]
+    else:
+        assert (ok, pair, margin) == (True, None, -np.inf)
+
+
+_RADII = {1: 6, 2: 3, 3: 2, 4: 1}  # small boxes: the all-pairs loop is the reference
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), report_margin=st.booleans(),
+       slope=st.floats(0.2, 1.1), offset=st.floats(0.0, 0.999),
+       bump=st.sampled_from([0, 0, -2, -1, 1, 2]))
+def test_contraction_check_matches_all_pairs_on_near_contractions(data, d, report_margin,
+                                                                  slope, offset, bump):
+    # floor(c w.x + u) for a unit w: most pass the king certificate, some fail
+    # it off-axis, and a cell moved by +-1 or +-2 breaks it near that cell
+    radius = data.draw(st.integers(1, _RADII[d]))
+    w = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    assume(np.linalg.norm(w) > 0.1)
+    points = transference._box_points(radius, d)
+    table = np.floor(slope * points @ (w / np.linalg.norm(w)) + offset).astype(np.int64)
+    table[data.draw(st.integers(0, table.size - 1))] += bump
+    _assert_matches_all_pairs(_lookup(table.reshape((2 * radius + 1,) * d), radius), radius,
+                              d, report_margin)
 
 
 def test_contraction_check_memory_bounded():
