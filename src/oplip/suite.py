@@ -29,6 +29,7 @@ from .experiments import (
 )
 from .functions import builtin_function, contraction_names, experiment_function_names
 from .norms import (
+    SingularValueProfile,
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
@@ -49,8 +50,10 @@ from .torus import (
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
+    _fiber_values,
     _multiplied,
     _multiplier_tensor,
+    _trig_polynomial,
     coefficients,
     fejer,
     fourier_multiplier_apply,
@@ -70,7 +73,7 @@ from .transference import (
 )
 
 _CONE_BATCH = 1 << 14  # cone cells per symbol evaluation in _cone_deviation
-DELEEUW_MAX_ENTRIES = 1 << 23  # N^(d+1) fiber^2 entries; d=2 at N=128 fits, ~0.95 GB RSS
+DELEEUW_MAX_ENTRIES = 1 << 23  # N^(d+1) fiber^2 entries; d=2 at N=128 fits, ~0.55 GB RSS
 
 
 def _rel(diff, ref) -> float:
@@ -426,37 +429,38 @@ def fejer_convergence_profile(d_torus=1):
 def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     """weak-L1(g(grad)W)/L1(W) for a fixed signal family across grid sizes.
 
-    A signal is four 2 x 2 fibers at nonzero frequencies in [-4, 4]^(d+1), drawn
-    as coefficients: W and g(grad)W take one inverse FFT each.  A grid past
+    A signal is four 2 x 2 fibers at nonzero frequencies in [-4, 4]^(d+1),
+    drawn as coefficients.  W and g(grad)W are sampled straight from their
+    four terms (``torus._trig_polynomial``), with g evaluated at those four
+    frequencies only; L1(W) is the cell times the sum of the fiber singular
+    values, and the weak-L1 of g(grad)W takes one sort.  A grid past
     ``DELEEUW_MAX_ENTRIES`` raises DomainError before any draw.
     """
     d_torus, fiber = d + 1, 2
     if max(sizes, default=0) ** d_torus * fiber**2 > DELEEUW_MAX_ENTRIES:
         raise DomainError(f"a de Leeuw grid of N={max(sizes)} in d={d} has more than "
-                          f"DELEEUW_MAX_ENTRIES = {DELEEUW_MAX_ENTRIES} coefficient entries")
+                          f"DELEEUW_MAX_ENTRIES = {DELEEUW_MAX_ENTRIES} sample entries")
     g = HomogeneousSymbol(d=d, k0=1)
     rng = generator(seed, 0x85)
     family = []
     for _ in range(signals):
-        terms = []
-        while len(terms) < 4:
+        freqs, fibers = [], []
+        while len(freqs) < 4:
             k = rng.integers(-4, 5, size=d_torus)
             if np.any(k != 0):
-                fib = rng.standard_normal((fiber, fiber)) + 1j * rng.standard_normal(
-                    (fiber, fiber)
-                )
-                terms.append((k.copy(), fib))
-        family.append(terms)
+                freqs.append(k)
+                fibers.append(rng.standard_normal((fiber, fiber))
+                              + 1j * rng.standard_normal((fiber, fiber)))
+        fibers = np.array(fibers)
+        gains = g(np.array(freqs, dtype=float))
+        family.append((freqs, fibers, gains[:, np.newaxis, np.newaxis] * fibers))
     results = [{} for _ in family]
     for n_grid in sizes:
-        table = _multiplier_tensor(g, n_grid, d_torus)
-        for terms, ratios in zip(family, results):
-            coeffs = np.zeros((n_grid,) * d_torus + (fiber, fiber), dtype=complex)
-            for k, fib in terms:
-                coeffs[frequency_index(k, n_grid)] += fib
-            l1 = signal_norms(signal_from_coefficients(coeffs))[0]
-            weak = signal_norms(_multiplied(coeffs, table))[2]
-            ratios[n_grid] = weak / l1
+        cell = (TWO_PI / n_grid) ** d_torus
+        for (freqs, fibers, multiplied), ratios in zip(family, results):
+            l1 = cell * float(np.sum(_fiber_values(_trig_polynomial(freqs, fibers, n_grid))))
+            svals = np.sort(_fiber_values(_trig_polynomial(freqs, multiplied, n_grid)), axis=None)
+            ratios[n_grid] = weak_l1(SingularValueProfile(svals[::-1], cell)) / l1
     return results
 
 

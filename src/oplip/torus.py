@@ -20,6 +20,7 @@ TWO_PI = 2.0 * np.pi
 PROBE_BLOCK_ROWS = 512  # grid rows per block of the periodization probe
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 _SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
+_FIBER_NORM_LO, _FIBER_NORM_HI = 2.0**-500, 2.0**500  # 2 x 2 fibers outside are rescaled
 
 
 @dataclass
@@ -82,6 +83,32 @@ def signal_from_coefficients(coeffs) -> TorusSignal:
     d_torus = coeffs.ndim - 2
     samples = np.fft.ifftn(coeffs * n_grid**d_torus, axes=tuple(range(d_torus)))
     return TorusSignal(samples)
+
+
+def _trig_polynomial(freqs, fibers, grid_size: int) -> TorusSignal:
+    """Samples of sum_j F_j e^{i<k_j, t>} on the N^D grid, from per-axis phase tables.
+
+    ``freqs`` is a (J, D) table of integer frequencies, each in the balanced
+    range (else DomainError), and ``fibers`` the (J, n, n) stack of F_j; a
+    repeated frequency adds its fibers.  Axis a has the phase table
+    E_a[m, j] = e^{2 pi i (m k_ja mod N) / N}, reduced before the exp so the
+    samples are exactly periodic, and the grid is E_0 @ (E_1 (x) ... (x) F),
+    the product over j of the later axes' tables and the fibers, in one
+    matmul: J N^D n^2 products where a dense coefficient tensor takes an FFT.
+    """
+    freqs = np.asarray(freqs, dtype=int)
+    fibers = np.asarray(fibers, dtype=complex)
+    n_terms, d_torus = freqs.shape
+    for k in freqs:
+        frequency_index(k, grid_size)
+    steps = np.multiply.outer(np.arange(grid_size), freqs) % grid_size  # (N, J, D)
+    phases = np.exp((1j * TWO_PI / grid_size) * steps)
+    right = fibers.reshape(n_terms, -1)
+    for axis in range(d_torus - 1, 0, -1):  # (J, N^(D-1) n^2), the last axis innermost
+        right = (phases[:, :, axis].T[:, :, np.newaxis] * right[:, np.newaxis]).reshape(
+            n_terms, -1)
+    samples = phases[:, :, 0] @ right
+    return TorusSignal(samples.reshape((grid_size,) * d_torus + fibers.shape[1:]))
 
 
 def smoothing_eval(u):
@@ -205,6 +232,28 @@ def fejer(w: TorusSignal, n: int) -> TorusSignal:
     return fourier_multiplier_apply(damp, w)
 
 
+def _square_moduli(z: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of a complex array, read through its float view (strided parts are slow)."""
+    parts = np.square(np.ascontiguousarray(z).view(float))
+    return parts[..., 0::2] + parts[..., 1::2]
+
+
+def _gram_closed_form(x):
+    """s1, s2 and ||M||_F^2 of the 2 x 2 fibers [[a, b], [c, d]] in the rows a, b, c, d of x."""
+    sq = _square_moduli(x)
+    p = sq[0] + sq[2]
+    r = sq[1] + sq[3]
+    frob2 = p + r
+    z = x[0].conj() * x[1]
+    z += x[2].conj() * x[3]
+    h = 0.5 * (p - r)
+    s1 = np.sqrt(0.5 * frob2 + np.sqrt(h * h + _square_moduli(z)))
+    s2 = np.abs(x[0] * x[3] - x[1] * x[2])
+    np.divide(s2, s1, out=s2, where=s1 > 0.0)
+    np.minimum(s2, s1, out=s2)
+    return s1, s2, frob2
+
+
 def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
     """Singular values (F, n) of a stack (F, n, n) of fibers.
 
@@ -215,16 +264,18 @@ def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
       M^* M = [[p, z], [conj(z), r]], with p = |a|^2 + |c|^2,
       r = |b|^2 + |d|^2 and z = conj(a) b + conj(c) d:
       s1 = sqrt((p + r)/2 + sqrt(((p - r)/2)^2 + |z|^2)) and
-      s2 = min(|ad - bc| / s1, s1).  Each fiber is first scaled by a power of
-      two just above its largest |entry|, which is exact, so no square
-      overflows or underflows at the fiber's own scale; a zero fiber gives
-      0, 0 without a division.  Every term under the roots of s1 is
-      nonnegative, so s1 has a small relative error, and s2 an absolute
-      error of a few eps * s1.  The textbook s2^2 = (||M||_F^2 -
-      sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not used: it cancels when
-      s1 ~ s2 and loses about half the digits there.  The Gram form is a few
-      array passes over all fibers at once, where a batched LAPACK SVD makes
-      one call per fiber.
+      s2 = min(|ad - bc| / s1, s1), with |x|^2 taken as re^2 + im^2.  A
+      fiber whose ||M||_F^2 = p + r lies in [2^-500, 2^500] is used as it is:
+      h^2 and |z|^2 stay below 2^1000, and an underflowed square is far below
+      eps * s1^2.  Only the other fibers (zero, tiny, huge) are scaled first by
+      a power of two just above their largest |entry|, which is exact, and go
+      through the same form, so each fiber's values depend on that fiber alone.
+      Every term under the roots of s1 is nonnegative, so s1 has a small
+      relative error, and s2 an absolute error of a few eps * s1.  The
+      textbook s2^2 = (||M||_F^2 - sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not
+      used: it cancels when s1 ~ s2 and loses about half the digits there.
+      The Gram form is a few array passes over all fibers at once, where a
+      batched LAPACK SVD makes one call per fiber.
     - n >= 3: ``np.linalg.svd``.
     """
     n = stack.shape[-1]
@@ -233,26 +284,24 @@ def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
     if n > 2:
         return np.linalg.svd(stack, compute_uv=False)
     x = stack.reshape(-1, 4).T.copy()  # rows a, b, c, d of the fibers [[a, b], [c, d]]
-    sq = np.abs(x)
-    # 2^-e with max |entry| < 2^e scales exactly; e >= -1021 keeps 2^-e finite.
-    _, e = np.frexp(np.max(sq, axis=0))
-    np.maximum(e, -1021, out=e)
-    scale = np.ldexp(1.0, -e)
-    # Scaled, s1 >= max |entry| >= 2^-53, so an underflow is far below eps * s1.
-    with np.errstate(under="ignore"):
-        x *= scale
-        sq *= scale
-        sq *= sq
-        a, b, c, d = x
-        p = sq[0] + sq[2]
-        r = sq[1] + sq[3]
-        q = np.abs(a.conj() * b + c.conj() * d)
-        h = 0.5 * (p - r)
-        s1 = np.sqrt(0.5 * (p + r) + np.sqrt(h * h + q * q))
-        s2 = np.abs(a * d - b * c)
-    np.divide(s2, s1, out=s2, where=s1 > 0.0)
-    np.minimum(s2, s1, out=s2)
-    return np.ldexp(np.stack([s1, s2], axis=-1), e[:, None])
+    with np.errstate(all="ignore"):
+        s1, s2, frob2 = _gram_closed_form(x)
+    odd = np.flatnonzero(~((frob2 >= _FIBER_NORM_LO) & (frob2 <= _FIBER_NORM_HI)))
+    if odd.size:
+        wild = x[:, odd]
+        # 2^-e with max |entry| < 2^e scales exactly; e >= -1021 keeps 2^-e finite.
+        _, e = np.frexp(np.max(np.abs(wild), axis=0))
+        np.maximum(e, -1021, out=e)
+        wild *= np.ldexp(1.0, -e)
+        # Scaled, s1 >= max |entry| >= 2^-53, so an underflow is far below eps * s1.
+        with np.errstate(under="ignore"):
+            s1[odd], s2[odd] = np.ldexp(_gram_closed_form(wild)[:2], e)
+    return np.stack([s1, s2], axis=-1)
+
+
+def _fiber_values(w: TorusSignal) -> np.ndarray:
+    """Singular values (N^D, n) of every fiber of the signal, unsorted."""
+    return _fiber_singular_values(w.samples.reshape(-1, w.fiber_dim, w.fiber_dim))
 
 
 def signal_norms(w: TorusSignal):
@@ -262,8 +311,7 @@ def signal_norms(w: TorusSignal):
     """
     if not np.all(np.isfinite(w.samples)):
         raise NonFiniteError("signal samples must be finite")
-    n_fib = w.fiber_dim
-    svals = _fiber_singular_values(w.samples.reshape(-1, n_fib, n_fib)).ravel()
+    svals = _fiber_values(w).ravel()
     svals.sort()
     profile = SingularValueProfile(svals[::-1], (TWO_PI / w.grid_size) ** w.torus_dim)
     return (

@@ -410,6 +410,16 @@ def test_cli_deleeuw_sweep_spread_of_a_zero_ratio_signal(capsys):
     assert deleeuw_stability_factor(247, signals=1) == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_deleeuw_sweep_refuses_a_grid_too_small_for_the_frequencies(capsys):
+    # the signals draw frequencies in [-4, 4]; at N = 4 the balanced range is (-2, 2]
+    assert _run_cli(["deleeuw-sweep", "--sizes", "4,32"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "balanced range for N=4" in err[0]
+    assert captured.out == ""
+
+
 def test_cli_contraction_test(tmp_path):
     out = tmp_path / "c.txt"
     rc = _run_cli(["contraction-test", "--d", "1", "--radius", "8",

@@ -14,6 +14,7 @@ from oplip.torus import (
     HomogeneousSymbol,
     TorusSignal,
     _fiber_singular_values,
+    _trig_polynomial,
     coefficients,
     fejer,
     fourier_multiplier_apply,
@@ -61,6 +62,29 @@ def test_character_signal_samples():
     w = character_signal(1, 8, [3])
     t = TWO_PI * np.arange(8) / 8
     np.testing.assert_allclose(w.samples[:, 0, 0], np.exp(3j * t), atol=1e-12)
+
+
+@pytest.mark.parametrize("d_torus, grid", [(1, 9), (2, 8), (3, 6)])
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_trig_polynomial_matches_the_scattered_coefficient_tensor(d_torus, grid, fiber):
+    rng = np.random.default_rng(10 * d_torus + fiber)
+    half = grid // 2
+    freqs = rng.integers(-((grid - 1) // 2), half + 1, size=(5, d_torus))
+    freqs[3] = freqs[1]  # a repeated frequency adds its fibers
+    freqs[4, :] = half  # the top of the balanced range
+    fibers = rng.standard_normal((5, fiber, fiber)) + 1j * rng.standard_normal((5, fiber, fiber))
+    coeffs = np.zeros((grid,) * d_torus + (fiber, fiber), dtype=complex)
+    for k, fib in zip(freqs, fibers):
+        coeffs[frequency_index(k, grid)] += fib
+    want = signal_from_coefficients(coeffs).samples
+    got = _trig_polynomial(freqs, fibers, grid).samples
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_trig_polynomial_refuses_a_frequency_outside_the_balanced_range():
+    with pytest.raises(DomainError, match="balanced range"):
+        _trig_polynomial([[1], [-2]], np.ones((2, 1, 1)), 4)  # (-2, 2] for N = 4
 
 
 def test_smoothing_values():
@@ -319,6 +343,25 @@ def test_larger_fibers_use_lapack():
         profile = SingularValueProfile(-np.sort(-ref.ravel()), TWO_PI / len(stack))
         want = (schatten_norm(profile, 1), schatten_norm(profile, 2), weak_l1(profile))
         assert signal_norms(TorusSignal(stack)) == want
+
+
+def test_fiber_singular_values_decide_each_fiber_alone():
+    # moderate fibers beside fibers at 2^+-300, 2^+-600 and zero fibers: the scaled
+    # route some fibers take must not change the bits of any other fiber
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(44)
+    stack = rng.standard_normal((12, 2, 2)) + 1j * rng.standard_normal((12, 2, 2))
+    stack[[1, 5]] *= 2.0**600
+    stack[[2, 8]] *= 2.0**-600
+    stack[6], stack[7] = stack[6] * 2.0**300, stack[7] * 2.0**-300  # ||M||_F^2 past 2^+-500
+    stack[9, 0] *= 2.0**600  # one huge row in an otherwise moderate fiber
+    stack[[3, 10]] = 0.0
+    ref = np.linalg.svd(stack, compute_uv=False)
+    with np.errstate(all="raise"):
+        got = _fiber_singular_values(stack)
+        for row, fib in enumerate(stack):
+            np.testing.assert_array_equal(got[row], _fiber_singular_values(fib[np.newaxis])[0])
+    assert np.all(np.abs(got - ref) <= 4.0 * eps * ref[:, :1])
 
 
 def test_plancherel():

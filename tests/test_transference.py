@@ -121,11 +121,13 @@ def _all_pairs_report(h, radius, d, report_margin):
     """
     points = np.array(list(itertools.product(range(-radius, radius + 1), repeat=d)))
     values = np.array([int(h(p)) for p in points])
+    # |dv| <= |delta| iff |dv| <= isqrt(|delta|^2) for integers; dv * dv would wrap
+    isqrt = np.array([math.isqrt(v) for v in range(d * (2 * radius) ** 2 + 1)])
     ok, worst, pair = True, -np.inf, None
     for a in range(len(points)):
         dv = values - values[a]
         dist2 = np.sum((points - points[a]) ** 2, axis=-1)
-        ok = ok and bool(np.all(dv * dv <= dist2))
+        ok = ok and bool(np.all(np.abs(dv) <= isqrt[dist2]))
         margin = np.abs(dv) - np.sqrt(dist2.astype(float))
         margin[a] = -np.inf
         b = int(np.argmax(margin))
@@ -228,6 +230,14 @@ def test_contraction_check_verdict_is_exact_at_large_spans(span, report_margin):
     # past 2^53 the margins of all four deltas round to one float, and the
     # row-major first of the tied pairs is reported
     assert [p.tolist() for p in pair] == ([[0], [1]] if span < 2**53 else [[-2], [1]])
+
+
+@pytest.mark.parametrize("report_margin", [True, False])
+def test_all_pairs_reference_agrees_at_a_large_span(report_margin):
+    # a jump of 2^32 squares past int64: the reference must still read a violation
+    h = lambda iv: np.where(iv[..., 0] > 0, 2.0**32, 0.0)
+    assert not _all_pairs_report(h, 2, 1, report_margin)[0]
+    _assert_matches_all_pairs(h, 2, 1, report_margin)
 
 
 @pytest.mark.parametrize("report_margin", [True, False])
