@@ -44,7 +44,6 @@ from .norms import (
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
-    profile_from_values,
     schatten_norm,
     singular_values,
     tensor_profile,

@@ -15,18 +15,18 @@ from .errors import BadExponentError, DomainError, NonFiniteError
 
 @dataclass
 class SingularValueProfile:
-    """Descending nonnegative values on steps of one positive measure ``cell``."""
+    """Nonnegative values on steps of one positive measure ``cell``.
+
+    Values of any shape and order are stored flat and sorted descending, so
+    every profile is a decreasing rearrangement and no caller sorts first.
+    """
 
     values: np.ndarray
     cell: float = 1.0
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        self.values = np.sort(np.asarray(self.values, dtype=float), axis=None)[::-1]
         self.cell = float(self.cell)
-        if self.values.ndim != 1:
-            raise DomainError("values must be 1-d")
-        if self.values.size and np.any(np.diff(self.values) > 0):
-            raise DomainError("values must be sorted in descending order")
         if not np.all(self.values >= 0):
             raise DomainError("values must be nonnegative (NaN is refused)")
         if not 0.0 < self.cell < np.inf:
@@ -37,12 +37,6 @@ class SingularValueProfile:
         if c < 0:
             raise DomainError("scale must be nonnegative")
         return SingularValueProfile(self.values * c, self.cell)
-
-
-def profile_from_values(values, cell=1.0):
-    """Build a profile from unordered values by a descending sort."""
-    values = np.sort(np.atleast_1d(np.asarray(values, dtype=float)))[::-1]
-    return SingularValueProfile(values, cell)
 
 
 def singular_values(x) -> SingularValueProfile:
@@ -58,10 +52,7 @@ def singular_values(x) -> SingularValueProfile:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("matrix has a NaN or infinite entry")
     h = _hermitian_form(x)
-    if h is None:
-        s = np.linalg.svd(x, compute_uv=False)
-    else:
-        s = np.sort(np.abs(np.linalg.eigvalsh(h)))[::-1]
+    s = np.linalg.svd(x, compute_uv=False) if h is None else np.abs(np.linalg.eigvalsh(h))
     return SingularValueProfile(s)
 
 
@@ -118,7 +109,7 @@ def weak_l1(profile: SingularValueProfile) -> float:
 
 def tensor_profile(p: SingularValueProfile, q: SingularValueProfile) -> SingularValueProfile:
     """Profile of a tensor product: all pairwise value products, cells multiplied."""
-    return profile_from_values(np.outer(p.values, q.values).ravel(), p.cell * q.cell)
+    return SingularValueProfile(np.outer(p.values, q.values), p.cell * q.cell)
 
 
 def matrix_trace_norm(x) -> float:

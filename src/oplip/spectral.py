@@ -59,19 +59,22 @@ def _frob(x) -> float:
 
 
 def _unit_scaled(x) -> tuple:
-    """(x 2^-e, ||x||_F 2^-e) with 2^e the power of two at ||x||_F (e >= -1021),
-    or (x, ||x||_F) when |e| <= 400.
+    """(x 2^-e, ||x||_F 2^-e, 2^-e) with 2^e the power of two just above the
+    largest |entry| (e >= -1021), or (x, ||x||_F, 1.0) when ||x||_F is finite
+    with binary exponent in [-400, 400].
 
     Only exponents change, so a scale-free test on the pair is the test on x,
-    and products of two returned matrices neither over- nor underflow.
-    Moderate norms make no copy: copying every matrix raised the ``sweep``
-    benchmark's peak RSS in ten of ten pairs (``BENCH_22.json``)."""
+    and products of two returned matrices neither over- nor underflow, even
+    when ||x||_F itself overflows.  Moderate norms make no copy: copying every
+    matrix raised the ``sweep`` benchmark's peak RSS in ten of ten pairs
+    (``BENCH_22.json``)."""
     norm = _frob(x)
-    e = math.frexp(norm)[1]
-    if abs(e) <= 400:
-        return x, norm
+    if norm < np.inf and abs(math.frexp(norm)[1]) <= 400:
+        return x, norm, 1.0
+    e = math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
     scale = math.ldexp(1.0, -max(e, -1021))
-    return x * scale, norm * scale
+    x = x * scale
+    return x, _frob(x), scale
 
 
 @dataclass
@@ -121,7 +124,7 @@ class CommutingTuple:
         dims = {m.dim for m in self.matrices}
         if len(dims) != 1:
             raise DimMismatchError(f"matrices have mixed dimensions {sorted(dims)}")
-        arrays, norms = zip(*(_unit_scaled(m.data) for m in self.matrices))
+        arrays, norms, _ = zip(*(_unit_scaled(m.data) for m in self.matrices))
         for k in range(len(arrays)):
             for l in range(k + 1, len(arrays)):
                 comm = arrays[k] @ arrays[l] - arrays[l] @ arrays[k]
@@ -171,7 +174,9 @@ def validate_joint_spectrum(js):
     ``RECONSTRUCTION_TOL`` (else NoConvergenceError).
 
     For a unitary U, ||A - U diag(l) U*||_F >= ||off(U*AU)||_F, so this gate
-    also bounds the off-diagonal energy left in the joint basis.
+    also bounds the off-diagonal energy left in the joint basis.  It compares
+    the copy of A from ``_unit_scaled`` against the eigenvalue column scaled by
+    the same power of two, so no norm overflows.
     """
     U = js.basis
     n = U.shape[0]
@@ -185,8 +190,11 @@ def validate_joint_spectrum(js):
     if gram_dev > UNITARITY_TOL * n:
         raise DomainError(f"basis is not unitary: ||U*U - I||_F = {gram_dev:.3e}")
     for k, m in enumerate(js.provenance.matrices):
-        recon = (U * js.eigenvalues[:, k]) @ U.conj().T
-        if _frob(m.data - recon) > RECONSTRUCTION_TOL * max(_frob(m.data), 1e-300):
+        a, norm, scale = _unit_scaled(m.data)
+        with np.errstate(over="ignore", invalid="ignore"):  # a wrong table may overflow
+            recon = (U * (js.eigenvalues[:, k] * scale)) @ U.conj().T
+            residual = _frob(a - recon)
+        if not residual <= RECONSTRUCTION_TOL * max(norm, 1e-300):
             raise NoConvergenceError(f"matrix {k} fails reconstruction from the spectrum")
 
 
@@ -225,11 +233,11 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     the basis leaves a matrix unresolved.  Returns a JointSpectrum whose
     eigenvalue rows are sorted lexicographically (ascending per coordinate)
     and whose basis columns carry a deterministic phase (largest-magnitude
-    entry made real positive).
+    entry made real positive).  Each matrix is used in its ``_unit_scaled``
+    copy, and its eigenvalue column is scaled back by the same power of two.
     """
-    arrays = tup.arrays()
+    arrays, norms, scales = zip(*(_unit_scaled(a) for a in tup.arrays()))
     n, d = tup.dim, tup.d
-    norms = [_frob(a) for a in arrays]
 
     rng = generator(_COMBO_STREAM)
     coeffs = rng.standard_normal(d)
@@ -257,7 +265,8 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
 
     table = np.column_stack([np.real(np.diag(a)) for a in rotated])
     for k in range(d):
-        table[:, k] = _snap_degenerate(table[:, k], norms[k])
+        with np.errstate(over="ignore"):  # an eigenvalue past the float range is refused below
+            table[:, k] = _snap_degenerate(table[:, k], norms[k]) / scales[k]
 
     order = np.lexsort(table.T[::-1])
     table = table[order]

@@ -33,7 +33,6 @@ from .norms import (
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
-    profile_from_values,
     schatten_norm,
     singular_values,
     tensor_profile,
@@ -50,7 +49,7 @@ from .torus import (
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
-    _fiber_values,
+    _fiber_singular_values,
     _multiplied,
     _multiplier_tensor,
     _trig_polynomial,
@@ -296,7 +295,7 @@ def tensor_weak_bound_margin(seed, instances=10):
 def weak_dominated_margin(seed, instances=200):
     def residual(rng, _i):
         n = int(rng.integers(1, 12))
-        p = profile_from_values(np.abs(rng.standard_normal(n)), rng.uniform(0.1, 2.0))
+        p = SingularValueProfile(np.abs(rng.standard_normal(n)), rng.uniform(0.1, 2.0))
         return weak_l1(p) - schatten_norm(p, 1)
 
     return _worst(seed, 0x75, instances, residual)
@@ -305,7 +304,7 @@ def weak_dominated_margin(seed, instances=200):
 def weak_homogeneity_residual(seed, instances=100):
     def residual(rng, _i):
         n = int(rng.integers(1, 12))
-        p = profile_from_values(np.abs(rng.standard_normal(n)), rng.uniform(0.1, 2.0))
+        p = SingularValueProfile(np.abs(rng.standard_normal(n)), rng.uniform(0.1, 2.0))
         c = float(rng.uniform(0.1, 10.0))
         return abs(weak_l1(p.scaled(c)) - c * weak_l1(p)) / (1.0 + c * weak_l1(p))
 
@@ -433,7 +432,7 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     drawn as coefficients.  W and g(grad)W are sampled straight from their
     four terms (``torus._trig_polynomial``), with g evaluated at those four
     frequencies only; L1(W) is the cell times the sum of the fiber singular
-    values, and the weak-L1 of g(grad)W takes one sort.  A grid past
+    values, and the weak-L1 of g(grad)W is read off one profile.  A grid past
     ``DELEEUW_MAX_ENTRIES`` raises DomainError before any draw.
     """
     d_torus, fiber = d + 1, 2
@@ -458,9 +457,11 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     for n_grid in sizes:
         cell = (TWO_PI / n_grid) ** d_torus
         for (freqs, fibers, multiplied), ratios in zip(family, results):
-            l1 = cell * float(np.sum(_fiber_values(_trig_polynomial(freqs, fibers, n_grid))))
-            svals = np.sort(_fiber_values(_trig_polynomial(freqs, multiplied, n_grid)), axis=None)
-            ratios[n_grid] = weak_l1(SingularValueProfile(svals[::-1], cell)) / l1
+            l1 = cell * float(np.sum(_fiber_singular_values(
+                _trig_polynomial(freqs, fibers, n_grid).samples)))
+            weak = weak_l1(SingularValueProfile(_fiber_singular_values(
+                _trig_polynomial(freqs, multiplied, n_grid).samples), cell))
+            ratios[n_grid] = weak / l1
     return results
 
 
@@ -529,10 +530,9 @@ def isometry_residual(seed, instances=3):
         w = build_embedding(it, h, v, 32)
         l1, _, weak = signal_norms(w)
         factor = TWO_PI ** (d + 1)
-        return max(_rel(abs(l1 - factor * matrix_trace_norm(v)),
-                        factor * matrix_trace_norm(v)),
-                   _rel(abs(weak - factor * matrix_weak_l1(v)),
-                        factor * matrix_weak_l1(v)))
+        p = singular_values(v)
+        trace, weak_v = factor * schatten_norm(p, 1), factor * weak_l1(p)
+        return max(_rel(abs(l1 - trace), trace), _rel(abs(weak - weak_v), weak_v))
 
     return _worst(seed, 0x92, instances, residual)
 

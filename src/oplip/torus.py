@@ -21,6 +21,7 @@ PROBE_BLOCK_ROWS = 512  # grid rows per block of the periodization probe
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 _SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
 _FIBER_NORM_LO, _FIBER_NORM_HI = 2.0**-500, 2.0**500  # 2 x 2 fibers outside are rescaled
+FIBER_BLOCK = 2**16  # 2 x 2 fibers per pass of the closed form
 
 
 @dataclass
@@ -254,8 +255,8 @@ def _gram_closed_form(x):
     return s1, s2, frob2
 
 
-def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values (F, n) of a stack (F, n, n) of fibers.
+def _fiber_singular_values(samples: np.ndarray) -> np.ndarray:
+    """Singular values (F, n) of the F fibers of a (..., n, n) stack.
 
     The method depends on the fiber size n:
 
@@ -274,34 +275,35 @@ def _fiber_singular_values(stack: np.ndarray) -> np.ndarray:
       relative error, and s2 an absolute error of a few eps * s1.  The
       textbook s2^2 = (||M||_F^2 - sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not
       used: it cancels when s1 ~ s2 and loses about half the digits there.
-      The Gram form is a few array passes over all fibers at once, where a
-      batched LAPACK SVD makes one call per fiber.
+      The Gram form is a few array passes over ``FIBER_BLOCK`` fibers at a
+      time, where a batched LAPACK SVD makes one call per fiber; the blocks
+      bound its temporaries at a few times one block, whatever F is.
     - n >= 3: ``np.linalg.svd``.
     """
-    n = stack.shape[-1]
+    n = samples.shape[-1]
+    stack = samples.reshape(-1, n, n)
     if n == 1:
         return np.abs(stack[:, :, 0])
     if n > 2:
         return np.linalg.svd(stack, compute_uv=False)
-    x = stack.reshape(-1, 4).T.copy()  # rows a, b, c, d of the fibers [[a, b], [c, d]]
-    with np.errstate(all="ignore"):
-        s1, s2, frob2 = _gram_closed_form(x)
-    odd = np.flatnonzero(~((frob2 >= _FIBER_NORM_LO) & (frob2 <= _FIBER_NORM_HI)))
-    if odd.size:
-        wild = x[:, odd]
-        # 2^-e with max |entry| < 2^e scales exactly; e >= -1021 keeps 2^-e finite.
-        _, e = np.frexp(np.max(np.abs(wild), axis=0))
-        np.maximum(e, -1021, out=e)
-        wild *= np.ldexp(1.0, -e)
-        # Scaled, s1 >= max |entry| >= 2^-53, so an underflow is far below eps * s1.
-        with np.errstate(under="ignore"):
-            s1[odd], s2[odd] = np.ldexp(_gram_closed_form(wild)[:2], e)
-    return np.stack([s1, s2], axis=-1)
-
-
-def _fiber_values(w: TorusSignal) -> np.ndarray:
-    """Singular values (N^D, n) of every fiber of the signal, unsorted."""
-    return _fiber_singular_values(w.samples.reshape(-1, w.fiber_dim, w.fiber_dim))
+    out = np.empty((stack.shape[0], 2))
+    for start in range(0, stack.shape[0], FIBER_BLOCK):
+        block = slice(start, start + FIBER_BLOCK)
+        x = stack[block].reshape(-1, 4).T.copy()  # rows a, b, c, d of [[a, b], [c, d]]
+        with np.errstate(all="ignore"):
+            s1, s2, frob2 = _gram_closed_form(x)
+        odd = np.flatnonzero(~((frob2 >= _FIBER_NORM_LO) & (frob2 <= _FIBER_NORM_HI)))
+        if odd.size:
+            wild = x[:, odd]
+            # 2^-e with max |entry| < 2^e scales exactly; e >= -1021 keeps 2^-e finite.
+            _, e = np.frexp(np.max(np.abs(wild), axis=0))
+            np.maximum(e, -1021, out=e)
+            wild *= np.ldexp(1.0, -e)
+            # Scaled, s1 >= max |entry| >= 2^-53, so an underflow is far below eps * s1.
+            with np.errstate(under="ignore"):
+                s1[odd], s2[odd] = np.ldexp(_gram_closed_form(wild)[:2], e)
+        out[block, 0], out[block, 1] = s1, s2
+    return out
 
 
 def signal_norms(w: TorusSignal):
@@ -311,14 +313,9 @@ def signal_norms(w: TorusSignal):
     """
     if not np.all(np.isfinite(w.samples)):
         raise NonFiniteError("signal samples must be finite")
-    svals = _fiber_values(w).ravel()
-    svals.sort()
-    profile = SingularValueProfile(svals[::-1], (TWO_PI / w.grid_size) ** w.torus_dim)
-    return (
-        schatten_norm(profile, 1),
-        schatten_norm(profile, 2),
-        weak_l1(profile),
-    )
+    profile = SingularValueProfile(_fiber_singular_values(w.samples),
+                                   (TWO_PI / w.grid_size) ** w.torus_dim)
+    return schatten_norm(profile, 1), schatten_norm(profile, 2), weak_l1(profile)
 
 
 @dataclass(frozen=True)
@@ -355,7 +352,7 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     - Every block keeps only its values v >= tau = L / (m^D step^D (1 + 1e-6)).
       A dropped value has step^D k v < L for every k <= m^D (the 1e-6 slack
       covers rounding), so the maximum is attained among the kept values.
-      Those outrank every dropped one, so their sorted order is v_(1..K)
+      Those outrank every dropped one, so their descending order is v_(1..K)
       with the same step indices k: the weak-L1 is bitwise the full-pool
       value.  L = 0 keeps everything, so exactness never depends on how
       tight L is.
@@ -416,7 +413,7 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         ablock *= np.multiply.outer(gauss_x[rows], gauss_y)
         sums[index] = float(np.sum(ablock))
         if tau is None:
-            lower = weak_l1(SingularValueProfile(np.sort(ablock, axis=None)[::-1], cell))
+            lower = weak_l1(SingularValueProfile(ablock, cell))
             tau = lower / (m**d_torus * cell * (1.0 + 1e-6))
         kept.append(ablock[ablock >= tau])
         del ablock
@@ -426,8 +423,7 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     integral *= cell
     pooled = np.concatenate(kept)
     del kept
-    pooled.sort()
-    weak = weak_l1(SingularValueProfile(pooled[::-1], cell))
+    weak = weak_l1(SingularValueProfile(pooled, cell))
 
     sup = max(float(np.sum(np.abs(table))), 1e-300)
     tail = d_torus * math.erfc(r / (l * math.sqrt(2.0)))

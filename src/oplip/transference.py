@@ -45,9 +45,9 @@ VALUE_LIMIT = 2.0**62  # |h| below it keeps h - min h and its span inside int64
 
 @dataclass
 class IntegerTuple:
-    """A joint spectrum whose eigenvalue table is integer-valued."""
+    """A joint spectrum whose eigenvalues are the integers of ``table``."""
 
-    spectrum: JointSpectrum
+    spectrum: JointSpectrum  # the rounded table as floats, checked by the reconstruction gate
     table: np.ndarray  # rounded integer eigenvalues, shape (n, d)
 
     @property
@@ -58,14 +58,9 @@ class IntegerTuple:
     def d(self) -> int:
         return self.spectrum.d
 
-    def rounded_spectrum(self) -> JointSpectrum:
-        """The spectrum with the exact integer table as its eigenvalues."""
-        return JointSpectrum(basis=self.spectrum.basis, eigenvalues=self.table.astype(float),
-                             provenance=self.spectrum.provenance)
-
 
 def integer_tuple(source) -> IntegerTuple:
-    """Validate integer spectra and attach the rounded table."""
+    """Validate integer spectra and keep the rounded table as the spectrum."""
     js = joint_diagonalize(source) if isinstance(source, CommutingTuple) else source
     rounded = np.round(js.eigenvalues)
     dev = float(np.max(np.abs(js.eigenvalues - rounded))) if js.eigenvalues.size else 0.0
@@ -73,7 +68,9 @@ def integer_tuple(source) -> IntegerTuple:
         raise DomainError(
             f"eigenvalues deviate from integers by {dev:.3e} (gate {INTEGER_GATE:.1e})"
         )
-    return IntegerTuple(spectrum=js, table=rounded.astype(np.int64))
+    table = rounded.astype(np.int64)
+    return IntegerTuple(spectrum=JointSpectrum(js.basis, table.astype(float), js.provenance),
+                        table=table)
 
 
 def round_contraction(f, n: int):
@@ -252,7 +249,7 @@ def verify_conjugation(it: IntegerTuple, f, v, grid_size: int, k0: int = 1) -> f
     left = HomogeneousSymbol(d=it.d, k0=k0)(freqs) * v_eig
 
     symbol = divided_difference_symbol(f, k0, it.d)
-    right = _in_eigenbasis(it, doi_apply(it.rounded_spectrum(), symbol, as_matrix(v)))
+    right = _in_eigenbasis(it, doi_apply(it.spectrum, symbol, as_matrix(v)))
 
     scale = TWO_PI ** ((it.d + 1) / 2.0)
     diff = scale * float(np.linalg.norm(left - right))
@@ -288,7 +285,7 @@ def discretization_report(js: JointSpectrum, f, n: int) -> DiscretizationReport:
     nmat = js.dim
     v = rng.standard_normal((nmat, nmat)) + 1j * rng.standard_normal((nmat, nmat))
     lhs = doi_apply(js, Symbol(d=d, func=xi_n), v)
-    rhs = doi_apply(integer_tuple(discretize_tuple(js, n)).rounded_spectrum(), hk, v)
+    rhs = doi_apply(integer_tuple(discretize_tuple(js, n)).spectrum, hk, v)
     residual = float(
         np.linalg.norm(lhs - rhs, "fro") / (1.0 + np.linalg.norm(rhs, "fro"))
     )

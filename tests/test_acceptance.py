@@ -6,10 +6,10 @@ import time
 import numpy as np
 
 from oplip.norms import (
+    SingularValueProfile,
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
-    profile_from_values,
     schatten_norm,
     singular_values,
     tensor_profile,
@@ -211,7 +211,7 @@ def test_criterion_11_norm_axioms():
         t, s = float(rng.uniform(0, n)), float(rng.uniform(0, n))
         worst_sub = max(worst_sub, mu_at(singular_values(x + y), t + s)
                         - mu_at(singular_values(x), t) - mu_at(singular_values(y), s))
-        p = profile_from_values(np.abs(rng.standard_normal(n)), rng.uniform(0.1, 3.0))
+        p = SingularValueProfile(np.abs(rng.standard_normal(n)), rng.uniform(0.1, 3.0))
         c = float(rng.uniform(0.01, 100.0))
         denom = 1.0 + c * weak_l1(p)
         worst_hom = max(worst_hom, abs(weak_l1(p.scaled(c)) - c * weak_l1(p)) / denom)

@@ -9,7 +9,6 @@ from oplip.norms import (
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
-    profile_from_values,
     schatten_norm,
     singular_values,
     tensor_profile,
@@ -64,8 +63,10 @@ def test_singular_values_match_svd(kind, monkeypatch):
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        SingularValueProfile(np.array([1.0, 2.0]))  # ascending
+    # any order and shape is stored flat and descending
+    assert SingularValueProfile(np.array([1.0, 2.0])).values.tolist() == [2.0, 1.0]
+    grid = SingularValueProfile(np.array([[0.5, 3.0], [2.0, 1.0]]))
+    assert grid.values.tolist() == [3.0, 2.0, 1.0, 0.5]
     with pytest.raises(ValueError):
         SingularValueProfile(np.array([1.0, -0.5]))
     for cell in (0.0, -1.0, np.inf, np.nan):
@@ -74,21 +75,21 @@ def test_profile_validation():
 
 
 def test_profile_errors_are_typed():
-    with pytest.raises(DomainError, match="descending"):
-        SingularValueProfile(np.array([1.0, 2.0]))
+    # unordered 2-d input is stored descending, not refused
+    assert SingularValueProfile(np.array([[1.0], [3.0], [2.0]])).values.tolist() == [3.0, 2.0, 1.0]
     with pytest.raises(DomainError, match="cell"):
         SingularValueProfile(np.array([1.0]), 0.0)
     with pytest.raises(DomainError, match="scale"):
-        profile_from_values([2.0, 1.0]).scaled(-1.0)
+        SingularValueProfile([2.0, 1.0]).scaled(-1.0)
     for values in ([np.nan, 1.0], [1.0, np.nan], [np.nan]):
         with pytest.raises(DomainError, match="nonnegative"):
             SingularValueProfile(np.array(values))
     with pytest.raises(DomainError, match="nonnegative"):
-        profile_from_values([1.0, np.nan])
+        SingularValueProfile([1.0, np.nan])
     with pytest.raises(DomainError, match="t >= 0"):
-        mu_at(profile_from_values([1.0]), np.nan)
+        mu_at(SingularValueProfile([1.0]), np.nan)
     with pytest.raises(BadExponentError):
-        schatten_norm(profile_from_values([1.0]), np.nan)
+        schatten_norm(SingularValueProfile([1.0]), np.nan)
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
         x = np.eye(3, dtype=complex)
         x[1, 2] = bad
@@ -98,7 +99,7 @@ def test_profile_errors_are_typed():
 
 
 def test_mu_at_steps():
-    p = profile_from_values([3.0, 1.0])
+    p = SingularValueProfile([3.0, 1.0])
     assert mu_at(p, 0.5) == 3.0
     assert mu_at(p, 1.5) == 1.0
     assert mu_at(p, 2.5) == 0.0
@@ -108,22 +109,22 @@ def test_mu_at_steps():
     assert mu_at(p, np.inf) == 0.0
     with pytest.raises(DomainError, match="t >= 0"):
         mu_at(p, -0.1)
-    half = profile_from_values([1.0, 3.0], 0.5)
+    half = SingularValueProfile([1.0, 3.0], 0.5)
     assert [mu_at(half, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)] == [3.0, 3.0, 1.0, 1.0, 0.0]
 
 
 def test_schatten_norms():
-    p = profile_from_values([3.0, 1.0])
+    p = SingularValueProfile([3.0, 1.0])
     assert schatten_norm(p, 1) == 4.0
     assert schatten_norm(p, np.inf) == 3.0
-    np.testing.assert_allclose(schatten_norm(profile_from_values([2.0, 2.0]), 2),
+    np.testing.assert_allclose(schatten_norm(SingularValueProfile([2.0, 2.0]), 2),
                                np.sqrt(8.0))
     with pytest.raises(BadExponentError):
         schatten_norm(p, 0.5)
 
 
 def test_weak_l1_examples():
-    assert weak_l1(profile_from_values([3.0, 1.0, 0.5])) == 3.0
+    assert weak_l1(SingularValueProfile([3.0, 1.0, 0.5])) == 3.0
     assert weak_l1(singular_values(np.eye(2))) == 2.0
 
 
@@ -135,15 +136,15 @@ def test_weak_l1_weighted():
 
 
 def test_tensor_profile_example():
-    p = tensor_profile(profile_from_values([2.0, 1.0], 0.5),
-                       profile_from_values([3.0, 1.0], 0.25))
+    p = tensor_profile(SingularValueProfile([2.0, 1.0], 0.5),
+                       SingularValueProfile([3.0, 1.0], 0.25))
     np.testing.assert_allclose(p.values, [6.0, 3.0, 2.0, 1.0])
     assert p.cell == 0.125
 
 
 def test_tensor_profile_unit():
-    base = profile_from_values([2.0, 0.5])
-    out = tensor_profile(base, profile_from_values([1.0]))
+    base = SingularValueProfile([2.0, 0.5])
+    out = tensor_profile(base, SingularValueProfile([1.0]))
     np.testing.assert_allclose(out.values, base.values)
     assert out.cell == base.cell
 
@@ -176,16 +177,33 @@ profiles = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(vals=profiles)
 def test_weak_dominated_by_trace(vals):
-    p = profile_from_values(np.array(vals))
+    p = SingularValueProfile(np.array(vals))
     assert weak_l1(p) <= schatten_norm(p, 1) + 1e-9 * (1.0 + schatten_norm(p, 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(vals=profiles, c=st.floats(min_value=1e-3, max_value=1e3))
 def test_weak_homogeneous(vals, c):
-    p = profile_from_values(np.array(vals))
+    p = SingularValueProfile(np.array(vals))
     np.testing.assert_allclose(weak_l1(p.scaled(c)), c * weak_l1(p),
                                rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals=profiles, data=st.data())
+def test_profile_ignores_input_order_and_shape(vals, data):
+    values = np.array(vals)
+    shuffled = values[data.draw(st.permutations(range(values.size)))]
+    rows = data.draw(st.sampled_from([r for r in range(1, values.size + 1)
+                                      if values.size % r == 0]))
+    cell = data.draw(st.floats(min_value=0.1, max_value=10.0))
+    p = SingularValueProfile(shuffled.reshape(rows, -1), cell)
+    ref = SingularValueProfile(np.sort(values)[::-1].copy(), cell)
+    assert weak_l1(p) == weak_l1(ref)
+    for q in (1, 2, np.inf):
+        assert schatten_norm(p, q) == schatten_norm(ref, q)
+    for t in np.linspace(0.0, (values.size + 1) * cell, 2 * values.size + 3):
+        assert mu_at(p, t) == mu_at(ref, t)
 
 
 @settings(max_examples=100, deadline=None)

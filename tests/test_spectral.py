@@ -61,6 +61,14 @@ def test_hermitian_matrix_near_the_float_limit_is_stored_without_overflow():
     assert np.array_equal(data, data.conj().T)
 
 
+def test_eigenvalue_past_the_float_limit_is_refused_without_warning():
+    # every entry is finite, but the eigenvalue 2e308 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            joint_diagonalize(CommutingTuple([1e308 * np.ones((2, 2))]))
+
+
 def test_commutation_gate():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])
@@ -169,29 +177,43 @@ def test_caller_built_spectrum_with_nan_is_refused(where):
         JointSpectrum(basis, table, CommutingTuple([np.eye(2)]))
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e160])
-def test_commutation_gate_is_scale_free_past_the_square_overflow(scale):
+@pytest.mark.parametrize("scale, a, b", [
+    pytest.param(1e-170, [1.0, 2.0], [3.0, 4.0], id="1e-170"),
+    pytest.param(1e160, [1.0, 2.0], [3.0, 4.0], id="1e+160"),
+    pytest.param(1e308, [1.0, 1.5], [1.5, 1.0], id="1e+308"),  # ||A||_F itself overflows
+])
+def test_commutation_gate_is_scale_free_past_the_square_overflow(scale, a, b):
     # every square and product of entries under- or overflows a plain sum
     x = scale * np.array([[0.0, 1.0], [1.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="do not commute"):
-            CommutingTuple([scale * np.diag([1.0, 2.0]), x])
-        tup = CommutingTuple([scale * np.diag([1.0, 2.0]), scale * np.diag([3.0, 4.0])])
+            CommutingTuple([scale * np.diag(a), x])
+        tup = CommutingTuple([scale * np.diag(a), scale * np.diag(b)])
         js = joint_diagonalize(tup)
-    np.testing.assert_allclose(js.eigenvalues / scale, [[1.0, 3.0], [2.0, 4.0]], rtol=1e-14)
+    np.testing.assert_allclose(js.eigenvalues / scale, np.column_stack([a, b]), rtol=1e-14)
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e160])
-def test_caller_built_spectrum_with_a_wrong_basis_fails_reconstruction(scale):
+@pytest.mark.parametrize("scale, top", [
+    pytest.param(1e-170, 2.0, id="1e-170"),
+    pytest.param(1.0, 2.0, id="1.0"),
+    pytest.param(1e160, 2.0, id="1e+160"),
+    pytest.param(1e308, 1.5, id="1e+308"),  # ||A||_F itself overflows
+])
+def test_caller_built_spectrum_with_a_wrong_basis_fails_reconstruction(scale, top):
     c, s = np.cos(0.3), np.sin(0.3)
-    tup = CommutingTuple([scale * np.diag([1.0, 2.0])])
-    table = scale * np.array([[1.0], [2.0]])
+    tup = CommutingTuple([scale * np.diag([1.0, top])])
+    table = scale * np.array([[1.0], [top]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         JointSpectrum(np.eye(2), table, tup)
+        np.testing.assert_array_equal(joint_diagonalize(tup).eigenvalues, table)
         with pytest.raises(NoConvergenceError, match="reconstruction"):
             JointSpectrum(np.array([[c, -s], [s, c]]), table, tup)
+        with pytest.raises(NoConvergenceError, match="reconstruction"):
+            JointSpectrum(np.eye(2), scale * np.array([[-1.0], [0.0]]), tup)
+        with pytest.raises(NoConvergenceError, match="reconstruction"):
+            JointSpectrum(np.eye(2), np.full((2, 1), 1e300), tup)  # overflows scaled at 1e-170
 
 
 @pytest.mark.parametrize("x, want", [

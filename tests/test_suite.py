@@ -1,6 +1,7 @@
-import importlib.util
+import importlib
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -179,13 +180,27 @@ def test_cone_deviation_memory_bounded():
     assert peak < 8 * 2**20  # the sorted delta table and one _CONE_BATCH-cell buffer
 
 
-def test_traced_benchmark_names_resolve():
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Imports the benchmark's modules by name, without writing into perfbench/."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                             "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module
+
+
+def test_traced_benchmark_names_resolve(perfbench):
     # the benchmark's tracer wraps functions by name; a deleted one would break its passes
-    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module, names in tracer.TIMED.items():
+    for module, names in perfbench("tracer").TIMED.items():
         home = importlib.import_module(f"oplip.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"oplip.{module}.{name}"
+
+
+def test_benchmark_workloads_build_their_operations(perfbench, tmp_path):
+    # each workload builds its operation list through oplip calls; a renamed function,
+    # attribute or signature they use would fail here instead of in a benchmark pass
+    workloads = perfbench("workloads")
+    counts = [len(build(0, str(tmp_path))) for build in
+              (workloads.sweep_ops, workloads.verify_ops, workloads.lattice_ops)]
+    assert counts == [24, 84, 40]

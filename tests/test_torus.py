@@ -8,6 +8,7 @@ from oplip.errors import DimMismatchError, DomainError, GuardViolationError, Non
 from oplip.norms import SingularValueProfile, schatten_norm, weak_l1
 from oplip.suite import fejer_brute, fejer_convergence_profile
 from oplip.torus import (
+    FIBER_BLOCK,
     PROBE_BLOCK_ROWS,
     PROBE_MAX_POINTS,
     TWO_PI,
@@ -362,6 +363,22 @@ def test_fiber_singular_values_decide_each_fiber_alone():
         for row, fib in enumerate(stack):
             np.testing.assert_array_equal(got[row], _fiber_singular_values(fib[np.newaxis])[0])
     assert np.all(np.abs(got - ref) <= 4.0 * eps * ref[:, :1])
+
+
+def test_fiber_singular_values_memory_bounded():
+    # 2^18 fibers (16 MB) run in blocks of FIBER_BLOCK; one pass over all of them traced 46 MB
+    rng = np.random.default_rng(45)
+    shape = (4 * FIBER_BLOCK, 2, 2)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        got = _fiber_singular_values(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    edge = slice(FIBER_BLOCK - 3, FIBER_BLOCK + 3)  # across a block boundary
+    np.testing.assert_array_equal(got[edge], _fiber_singular_values(stack[edge]))
 
 
 def test_plancherel():
