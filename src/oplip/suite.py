@@ -562,19 +562,29 @@ def contraction_rounding_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
 def _cone_deviation(radius, d):
     """max |g(delta, m) - delta_k0 m / |delta|^2| over the contraction cone.
 
-    The cells are delta in [-2r, 2r]^d, delta != 0, and integers m with
+    The cone cells are delta in [-2r, 2r]^d, delta != 0, and integers m with
     m^2 <= |delta|^2, for every k0.  There the smoothing argument is
     |delta|^2 / (|delta|^2 + m^2) >= 1/2, so the smoothing function is the
     identity and the normalized symbol reduces to the divided difference.
+
+    Only the sign orthant delta >= 0 (every coordinate), m >= 0 is walked,
+    and the maximum is bitwise the full cone's.  Negating one coordinate of a
+    cell negates both sides exactly or leaves both unchanged: every
+    coordinate enters :func:`symbol_eval` and |delta|^2 as a square, except
+    c_k0 and c_d (= m), which enter the value and delta_k0 m as linear
+    factors; the power-of-two rescaling of odd rows reads max |coordinate|
+    and is sign-blind too.  IEEE rounding is symmetric, so x - y negates with
+    its operands, and every |deviation| of the cone recurs in the orthant.
+
     The delta table is sorted once by |delta|^2 (stably), so the cells of
     one m are the contiguous suffix from the first |delta|^2 >= max(m^2, 1).
     Consecutive m-suffixes are copied into one float (``_CONE_BATCH``, d+1)
     buffer, split where it fills, and each full buffer (and the last partial
     one) takes one symbol evaluation per k0; the divided difference reads
-    delta_k0 and m from it (integers, so delta_k0 m is exact).  Every cell is
-    evaluated once for every k0, and memory follows the delta table.
+    delta_k0 and m from it (integers, so delta_k0 m is exact).  Every orthant
+    cell is evaluated once for every k0, and memory follows the delta table.
     """
-    deltas = _box_points(2 * radius, d)
+    deltas = _box_points(radius, d) + radius  # [0, 2r]^d
     dist2 = np.sum(deltas * deltas, axis=-1)
     order = np.argsort(dist2, kind="stable")
     deltas, dist2 = deltas[order], dist2[order]
@@ -588,7 +598,7 @@ def _cone_deviation(radius, d):
                                        - cells[:, k0 - 1] * cells[:, d] / denom)))
                    for k0 in range(1, d + 1))
 
-    for m in range(-mmax, mmax + 1):
+    for m in range(mmax + 1):
         start = int(np.searchsorted(dist2, max(m * m, 1)))
         while start < len(dist2):
             take = min(len(dist2) - start, _CONE_BATCH - fill)
@@ -612,7 +622,10 @@ def symbol_agreement_sweep(d_values=(1, 2), radius=10, n_values=range(1, 9),
     the lattice.  Both depend only on the pair difference (delta, m).  A
     rounded contraction h has |h(i) - h(j)| <= |i - j|, so every realized pair
     lies in the cone m^2 <= |delta|^2 with delta in [-2r, 2r]^d.  The deviation
-    is therefore taken over the whole cone, once per d, and each rounded h only
+    is therefore taken over the whole cone, once per d; a sign flip of one
+    coordinate of (delta, m) negates both sides exactly or leaves both
+    unchanged, so :func:`_cone_deviation` walks the orthant delta >= 0, m >= 0
+    alone and still returns the full cone's maximum bitwise.  Each rounded h only
     has to pass the exact integer verdict of :func:`contraction_check` over
     every pair of the box, in every d (a box past its ``SCAN_BUDGET`` raises
     DomainError): its king-step certificate proves the verdict when no step

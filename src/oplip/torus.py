@@ -347,8 +347,9 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     can attain the weak-L1 maximum step^D max_k k v_(k) are kept:
 
     - The centre block (the one holding row m//2, where the Gaussian peaks)
-      comes first.  Its values are a subset of all values, so its weak-L1 is
-      a lower bound L on the pooled one.
+      comes first.  After its sum is taken, it is partitioned in place so
+      that its largest eighth sits at the end; those values are a subset of
+      all values, so their weak-L1 is a lower bound L on the pooled one.
     - Every block keeps only its values v >= tau = L / (m^D step^D (1 + 1e-6)).
       A dropped value has step^D k v < L for every k <= m^D (the 1e-6 slack
       covers rounding), so the maximum is attained among the kept values.
@@ -356,6 +357,11 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
       with the same step indices k: the weak-L1 is bitwise the full-pool
       value.  L = 0 keeps everything, so exactness never depends on how
       tight L is.
+    - The same argument runs again on the pool: a kept value's rank in the
+      full pool is at most K = the pool's size, so values below
+      L / (K step^D (1 + 1e-6)) are dropped before the sort, and the
+      survivors still outrank every dropped value.  This repeats three
+      times, each with the shrunken K.
     - Each block's sum is stored and the sums are added in row order, so the
       integral is bitwise independent of the visiting order; it does depend
       on the block shape, because ``np.sum`` is pairwise within a block.
@@ -412,8 +418,11 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         ablock = np.abs(left[rows] @ right)
         ablock *= np.multiply.outer(gauss_x[rows], gauss_y)
         sums[index] = float(np.sum(ablock))
-        if tau is None:
-            lower = weak_l1(SingularValueProfile(ablock, cell))
+        if tau is None:  # the centre block: L from its top eighth, partitioned in place
+            ablock = ablock.reshape(-1)
+            top = ablock.size - max(ablock.size // 8, 1)
+            ablock.partition(top)
+            lower = weak_l1(SingularValueProfile(ablock[top:], cell))
             tau = lower / (m**d_torus * cell * (1.0 + 1e-6))
         kept.append(ablock[ablock >= tau])
         del ablock
@@ -423,6 +432,8 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     integral *= cell
     pooled = np.concatenate(kept)
     del kept
+    for _ in range(3):  # each kept value ranks at most pooled.size in the full pool
+        pooled = pooled[pooled >= lower / (pooled.size * cell * (1.0 + 1e-6))]
     weak = weak_l1(SingularValueProfile(pooled, cell))
 
     sup = max(float(np.sum(np.abs(table))), 1e-300)

@@ -60,8 +60,15 @@ class IntegerTuple:
 
 
 def integer_tuple(source) -> IntegerTuple:
-    """Validate integer spectra and keep the rounded table as the spectrum."""
+    """Validate integer spectra and keep the rounded table as the spectrum.
+
+    An eigenvalue of modulus ``VALUE_LIMIT`` or more raises DomainError before
+    the ``int64`` table is built, as for lattice values of h.
+    """
     js = joint_diagonalize(source) if isinstance(source, CommutingTuple) else source
+    top = float(np.max(np.abs(js.eigenvalues))) if js.eigenvalues.size else 0.0
+    if top >= VALUE_LIMIT:
+        raise DomainError(f"an eigenvalue reaches {top:.3e}, at or past 2^62")
     rounded = np.round(js.eigenvalues)
     dev = float(np.max(np.abs(js.eigenvalues - rounded))) if js.eigenvalues.size else 0.0
     if dev > INTEGER_GATE:

@@ -129,17 +129,17 @@ def _mask_cone_deviation(radius, d):
     return worst
 
 
-def _cone_cells(radius, d):
-    """(k0, sorted points) of the cone cells for each (m, k0), m ascending."""
+def _orthant_cells(radius, d):
+    """Sorted points of the cone cells with delta >= 0 (every coordinate) and m >= 0."""
     deltas = _box_points(2 * radius, d)
+    deltas = deltas[np.all(deltas >= 0, axis=1)]
     dist2 = np.sum(deltas * deltas, axis=-1)
     mmax = math.isqrt(int(np.max(dist2)))
-    calls = []
-    for m in range(-mmax, mmax + 1):
+    points = []
+    for m in range(mmax + 1):
         cell = (m * m <= dist2) & (dist2 > 0)
-        points = np.column_stack([deltas[cell], np.full(int(cell.sum()), m)]).astype(float)
-        calls.extend((k0, np.unique(points, axis=0)) for k0 in range(1, d + 1))
-    return calls
+        points.append(np.column_stack([deltas[cell], np.full(int(cell.sum()), m)]))
+    return np.unique(np.concatenate(points).astype(float), axis=0)
 
 
 @pytest.mark.parametrize("radius, d", [(r, d) for d in (1, 2) for r in range(1, 11)] + [(2, 3)])
@@ -148,10 +148,11 @@ def test_cone_deviation_matches_the_mask_walk(radius, d):
 
 
 @pytest.mark.parametrize("radius, d", [(1, 1), (4, 1), (3, 2), (10, 2), (2, 3)])
-def test_cone_deviation_evaluates_every_cone_cell(monkeypatch, radius, d):
-    # batched calls: per k0, the evaluated rows are every cone cell exactly once;
+def test_cone_deviation_evaluates_every_orthant_cell(monkeypatch, radius, d):
+    # batched calls: per k0, the evaluated rows are every cell of the sign orthant
+    # delta >= 0, m >= 0 exactly once, and the maximum is still the full cone's;
     # a 7-cell buffer splits m-suffixes within and across calls
-    want = _cone_cells(radius, d)
+    want = _orthant_cells(radius, d)
     for batch in (suite._CONE_BATCH, 7):
         monkeypatch.setattr(suite, "_CONE_BATCH", batch)
         seen = {k0: [] for k0 in range(1, d + 1)}
@@ -162,11 +163,10 @@ def test_cone_deviation_evaluates_every_cone_cell(monkeypatch, radius, d):
 
         monkeypatch.setattr(suite, "symbol_eval", recording)
         worst = suite._cone_deviation(radius, d)
-        for k0, tables in seen.items():
+        for tables in seen.values():
             cells, counts = np.unique(np.concatenate(tables), axis=0, return_counts=True)
             assert np.all(counts == 1)
-            assert np.array_equal(cells, np.unique(np.concatenate(
-                [points for k, points in want if k == k0]), axis=0))
+            assert np.array_equal(cells, want)
         assert worst == _mask_cone_deviation(radius, d)
 
 

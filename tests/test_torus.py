@@ -188,6 +188,24 @@ def test_symbol_homogeneous_at_every_finite_scale():
     np.testing.assert_array_equal(got[50:], [0.5, 0.0, 0.5])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_symbol_sign_flips_are_exact(d):
+    # the orthant walk of suite._cone_deviation rests on this: negating c_k0 or
+    # c_d (= m) negates the value bitwise, negating any other coordinate keeps it
+    rng = np.random.default_rng(40 + d)
+    table = rng.integers(-60, 61, (2000, d + 1)).astype(float)
+    scales = rng.uniform(0.5, 2.0, (300, d + 1))
+    table = np.vstack([table, 1e200 * scales, 1e-200 * scales])  # odd, rescaled rows
+    for k0 in range(1, d + 1):
+        g = HomogeneousSymbol(d=d, k0=k0)
+        want = symbol_eval(g, table)
+        for j in range(d + 1):
+            flipped = table.copy()
+            flipped[:, j] = -flipped[:, j]
+            sign = -1.0 if j in (k0 - 1, d) else 1.0
+            assert np.array_equal(symbol_eval(g, flipped), sign * want)
+
+
 @pytest.mark.parametrize("bad", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 0.0], [1.0, -np.inf, np.nan]])
 def test_symbol_refuses_non_finite_points(bad):
     g = HomogeneousSymbol(d=2, k0=1)
@@ -472,46 +490,54 @@ def _criterion_9_signal():
     return signal_from_coefficients(coeffs)
 
 
-def _three_term_signal(seed):
+def _three_term_signal(seed, d_torus=2):
     rng = np.random.default_rng(seed)
-    coeffs = np.zeros((16, 16, 1, 1), dtype=complex)
-    coeffs[frequency_index([0, 0], 16)] = 1.0
+    coeffs = np.zeros((16,) * d_torus + (1, 1), dtype=complex)
+    coeffs[frequency_index([0] * d_torus, 16)] = 1.0
     while np.count_nonzero(coeffs) < 3:
-        index = frequency_index(rng.integers(-3, 4, size=2), 16)
+        index = frequency_index(rng.integers(-3, 4, size=d_torus), 16)
         if coeffs[index] == 0:
             coeffs[index] = rng.uniform(0.1, 0.6) * np.exp(2j * np.pi * rng.uniform())
     return signal_from_coefficients(coeffs)
 
 
 def _full_pool_probe(w, l):
-    """(ratio, weak_ratio) of the D = 2 probe with every one of the m^2 values kept."""
+    """(ratio, weak_ratio) of the probe with every one of the m^D values kept.
+
+    For D = 1 the y axis is the single point 0 with weight 1, as in the probe.
+    """
+    d_torus = w.torus_dim
     r, h = 8.0 * l, TWO_PI / 64
     m = int(math.ceil(2.0 * r / h))
     step = 2.0 * r / m
     x = -r + (np.arange(m) + 0.5) * step
     gauss = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
-    flat = coefficients(w)[..., 0, 0]
+    y, gauss_y = (x, gauss) if d_torus == 2 else (np.zeros(1), np.ones(1))
+    flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
     top = max(float(np.max(np.abs(flat))), 1.0)
-    freqs = frequencies(w.grid_size)
+    freqs, freqs_y = frequencies(w.grid_size), frequencies(flat.shape[1])
     used = np.abs(flat) > 1e-13 * top
-    terms = [((freqs[i], freqs[j]), flat[i, j]) for i, j in zip(*np.nonzero(used))]
+    terms = [((freqs[i], freqs_y[j])[:d_torus], flat[i, j]) for i, j in zip(*np.nonzero(used))]
     rows_in_use, cols_in_use = np.any(used, axis=1), np.any(used, axis=0)
     table = np.where(used, flat, 0.0)[np.ix_(rows_in_use, cols_in_use)]
     left = np.exp(1j * np.multiply.outer(x, freqs[rows_in_use]))
-    right = table @ np.exp(1j * np.multiply.outer(freqs[cols_in_use], x))
+    right = table @ np.exp(1j * np.multiply.outer(freqs_y[cols_in_use], y))
     integral, blocks = 0.0, []
     for start in range(0, m, PROBE_BLOCK_ROWS):
         rows = slice(start, min(start + PROBE_BLOCK_ROWS, m))
-        ablock = np.abs(left[rows] @ right) * np.outer(gauss[rows], gauss)
+        ablock = np.abs(left[rows] @ right) * np.outer(gauss[rows], gauss_y)
         integral += float(np.sum(ablock))
         blocks.append(ablock.ravel())
     values = np.sort(np.concatenate(blocks))[::-1]
-    weak = step**2 * float(np.max(np.arange(1, values.size + 1) * values))
-    ref_coeffs = np.zeros((256, 256, 1, 1), dtype=complex)
+    cell = step**d_torus
+    weak = cell * float(np.max(np.arange(1, values.size + 1) * values))
+    n_ref = 512 if d_torus == 1 else 256
+    ref_coeffs = np.zeros((n_ref,) * d_torus + (1, 1), dtype=complex)
     for k, c in terms:
-        ref_coeffs[frequency_index(k, 256)] = c
+        ref_coeffs[frequency_index(k, n_ref)] = c
     ref_l1, _, ref_weak = signal_norms(signal_from_coefficients(ref_coeffs))
-    return integral * step**2 / (ref_l1 / TWO_PI**2), weak / (ref_weak / TWO_PI**2)
+    return (integral * cell / (ref_l1 / TWO_PI**d_torus),
+            weak / (ref_weak / TWO_PI**d_torus))
 
 
 @pytest.mark.parametrize("l", [4.0, 8.0])
@@ -522,6 +548,19 @@ def _full_pool_probe(w, l):
     lambda: _three_term_signal(2),
 ])
 def test_periodization_d2_matches_full_pool(signal, l):
+    w = signal()
+    result = periodization_probe(w, l, 8.0 * l, TWO_PI / 64)
+    assert (result.ratio, result.weak_ratio) == _full_pool_probe(w, l)
+
+
+@pytest.mark.parametrize("l", [8.0, 32.0])
+@pytest.mark.parametrize("signal", [
+    lambda: _probe_signal(1),
+    lambda: character_signal(1, 8, [-2]),
+    lambda: _three_term_signal(1, 1),
+    lambda: _three_term_signal(2, 1),
+])
+def test_periodization_d1_matches_full_pool(signal, l):
     w = signal()
     result = periodization_probe(w, l, 8.0 * l, TWO_PI / 64)
     assert (result.ratio, result.weak_ratio) == _full_pool_probe(w, l)

@@ -41,6 +41,17 @@ def test_integer_tuple_gate():
         integer_tuple(bad)
 
 
+@pytest.mark.filterwarnings("error")  # the int64 cast past 2^63 warned before it
+@pytest.mark.parametrize("value", [2.0**62, -(2.0**62), 1e19, -1e300])
+def test_integer_tuple_refuses_eigenvalues_past_the_value_limit(value):
+    source = JointSpectrum(np.eye(2), [[1.0], [value]], CommutingTuple([np.diag([1.0, value])]))
+    with pytest.raises(DomainError, match="2\\^62"):
+        integer_tuple(source)
+    below = 2.0**62 - 1024.0  # the largest float below the limit is still accepted
+    it = integer_tuple(JointSpectrum(np.eye(1), [[below]], CommutingTuple([[[below]]])))
+    assert it.table[0, 0] == 2**62 - 1024
+
+
 @pytest.mark.parametrize("d, radius", [(2, 30), (3, 10)])
 def test_rounded_tables_match_per_row_dot(d, radius):
     # The rounded tables must equal the per-row np.dot forms bitwise: a row sum
