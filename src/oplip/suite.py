@@ -72,7 +72,9 @@ from .transference import (
 )
 
 _CONE_BATCH = 1 << 14  # cone cells per symbol evaluation in _cone_deviation
-DELEEUW_MAX_ENTRIES = 1 << 23  # N^(d+1) fiber^2 entries; d=2 at N=128 fits, ~0.55 GB RSS
+# N^(d+1) fiber^2 entries.  d = 2 at N = 128 fits; the largest grid at d = 1, 2 or 3
+# (N = 1448, 128, 38) peaks at 197 MB RSS on x86-64 (numpy 2.4).
+DELEEUW_MAX_ENTRIES = 1 << 23
 
 
 def _rel(diff, ref) -> float:
@@ -425,6 +427,28 @@ def fejer_convergence_profile(d_torus=1):
     return out
 
 
+def _fiber_value_grids(freqs, fibers, sizes):
+    """(N, fiber singular values on the N^D grid) for each distinct size, root by root.
+
+    Only a root, a size that divides no larger one, is sampled.  Every other
+    size N is read off the largest size M it divides, which is a root, at
+    stride M/N: the samples there are the same trig polynomial at the same
+    points, and each fiber's values depend on that fiber alone.  The values
+    come back as contiguous (N^D, 2) arrays, so a sum over them adds in the
+    order a direct sampling would, and one root's grid is held at a time.
+    """
+    d_torus = np.shape(freqs)[1]
+    descending = sorted(set(sizes), reverse=True)
+    root_of = {n: next(m for m in descending if m % n == 0) for n in descending}
+    for root in sorted(set(root_of.values()), reverse=True):
+        values = _fiber_singular_values(_trig_polynomial(freqs, fibers, root).samples)
+        values = values.reshape((root,) * d_torus + (-1,))
+        for n_grid in [n for n in descending if root_of[n] == root]:
+            strided = values[(slice(None, None, root // n_grid),) * d_torus]
+            yield n_grid, np.ascontiguousarray(strided).reshape(n_grid**d_torus, -1)
+        del values  # before the next root is sampled
+
+
 def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     """weak-L1(g(grad)W)/L1(W) for a fixed signal family across grid sizes.
 
@@ -432,9 +456,18 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     drawn as coefficients.  W and g(grad)W are sampled straight from their
     four terms (``torus._trig_polynomial``), with g evaluated at those four
     frequencies only; L1(W) is the cell times the sum of the fiber singular
-    values, and the weak-L1 of g(grad)W is read off one profile.  A grid past
-    ``DELEEUW_MAX_ENTRIES`` raises DomainError before any draw.
+    values, and the weak-L1 of g(grad)W is read off one profile.  Each signal
+    is sampled once per root grid, and a size that divides a larger one is
+    read off it at a stride (:func:`_fiber_value_grids`): bitwise the direct
+    sampling at power-of-two strides, while other strides round the phase
+    arguments differently, by a few eps.  W is reduced to its L1 sums before
+    g(grad)W is sampled, so one sampled grid is held at a time.  Each dict
+    lists the sizes in the caller's order.  d < 1, a frequency outside the
+    balanced range of any size, or a grid past ``DELEEUW_MAX_ENTRIES`` raises
+    DomainError before any grid is sampled (d and the cap before any draw).
     """
+    if d < 1:
+        raise DomainError(f"de Leeuw ratios need d >= 1, got d={d}")
     d_torus, fiber = d + 1, 2
     if max(sizes, default=0) ** d_torus * fiber**2 > DELEEUW_MAX_ENTRIES:
         raise DomainError(f"a de Leeuw grid of N={max(sizes)} in d={d} has more than "
@@ -453,15 +486,18 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
         fibers = np.array(fibers)
         gains = g(np.array(freqs, dtype=float))
         family.append((freqs, fibers, gains[:, np.newaxis, np.newaxis] * fibers))
-    results = [{} for _ in family]
-    for n_grid in sizes:
-        cell = (TWO_PI / n_grid) ** d_torus
-        for (freqs, fibers, multiplied), ratios in zip(family, results):
-            l1 = cell * float(np.sum(_fiber_singular_values(
-                _trig_polynomial(freqs, fibers, n_grid).samples)))
-            weak = weak_l1(SingularValueProfile(_fiber_singular_values(
-                _trig_polynomial(freqs, multiplied, n_grid).samples), cell))
-            ratios[n_grid] = weak / l1
+    for n_grid in sizes:  # a subsampled size still refuses what it cannot hold
+        for freqs, _, _ in family:
+            for k in freqs:
+                frequency_index(k, n_grid)
+    results = []
+    for freqs, fibers, multiplied in family:
+        l1 = {n_grid: (TWO_PI / n_grid) ** d_torus * float(np.sum(values))
+              for n_grid, values in _fiber_value_grids(freqs, fibers, sizes)}
+        ratios = {n_grid: weak_l1(SingularValueProfile(values, (TWO_PI / n_grid) ** d_torus))
+                  / l1[n_grid]
+                  for n_grid, values in _fiber_value_grids(freqs, multiplied, sizes)}
+        results.append({n_grid: ratios[n_grid] for n_grid in sizes})
     return results
 
 

@@ -17,11 +17,26 @@ from .norms import SingularValueProfile, schatten_norm, weak_l1
 from .spectral import _binary_exponents, evaluate_rows
 
 TWO_PI = 2.0 * np.pi
-PROBE_BLOCK_ROWS = 512  # grid rows per block of the periodization probe
+# Samples per block of the periodization probe: whole rows, about 2 MB of
+# complex products.  At D = 2, l = 16 (m = 2608) a block is 50 rows, where 512
+# rows made a 21 MB slab; that operation's first call in a fresh process took
+# 96 ms against 112 ms (medians of ten alternated process pairs, 2-core x86-64
+# host).  The narrower centre block gives a weaker lower bound, so about 2.6x
+# more values reach the final sort there.  D = 1 has at most PROBE_MAX_POINTS
+# rows, so it is always one block.
+PROBE_BLOCK_SAMPLES = 2**17
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 _SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
 _FIBER_NORM_LO, _FIBER_NORM_HI = 2.0**-500, 2.0**500  # 2 x 2 fibers outside are rescaled
-FIBER_BLOCK = 2**16  # 2 x 2 fibers per pass of the closed form
+# 2 x 2 fibers per pass of the closed form.  Its temporaries are then 32-256 kB,
+# which the allocator keeps for the next block and the next call; with 2^16
+# fibers they were 0.5-4 MB, went back to the OS after every call and were
+# faulted in again.  Measured on a 2-core x86-64 host (numpy 2.4): one call on
+# 16,384 fibers took 736 minor page faults and 2.0-2.8 ms at 2^16, none and
+# 0.7-0.9 ms at 2^13, 0.7-1.0 ms at 2^12, 0.8-1.1 ms at 2^11 and 1.0-1.6 ms at
+# 2^10; one de Leeuw operation (d = 1, N = 32, 64, 128) took about 2,000 faults
+# and 8-13 ms at 2^16, 16 faults and 4.3-5.7 ms at 2^12.
+FIBER_BLOCK = 2**12
 
 
 @dataclass
@@ -276,8 +291,10 @@ def _fiber_singular_values(samples: np.ndarray) -> np.ndarray:
       textbook s2^2 = (||M||_F^2 - sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not
       used: it cancels when s1 ~ s2 and loses about half the digits there.
       The Gram form is a few array passes over ``FIBER_BLOCK`` fibers at a
-      time, where a batched LAPACK SVD makes one call per fiber; the blocks
-      bound its temporaries at a few times one block, whatever F is.
+      time, where a batched LAPACK SVD makes one call per fiber.  The blocks
+      bound its temporaries at a few times one block, whatever F is, and are
+      small enough that the allocator reuses those temporaries from block to
+      block and call to call instead of faulting fresh pages in each time.
     - n >= 3: ``np.linalg.svd``.
     """
     n = samples.shape[-1]
@@ -342,9 +359,11 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     k_x, k_y in use (b = 1 and k_y = 0 for D = 1, whose y axis is the single
     point 0 with weight 1).  With the per-axis phase tables
     E_x = e^{i x k_x} (m x a) and E_y = e^{i k_y y} (b x m^{D-1}), the m^D
-    weighted samples are built ``PROBE_BLOCK_ROWS`` grid rows at a time, each
-    block as |E_x[rows] (C E_y)| G_l(x_rows) G_l(y), and only the samples that
-    can attain the weak-L1 maximum step^D max_k k v_(k) are kept:
+    weighted samples are built in blocks of whole grid rows, about
+    ``PROBE_BLOCK_SAMPLES`` samples each (at least one row; for D = 1, whose
+    rows are single samples, the whole grid is one block), each block as
+    |E_x[rows] (C E_y)| G_l(x_rows) G_l(y), and only the samples that can
+    attain the weak-L1 maximum step^D max_k k v_(k) are kept:
 
     - The centre block (the one holding row m//2, where the Gaussian peaks)
       comes first.  After its sum is taken, it is partitioned in place so
@@ -371,10 +390,10 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         raise DimMismatchError("periodization probe expects a scalar signal")
     if d_torus > 2:
         raise GuardViolationError("probe supports D <= 2")
-    if l <= 0:
-        raise GuardViolationError("Gaussian width must satisfy l > 0")
-    if r < 8.0 * l:
-        raise GuardViolationError("truncation radius must satisfy R >= 8l")
+    if not 0.0 < l < math.inf:
+        raise GuardViolationError(f"Gaussian width must satisfy 0 < l < inf, got l={l}")
+    if not r >= 8.0 * l:
+        raise GuardViolationError(f"truncation radius must satisfy R >= 8l, got R={r}, l={l}")
     if not 0.0 < h <= TWO_PI / 64.0:
         raise GuardViolationError("step must satisfy 0 < h <= 2*pi/64")
     points = 2.0 * r / h
@@ -408,13 +427,14 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     left = np.exp(1j * np.multiply.outer(x, k_x))
     right = table @ np.exp(1j * np.multiply.outer(k_y, y))
 
-    starts = range(0, m, PROBE_BLOCK_ROWS)
-    centre = (m // 2) // PROBE_BLOCK_ROWS
+    block_rows = max(1, PROBE_BLOCK_SAMPLES // y.size)
+    starts = range(0, m, block_rows)
+    centre = (m // 2) // block_rows
     sums = [0.0] * len(starts)
     kept = []
     tau = None
     for index in [centre] + [i for i in range(len(starts)) if i != centre]:
-        rows = slice(starts[index], starts[index] + PROBE_BLOCK_ROWS)
+        rows = slice(starts[index], starts[index] + block_rows)
         ablock = np.abs(left[rows] @ right)
         ablock *= np.multiply.outer(gauss_x[rows], gauss_y)
         sums[index] = float(np.sum(ablock))

@@ -220,6 +220,9 @@ def test_cli_unknown_function_exits_2(capsys):
     ["periodization", "--d", "1", "--l", "1000"],  # m = 162975 past the point cap
     ["periodization", "--d", "1", "--step", "1e-6"],  # rejected before allocating
     ["periodization", "--d", "-1"],  # torus dimension d + 1 = 0
+    ["periodization", "--d", "0", "--l", "nan", "--radius", "100"],  # l named, not a profile
+    ["periodization", "--d", "1", "--l", "nan"],  # l named, not the point cap
+    ["deleeuw-sweep", "--d", "0"],  # d named, not HomogeneousSymbol's k0
     ["ratio-commutator", "--trials", "0"],
     ["ratio-commutator", "--lipschitz", "0"],
     ["ratio-commutator", "--f", "poly:0,1"],  # needs --lipschitz

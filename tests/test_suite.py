@@ -10,9 +10,17 @@ import pytest
 from oplip import suite
 from oplip.errors import DomainError, GuardViolationError
 from oplip.functions import builtin_function, contraction_names
+from oplip.norms import SingularValueProfile, weak_l1
+from oplip.rng import generator
 from oplip.serialize import canonical_json
 from oplip.suite import deleeuw_ratios, run_identity_suite, symbol_agreement_sweep
-from oplip.torus import HomogeneousSymbol, symbol_eval
+from oplip.torus import (
+    TWO_PI,
+    HomogeneousSymbol,
+    _fiber_singular_values,
+    _trig_polynomial,
+    symbol_eval,
+)
 from oplip.transference import _box_points, round_contraction
 
 
@@ -45,6 +53,53 @@ def test_deleeuw_ratios_pin():
     for got, want in zip(ratios, pinned, strict=True):
         assert list(got) == list(want)
         np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=1e-9)
+
+
+def _per_grid_deleeuw_ratios(seed, sizes, signals, d):
+    """deleeuw_ratios with every size sampled on its own grid (no strided reads)."""
+    g = HomogeneousSymbol(d=d, k0=1)
+    rng = generator(seed, 0x85)
+    out = []
+    for _ in range(signals):
+        freqs, fibers = [], []
+        while len(freqs) < 4:
+            k = rng.integers(-4, 5, size=d + 1)
+            if np.any(k != 0):
+                freqs.append(k)
+                fibers.append(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        fibers = np.array(fibers)
+        multiplied = g(np.array(freqs, dtype=float))[:, np.newaxis, np.newaxis] * fibers
+        ratios = {}
+        for n_grid in sizes:
+            cell = (TWO_PI / n_grid) ** (d + 1)
+            l1 = cell * float(np.sum(_fiber_singular_values(
+                _trig_polynomial(freqs, fibers, n_grid).samples)))
+            weak = weak_l1(SingularValueProfile(_fiber_singular_values(
+                _trig_polynomial(freqs, multiplied, n_grid).samples), cell))
+            ratios[n_grid] = weak / l1
+        out.append(ratios)
+    return out
+
+
+@pytest.mark.parametrize("d, sizes", [
+    (1, (32, 64, 128)), (1, (16, 32, 48, 96)), (1, (30, 90, 45, 15)), (2, (12, 24, 36)),
+])
+def test_deleeuw_nested_grids_match_the_per_grid_route(d, sizes):
+    for seed in range(3):
+        got = deleeuw_ratios(seed, sizes=sizes, signals=3, d=d)
+        want = _per_grid_deleeuw_ratios(seed, sizes, 3, d)
+        for g_ratios, w_ratios in zip(got, want, strict=True):
+            assert list(g_ratios) == list(sizes)
+            if sizes == (32, 64, 128):  # power-of-two strides read the same bits
+                assert g_ratios == w_ratios
+            np.testing.assert_allclose(list(g_ratios.values()), list(w_ratios.values()),
+                                       rtol=1e-14, atol=0.0)
+
+
+def test_deleeuw_ratios_refuse_d_below_one_by_name():
+    for signals in (0, 1):
+        with pytest.raises(DomainError, match="d=0"):
+            deleeuw_ratios(0, signals=signals, d=0)
 
 
 def test_identity_suite_report_shape():

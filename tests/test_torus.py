@@ -9,7 +9,7 @@ from oplip.norms import SingularValueProfile, schatten_norm, weak_l1
 from oplip.suite import fejer_brute, fejer_convergence_profile
 from oplip.torus import (
     FIBER_BLOCK,
-    PROBE_BLOCK_ROWS,
+    PROBE_BLOCK_SAMPLES,
     PROBE_MAX_POINTS,
     TWO_PI,
     HomogeneousSymbol,
@@ -384,9 +384,10 @@ def test_fiber_singular_values_decide_each_fiber_alone():
 
 
 def test_fiber_singular_values_memory_bounded():
-    # 2^18 fibers (16 MB) run in blocks of FIBER_BLOCK; one pass over all of them traced 46 MB
+    # 2^18 fibers (16 MB) run in blocks of FIBER_BLOCK; with 2^12-fiber blocks the
+    # pass traced 4.9 MB, with 2^16-fiber blocks 17 MB
     rng = np.random.default_rng(45)
-    shape = (4 * FIBER_BLOCK, 2, 2)
+    shape = (2**18, 2, 2)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     tracemalloc.start()
     try:
@@ -394,7 +395,7 @@ def test_fiber_singular_values_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 8 * 2**20
     edge = slice(FIBER_BLOCK - 3, FIBER_BLOCK + 3)  # across a block boundary
     np.testing.assert_array_equal(got[edge], _fiber_singular_values(stack[edge]))
 
@@ -425,6 +426,16 @@ def test_periodization_guards():
         periodization_probe(w, 4.0, 32.0, 0.2)  # step too coarse
     with pytest.raises(DimMismatchError):
         periodization_probe(_random_signal(1, 8, 2, seed=1), 4.0, 32.0, TWO_PI / 64)
+
+
+@pytest.mark.parametrize("l, r, name", [
+    (math.nan, 100.0, "l=nan"),
+    (math.inf, math.inf, "l=inf"),
+    (4.0, math.nan, "R=nan"),
+])
+def test_periodization_refuses_nan_width_or_radius_by_name(l, r, name):
+    with pytest.raises(GuardViolationError, match=name):
+        periodization_probe(_probe_signal(1), l, r, TWO_PI / 64)
 
 
 def test_periodization_point_cap():
@@ -523,8 +534,9 @@ def _full_pool_probe(w, l):
     left = np.exp(1j * np.multiply.outer(x, freqs[rows_in_use]))
     right = table @ np.exp(1j * np.multiply.outer(freqs_y[cols_in_use], y))
     integral, blocks = 0.0, []
-    for start in range(0, m, PROBE_BLOCK_ROWS):
-        rows = slice(start, min(start + PROBE_BLOCK_ROWS, m))
+    block_rows = max(1, PROBE_BLOCK_SAMPLES // y.size)
+    for start in range(0, m, block_rows):
+        rows = slice(start, min(start + block_rows, m))
         ablock = np.abs(left[rows] @ right) * np.outer(gauss[rows], gauss_y)
         integral += float(np.sum(ablock))
         blocks.append(ablock.ravel())
