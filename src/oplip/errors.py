@@ -1,4 +1,7 @@
-"""Exception types shared across the package, all rooted at :class:`OplipError`."""
+"""Exception types shared across the package, all rooted at :class:`OplipError`,
+and :func:`integer_at_least`, the integer-argument check that raises one."""
+
+import operator
 
 
 class OplipError(Exception):
@@ -35,3 +38,18 @@ class GuardViolationError(OplipError, ValueError):
 
 class AliasRiskError(OplipError, ValueError):
     """The requested grid is too small to represent all occurring frequencies."""
+
+
+def integer_at_least(name: str, value, low: int) -> int:
+    """``value`` as a Python int, or DomainError naming ``name`` unless it is an integer >= low.
+
+    Python and numpy integers pass; a float does not, even an integral one, so
+    2.5 is never truncated to 2.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value}") from None
+    if number < low:
+        raise DomainError(f"{name} must be >= {low}, got {number}")
+    return number

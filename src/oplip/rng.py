@@ -8,10 +8,16 @@ whichever other trials run.
 
 import numpy as np
 
+from .errors import integer_at_least
+
 
 def generator(seed, *spawn_key):
-    """PCG64 generator for ``seed``; extra integers select independent substreams."""
+    """PCG64 generator for ``seed``; extra integers select independent substreams.
+
+    A seed or spawn key that is negative or not an integer raises DomainError.
+    """
     ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(int(k) for k in spawn_key)
+        entropy=integer_at_least("seed", seed, 0),
+        spawn_key=tuple(integer_at_least("spawn key", k, 0) for k in spawn_key),
     )
     return np.random.Generator(np.random.PCG64(ss))

@@ -14,6 +14,7 @@ integral with the divided-difference symbol into a Fourier multiplier:
 S(I(V)) = I(T(V)) exactly, on any aliasing-free grid.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from .errors import (
     DimMismatchError,
     DomainError,
     GuardViolationError,
+    integer_at_least,
 )
 from .doi import Symbol, divided_difference_symbol, doi_apply
 from .rng import generator
@@ -98,8 +100,17 @@ class ContractionReport(NamedTuple):
 
 
 def _box_points(radius: int, d: int) -> np.ndarray:
+    """The (side^d, d) integer points of the radius box in row-major order, C-contiguous.
+
+    Each coordinate column is broadcast into place: a transposed copy of
+    ``np.indices`` costs about twice as long at d = 2.
+    """
     side = 2 * radius + 1
-    return (np.indices((side,) * d).reshape(d, -1) - radius).T.copy()
+    points = np.empty((side,) * d + (d,), dtype=np.int64)
+    axis = np.arange(-radius, radius + 1)
+    for k in range(d):
+        points[..., k] = axis.reshape((side,) + (1,) * (d - 1 - k))
+    return points.reshape(-1, d)
 
 
 def _integer_values(h, points) -> np.ndarray:
@@ -134,7 +145,11 @@ def contraction_check(h, box_radius: int, d: int,
     steps and stays in the box, so |h(x) - h(y)| <= |x - y|_inf <=
     |x - y|_2, and ``(True, None, -inf)`` is returned.  Otherwise, and for
     margins, every delta is scanned: for d <= 3 a king jump >= 2 is a
-    violation, but in d >= 4 a jump of 2 along (1, 1, 1, 1) is not.
+    violation, but in d >= 4 a jump of 2 along (1, 1, 1, 1) is not.  Each
+    phase builds slices only for the per-axis offsets c it reads: 3 for the
+    certificate (|c| <= 1), and 2 reach + 1 for the scan (|c| <= reach, the
+    pruning radius below capped at side - 1), never the 2 side - 1 of the
+    whole box unless the scan reaches its edge.
 
     The verdict compares each max |dH| with the integer square root of
     |delta|^2, so it is exact at every span (|h| >= 2^62 raises DomainError,
@@ -146,10 +161,8 @@ def contraction_check(h, box_radius: int, d: int,
     the margin.  With ``report_margin`` off a pass returns ``(True, None,
     -inf)``.  A box of over ``SCAN_BUDGET`` pairs raises DomainError.
     """
-    if d < 1:
-        raise DomainError(f"dimension d = {d} must be >= 1")
-    if box_radius < 1:
-        raise DomainError("box radius must be >= 1")
+    d = integer_at_least("dimension d", d, 1)
+    box_radius = integer_at_least("box radius", box_radius, 1)
     side = 2 * box_radius + 1
     if side**d * (side**d - 1) // 2 > SCAN_BUDGET:
         raise DomainError(f"the radius-{box_radius} box in d={d} has more than "
@@ -158,22 +171,34 @@ def contraction_check(h, box_radius: int, d: int,
     values = _integer_values(h, points)
     span = int(values.max() - values.min())
     grid = (values - values.min()).astype(_difference_dtype(span)).reshape((side,) * d)
-    # cut[c]: the x with x + c in the box along one axis (x + c runs over cut[-c])
-    cut = [slice(max(0, -c), side - max(0, c)) for c in [*range(side), *range(1 - side, 0)]]
 
-    def step(delta):
+    def cuts(reach):
+        """cut[c], |c| <= reach: the x with x + c in the box along one axis.
+
+        Listed over [0..reach, -reach..-1], so cut[-c] reads the entry for -c
+        and x + c runs over cut[-c].
+        """
+        return [slice(max(0, -c), side - max(0, c)) for c in [*range(reach + 1),
+                                                               *range(-reach, 0)]]
+
+    def step(cut, delta):
         lo = tuple(map(cut.__getitem__, delta))
         return lo, np.abs(grid[tuple(cut[-c] for c in delta)] - grid[lo])
 
-    king = _box_points(1, d)[3**d // 2 + 1:]  # lexicographically positive
-    if not report_margin and all(step(delta)[1].max() <= 1 for delta in king.tolist()):
-        return ContractionReport(True, None, -np.inf)
+    if not report_margin:
+        cut = cuts(1)
+        # the lexicographically positive king steps
+        king = list(itertools.product((-1, 0, 1), repeat=d))[3**d // 2 + 1:]
+        if all(step(cut, delta)[1].max() <= 1 for delta in king):
+            return ContractionReport(True, None, -np.inf)
     reach2 = max(span, 1) ** 2 if report_margin else max(span * span - 1, 0)
-    deltas = _box_points(min(math.isqrt(reach2), side - 1), d)
+    reach = min(math.isqrt(reach2), side - 1)
+    cut = cuts(reach)
+    deltas = _box_points(reach, d)
     deltas = deltas[deltas.shape[0] // 2 + 1:]  # lexicographically positive
     dist2 = np.sum(deltas * deltas, axis=-1)
     deltas, dist2 = deltas[dist2 <= reach2], dist2[dist2 <= reach2]
-    jump = np.array([step(delta)[1].max() for delta in deltas.tolist()], dtype=np.int64)
+    jump = np.array([step(cut, delta)[1].max() for delta in deltas.tolist()], dtype=np.int64)
     ok = bool(np.all(jump <= [math.isqrt(q) for q in dist2.tolist()]))
     if ok and not report_margin:
         return ContractionReport(True, None, -np.inf)
@@ -181,7 +206,7 @@ def contraction_check(h, box_radius: int, d: int,
     worst = float(margins.max())
     pairs = []
     for delta in deltas[margins == worst].tolist():
-        lo, dh = step(delta)
+        lo, dh = step(cut, delta)
         x = np.add([s.start for s in lo], np.unravel_index(np.argmax(dh), dh.shape))
         pairs.append(tuple(np.ravel_multi_index(p, grid.shape) for p in (x, x + delta)))
     i, j = min(pairs)

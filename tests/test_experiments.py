@@ -249,6 +249,11 @@ def test_cli_unknown_function_exits_2(capsys):
     ["contraction-test", "--d", "100000000000"],  # no list of 1e11 names
     ["ratio-commutator", "--lipschitz", "nan"],  # would write "ratio": NaN lines
     ["ratio-commutator", "--lipschitz", "inf"],  # would write ratio 0
+    # a negative seed is refused where it is drawn from, not by numpy's SeedSequence
+    ["identity-suite", "--seed", "-1"],
+    ["ratio-commutator", "--seed", "-1"],
+    ["deleeuw-sweep", "--seed", "-1"],
+    ["transference-check", "--seed", "-1"],
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
 def test_cli_domain_errors_exit_2(argv, capsys):

@@ -396,6 +396,24 @@ def test_commutator_basics():
         commutator(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("seed, key", [(-3, ()), (2.5, ()), (3.0, ()), (1, (0x84, -1)),
+                                       (1, (0.5,))])
+def test_generator_refuses_negative_or_non_integral_seeds(seed, key):
+    # numpy's SeedSequence would raise a bare ValueError, and int(2.5) would be seed 2
+    with pytest.raises(DomainError, match="seed|spawn key"):
+        generator(seed, *key)
+
+
+def test_planted_tuple_refuses_a_negative_seed_and_takes_numpy_integers():
+    with pytest.raises(DomainError, match="seed"):
+        planted_commuting_tuple(4, 1, seed=-3)
+    a = planted_commuting_tuple(4, 2, seed=np.int64(7))[0]
+    b = planted_commuting_tuple(4, 2, seed=np.uint32(7))[0]
+    c = planted_commuting_tuple(4, 2, seed=7)[0]
+    for ma, mb, mc in zip(a.arrays(), b.arrays(), c.arrays()):
+        assert np.array_equal(ma, mc) and np.array_equal(mb, mc)
+
+
 def test_random_tuple_determinism_and_laws():
     a = planted_commuting_tuple(5, 2, "uniform", seed=4)[0]
     b = planted_commuting_tuple(5, 2, "uniform", seed=4)[0]

@@ -113,9 +113,22 @@ def test_contraction_check_domain_errors():
         contraction_check(lambda iv: 0, 2, 0)
     with pytest.raises(DomainError, match="SCAN_BUDGET"):
         contraction_check(round_contraction(builtin_function("euclid-norm", 3), 4), 30, 3)
+    # a non-integral radius or dimension is named, not a TypeError from range or *
+    with pytest.raises(DomainError, match="box radius"):
+        contraction_check(lambda iv: 0, 2.5, 1)
+    with pytest.raises(DomainError, match="dimension d"):
+        contraction_check(lambda iv: 0, 2, 1.0)
     for n in (0, -2):
         with pytest.raises(DomainError):
             round_contraction(builtin_function("abs", 1), n)
+
+
+def test_contraction_check_takes_numpy_integer_arguments():
+    h = round_contraction(builtin_function("euclid-norm", 2), 3)
+    want = contraction_check(h, 4, 2)
+    got = contraction_check(h, np.int64(4), np.int64(2))
+    assert got.ok == want.ok and got.margin == want.margin
+    assert [p.tolist() for p in got.worst_pair] == [p.tolist() for p in want.worst_pair]
 
 
 def test_contraction_check_d3_margin_flag():
@@ -273,6 +286,30 @@ def test_contraction_check_falls_back_when_the_king_certificate_fails(report_mar
         assert [p.tolist() for p in pair] == [[-1, 0, 0, 0], [0, 0, 0, 0]]
     else:
         assert (ok, pair, margin) == (True, None, -np.inf)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("report_margin", [True, False])
+@pytest.mark.parametrize("h", [
+    lambda iv: 2 * iv[..., 0],  # span 4: the scan runs in both modes
+    lambda iv: np.sum(iv, axis=-1),  # span 2d: d >= 2 violates along the diagonal
+    lambda iv: np.where(np.all(iv == 1, axis=-1), 3, 0),  # one corner jumps by 3
+])
+def test_contraction_check_at_radius_one_scans_to_the_box_edge(h, report_margin, d):
+    # side 3: wherever the scan runs at span >= 2 (>= 3 without margins), its
+    # slice table is the whole box's, |c| <= side - 1 = 2
+    _assert_matches_all_pairs(h, 1, d, report_margin)
+
+
+@pytest.mark.parametrize("report_margin", [True, False])
+def test_contraction_check_scan_reach_below_the_box_side(report_margin):
+    # d = 2, side 7: every row is 0 0 2 4 4 4 4, so a unit step jumps by 2
+    # (the king certificate fails) and the worst margin, 4 - 2, is at delta
+    # (0, 2); span 4 scans |c| <= 3 (4 with margins), past the certificate's
+    # |c| <= 1 but short of side - 1 = 6
+    h = _lookup(np.tile([0, 0, 2, 4, 4, 4, 4], (7, 1)), 3)
+    assert contraction_check(h, 3, 2, report_margin=False).margin == 2.0
+    _assert_matches_all_pairs(h, 3, 2, report_margin)
 
 
 _RADII = {1: 6, 2: 3, 3: 2, 4: 1}  # small boxes: the all-pairs loop is the reference
