@@ -5,24 +5,39 @@ seed, and trials run in trial order.  Every stream emits one summary record
 holding the maximum observed ratio (an empirical lower bound on the unknown
 dimensional constant -- never an asserted upper bound).  Degenerate trials
 (zero denominator) are emitted as ``skipped`` records and counted in the
-summary.  Every stream takes its joint spectra from the plant that
-``planted_commuting_tuple`` returns; only the difference stream's cross-check
-recovers one with ``joint_diagonalize``.
+summary.  A trial whose numerator, denominator or ratio is not finite raises
+NonFiniteError.  Every stream takes its joint spectra from the plant's
+draws, with no joint diagonalization; only the difference stream's
+cross-check recovers one with ``joint_diagonalize``.  The commutator stream
+builds no tuple at all: both of its norms are unitarily invariant, so it
+measures in the plant's basis U, where [A_k, B] and [f(A), B] are the Schur
+products of the eigenvalue differences with U*BU.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .doi import block_difference_embed, divided_difference_symbol, doi_apply
-from .errors import BadExponentError, DomainError, GuardViolationError
+from .errors import (
+    BadExponentError,
+    DomainError,
+    GuardViolationError,
+    NonFiniteError,
+    integer_at_least,
+)
 from .functions import builtin_function
 from .norms import matrix_trace_norm, matrix_weak_l1, schatten_norm, singular_values
 from .rng import generator
 from .spectral import (
+    HermitianMatrix,
     JointSpectrum,
+    _check_unitary,
+    _plant,
     apply_function,
     commutator,
+    evaluate_rows,
     joint_diagonalize,
     planted_commuting_tuple,
 )
@@ -40,10 +55,10 @@ class ExperimentConfig:
     lipschitz_bound: float = None
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise DomainError(f"n and d must be >= 1, got n={self.n}, d={self.d}")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        self.seed = integer_at_least("seed", self.seed, 0)
+        self.n = integer_at_least("n", self.n, 1)
+        self.d = integer_at_least("d", self.d, 1)
+        self.trials = integer_at_least("trials", self.trials, 1)
         if self.lipschitz_bound is not None and not 0 < self.lipschitz_bound < np.inf:
             raise DomainError(f"lipschitz bound must be finite and positive, "
                               f"got {self.lipschitz_bound}")
@@ -80,12 +95,19 @@ class RatioRecord:
 
 
 def _record(config, t, k0, num, denom):
-    """The trial record, or a skipped one when the denominator is 0."""
+    """The trial record, or a skipped one when the denominator is 0.
+
+    A numerator, denominator or ratio that is not finite raises NonFiniteError.
+    """
+    ratio = num / denom if denom else 0.0
+    if not all(map(math.isfinite, (num, denom, ratio))):
+        raise NonFiniteError(f"trial {t} is not finite: numerator {num}, "
+                             f"denominator {denom}")
     if denom == 0.0:
         return RatioRecord("skipped", config.seed, t, k0, config.n, config.d,
                            config.f_name, 0.0, 0.0, 0.0)
     return RatioRecord("trial", config.seed, t, k0, config.n, config.d,
-                       config.f_name, num, denom, num / denom)
+                       config.f_name, num, denom, ratio)
 
 
 def _stream(config, substream, trial):
@@ -129,17 +151,36 @@ def _function_difference(x_js, y_js, f):
     return apply_function(x_js, f).data - apply_function(y_js, f).data
 
 
+def _schur_commutator(values, b):
+    """U*[A, B]U = (x_i - x_j) o b for A = U diag(x) U* and b = U*BU.
+
+    x_j - x_i is exactly -(x_i - x_j), so for a bitwise Hermitian b the
+    product is bitwise skew-Hermitian.  A difference or product that
+    overflows reads inf or NaN, which ``singular_values`` refuses.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (values[:, np.newaxis] - values) * b
+
+
 def commutator_ratio(config: ExperimentConfig):
-    """weak-L1([f(A), B]) / (L * max_k ||[A_k, B]||_1) per seeded trial."""
+    """weak-L1([f(A), B]) / (L * max_k ||[A_k, B]||_1) per seeded trial.
+
+    Measured in the plant's basis U, with the draws ``planted_commuting_tuple``
+    makes: for B' = U*BU, [A_k, B] is unitarily equivalent to
+    (lambda_i^k - lambda_j^k) o B' and [f(A), B] to (f_i - f_j) o B', so no
+    tuple, f(A) or commutator is formed.  U keeps the unitarity gate of a
+    joint spectrum.
+    """
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        tup, js = _planted(config, rng)
-        b = _random_hermitian(config.n, rng)
+        basis, lambdas = _plant(config.n, config.d, "uniform", int(rng.integers(2**63)))
+        _check_unitary(basis)
+        b = HermitianMatrix(basis.conj().T @ _random_hermitian(config.n, rng) @ basis).data
         denom = bound * max(
-            matrix_trace_norm(commutator(a, b)) for a in tup.arrays()
+            matrix_trace_norm(_schur_commutator(column, b)) for column in lambdas.T
         )
-        num = matrix_weak_l1(commutator(apply_function(js, f), b))
+        num = matrix_weak_l1(_schur_commutator(evaluate_rows(f, lambdas), b))
         return [(0, num, denom)]
 
     return _stream(config, 1, trial)

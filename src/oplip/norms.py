@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponentError, DomainError, NonFiniteError
+from .errors import BadExponentError, DimMismatchError, DomainError, NonFiniteError
 
 
 @dataclass
@@ -45,10 +45,12 @@ def singular_values(x) -> SingularValueProfile:
     A square x that equals x* bitwise has the moduli of its eigenvalues as
     singular values, taken from ``eigvalsh``; one that equals -x* bitwise
     does so through the Hermitian 1j*x (multiplying by 1j is exact).  Any
-    other matrix goes through the SVD.  A NaN or infinite entry raises
-    ``NonFiniteError`` first.
+    other matrix goes through the SVD.  An input that is not 2-d raises
+    ``DimMismatchError`` and a NaN or infinite entry ``NonFiniteError``.
     """
     x = np.asarray(x)
+    if x.ndim != 2:
+        raise DimMismatchError(f"expected a matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("matrix has a NaN or infinite entry")
     h = _hermitian_form(x)
@@ -62,7 +64,7 @@ def _hermitian_form(x):
     The first column against the first row rules a form out before the full
     comparison, which reads x in transposed order.
     """
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.size == 0:
+    if x.shape[0] != x.shape[1] or x.size == 0:
         return None
     col, row = x[:, 0], x[0].conj()
     if np.array_equal(col, row) and np.array_equal(x, x.conj().T):

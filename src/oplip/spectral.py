@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     NoConvergenceError,
     NonFiniteError,
+    integer_at_least,
 )
 from .rng import generator
 
@@ -186,9 +187,7 @@ def validate_joint_spectrum(js):
         raise DimMismatchError("eigenvalue table has wrong row count")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(js.eigenvalues))):
         raise NonFiniteError("joint spectrum has a NaN or infinite entry")
-    gram_dev = _frob(U.conj().T @ U - np.eye(n))
-    if gram_dev > UNITARITY_TOL * n:
-        raise DomainError(f"basis is not unitary: ||U*U - I||_F = {gram_dev:.3e}")
+    _check_unitary(U)
     for k, m in enumerate(js.provenance.matrices):
         a, norm, scale = _unit_scaled(m.data)
         with np.errstate(over="ignore", invalid="ignore"):  # a wrong table may overflow
@@ -196,6 +195,14 @@ def validate_joint_spectrum(js):
             residual = _frob(a - recon)
         if not residual <= RECONSTRUCTION_TOL * max(norm, 1e-300):
             raise NoConvergenceError(f"matrix {k} fails reconstruction from the spectrum")
+
+
+def _check_unitary(U):
+    """DomainError unless ||U*U - I||_F <= ``UNITARITY_TOL`` * n for the n x n basis U."""
+    n = U.shape[0]
+    gram_dev = _frob(U.conj().T @ U - np.eye(n))
+    if gram_dev > UNITARITY_TOL * n:
+        raise DomainError(f"basis is not unitary: ||U*U - I||_F = {gram_dev:.3e}")
 
 
 def commutator(x, y) -> np.ndarray:
@@ -345,19 +352,28 @@ def _draw_spectra(n, d, spectrum_law, rng):
     return rng.choice(grid, size=(n, d))
 
 
-def planted_commuting_tuple(n, d, spectrum_law="uniform", seed=0):
-    """Random commuting tuple plus the planted basis U and eigenvalue table.
+def _plant(n, d, spectrum_law, seed):
+    """The planted basis U and n x d eigenvalue table drawn from ``generator(seed)``.
 
-    A_k = U diag(lambda^(k)) U* with a single seeded Haar unitary U.
+    n and d are refused (DomainError) before any draw when they are not
+    integers >= 1 or the tuple would pass ``MAX_TUPLE_ENTRIES`` or ``MAX_TUPLE_D``.
     """
-    if n < 1 or d < 1:
-        raise DomainError("n and d must be positive")
+    n = integer_at_least("n", n, 1)
+    d = integer_at_least("d", d, 1)
     if n * n * d > MAX_TUPLE_ENTRIES or d > MAX_TUPLE_D:
         raise DomainError(f"n*n*d must be <= {MAX_TUPLE_ENTRIES} and d <= {MAX_TUPLE_D}, "
                           f"got n={n}, d={d}")
     rng = generator(seed)
     U = haar_unitary(n, rng)
-    lambdas = _draw_spectra(n, d, spectrum_law, rng)
+    return U, _draw_spectra(n, d, spectrum_law, rng)
+
+
+def planted_commuting_tuple(n, d, spectrum_law="uniform", seed=0):
+    """Random commuting tuple plus the planted basis U and eigenvalue table.
+
+    A_k = U diag(lambda^(k)) U* with a single seeded Haar unitary U.
+    """
+    U, lambdas = _plant(n, d, spectrum_law, seed)
     matrices = [(U * lambdas[:, k]) @ U.conj().T for k in range(d)]
     return CommutingTuple(matrices), U, lambdas
 

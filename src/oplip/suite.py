@@ -9,6 +9,7 @@ leaner versions of the same code.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -46,12 +47,15 @@ from .spectral import (
     planted_commuting_tuple,
 )
 from .torus import (
+    FIBER_BLOCK,
     TWO_PI,
     HomogeneousSymbol,
     TorusSignal,
     _fiber_singular_values,
+    _GramWork,
     _multiplied,
     _multiplier_tensor,
+    _trig_factors,
     _trig_polynomial,
     coefficients,
     fejer,
@@ -75,6 +79,7 @@ _CONE_BATCH = 1 << 14  # cone cells per symbol evaluation in _cone_deviation
 # N^(d+1) fiber^2 entries.  d = 2 at N = 128 fits; the largest grid at d = 1, 2 or 3
 # (N = 1448, 128, 38) peaks at 197 MB RSS on x86-64 (numpy 2.4).
 DELEEUW_MAX_ENTRIES = 1 << 23
+KEPT_ROOT_FIBERS = 1 << 16  # largest de Leeuw root grid whose buffers (8 MB) stay held
 
 
 def _rel(diff, ref) -> float:
@@ -427,25 +432,81 @@ def fejer_convergence_profile(d_torus=1):
     return out
 
 
+class _RootGridWork:
+    """Samples, values, closed-form rows and a sort row for one root grid of 2 x 2 fibers."""
+
+    def __init__(self, n_fibers):
+        self.samples = np.empty((n_fibers, 2, 2), dtype=complex)
+        self.values = np.empty((n_fibers, 2))
+        self.gram = _GramWork(min(n_fibers, FIBER_BLOCK))
+        self.ascending = np.empty(2 * n_fibers)
+        self.steps = np.arange(2.0 * n_fibers, 0.0, -1.0)  # its last m entries are m, ..., 1
+
+    def weak_l1(self, values, cell):
+        """``weak_l1(SingularValueProfile(values, cell))``, bitwise, sorted in the sort row.
+
+        Ascending, the k-th largest value s_k sits where ``steps`` reads k.
+        """
+        ascending = self.ascending[:values.size]
+        np.copyto(ascending, values.reshape(-1))
+        ascending.sort()
+        if not ascending[0] >= 0.0 or np.isnan(ascending[-1]):
+            raise DomainError("values must be nonnegative (NaN is refused)")
+        ascending *= self.steps[self.steps.size - ascending.size:]
+        return float(cell) * float(np.max(ascending))
+
+
+_kept = threading.local()  # .work: this thread's last _RootGridWork
+
+
+def _kept_root_grid_work(n_fibers):
+    """This thread's ``_RootGridWork`` of ``n_fibers`` fibers, kept while grids keep the size.
+
+    Fresh arrays of 0.03-1 MB per call (N = 128, D = 2) made the cost hinge
+    on the allocator: whether it handed them out from freed heap or faulted
+    new pages in (about 950 minor faults per call) depended on how earlier
+    work in the process had left its thresholds, so one process ran the same
+    de Leeuw call in 2.6 ms and the next in 4-6 ms (2-core x86-64 host,
+    numpy 2.4).  Kept, a run of calls allocates nothing large after its first.
+    Each thread keeps its own, so concurrent calls never share buffers.
+    """
+    work = getattr(_kept, "work", None)
+    if work is None or work.values.shape[0] != n_fibers:
+        work = _kept.work = None  # the old buffers go before the new are made
+        work = _kept.work = _RootGridWork(n_fibers)
+    return work
+
+
 def _fiber_value_grids(freqs, fibers, sizes):
-    """(N, fiber singular values on the N^D grid) for each distinct size, root by root.
+    """(N, fiber singular values on the N^D grid, work) for each distinct size, root by root.
 
     Only a root, a size that divides no larger one, is sampled.  Every other
     size N is read off the largest size M it divides, which is a root, at
     stride M/N: the samples there are the same trig polynomial at the same
     points, and each fiber's values depend on that fiber alone.  The values
     come back as contiguous (N^D, 2) arrays, so a sum over them adds in the
-    order a direct sampling would, and one root's grid is held at a time.
+    order a direct sampling would.  The fibers are 2 x 2.  A root of at most
+    ``KEPT_ROOT_FIBERS`` fibers is sampled and reduced in the kept
+    ``_RootGridWork`` (``work``), and its own values are a view of it, valid
+    until the generator resumes; a larger root takes fresh arrays, its
+    samples freed before any value is read, and ``work`` is None.
     """
     d_torus = np.shape(freqs)[1]
     descending = sorted(set(sizes), reverse=True)
     root_of = {n: next(m for m in descending if m % n == 0) for n in descending}
     for root in sorted(set(root_of.values()), reverse=True):
-        values = _fiber_singular_values(_trig_polynomial(freqs, fibers, root).samples)
+        work = None
+        if root**d_torus <= KEPT_ROOT_FIBERS:
+            work = _kept_root_grid_work(root**d_torus)
+            left, right = _trig_factors(freqs, fibers, root)
+            np.matmul(left, right, out=work.samples.reshape(root, -1))
+            values = _fiber_singular_values(work.samples, out=work.values, work=work.gram)
+        else:
+            values = _fiber_singular_values(_trig_polynomial(freqs, fibers, root).samples)
         values = values.reshape((root,) * d_torus + (-1,))
         for n_grid in [n for n in descending if root_of[n] == root]:
             strided = values[(slice(None, None, root // n_grid),) * d_torus]
-            yield n_grid, np.ascontiguousarray(strided).reshape(n_grid**d_torus, -1)
+            yield n_grid, np.ascontiguousarray(strided).reshape(n_grid**d_torus, -1), work
         del values  # before the next root is sampled
 
 
@@ -493,10 +554,13 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     results = []
     for freqs, fibers, multiplied in family:
         l1 = {n_grid: (TWO_PI / n_grid) ** d_torus * float(np.sum(values))
-              for n_grid, values in _fiber_value_grids(freqs, fibers, sizes)}
-        ratios = {n_grid: weak_l1(SingularValueProfile(values, (TWO_PI / n_grid) ** d_torus))
-                  / l1[n_grid]
-                  for n_grid, values in _fiber_value_grids(freqs, multiplied, sizes)}
+              for n_grid, values, _ in _fiber_value_grids(freqs, fibers, sizes)}
+        ratios = {}
+        for n_grid, values, work in _fiber_value_grids(freqs, multiplied, sizes):
+            cell = (TWO_PI / n_grid) ** d_torus
+            weak = (weak_l1(SingularValueProfile(values, cell)) if work is None
+                    else work.weak_l1(values, cell))
+            ratios[n_grid] = weak / l1[n_grid]
         results.append({n_grid: ratios[n_grid] for n_grid in sizes})
     return results
 

@@ -28,10 +28,10 @@ PROBE_BLOCK_SAMPLES = 2**17
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 _SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
 _FIBER_NORM_LO, _FIBER_NORM_HI = 2.0**-500, 2.0**500  # 2 x 2 fibers outside are rescaled
-# 2 x 2 fibers per pass of the closed form.  Its temporaries are then 32-256 kB,
-# which the allocator keeps for the next block and the next call; with 2^16
-# fibers they were 0.5-4 MB, went back to the OS after every call and were
-# faulted in again.  Measured on a 2-core x86-64 host (numpy 2.4): one call on
+# 2 x 2 fibers per pass of the closed form.  Its work rows (``_GramWork``) are
+# then 32-256 kB each, about 1 MB in all, reused from block to block; with 2^16
+# fibers its temporaries were 0.5-4 MB, went back to the OS after every call
+# and were faulted in again.  Measured on a 2-core x86-64 host (numpy 2.4): one call on
 # 16,384 fibers took 736 minor page faults and 2.0-2.8 ms at 2^16, none and
 # 0.7-0.9 ms at 2^13, 0.7-1.0 ms at 2^12, 0.8-1.1 ms at 2^11 and 1.0-1.6 ms at
 # 2^10; one de Leeuw operation (d = 1, N = 32, 64, 128) took about 2,000 faults
@@ -112,6 +112,14 @@ def _trig_polynomial(freqs, fibers, grid_size: int) -> TorusSignal:
     the product over j of the later axes' tables and the fibers, in one
     matmul: J N^D n^2 products where a dense coefficient tensor takes an FFT.
     """
+    fibers = np.asarray(fibers, dtype=complex)
+    left, right = _trig_factors(freqs, fibers, grid_size)
+    samples = left @ right
+    return TorusSignal(samples.reshape((grid_size,) * np.shape(freqs)[1] + fibers.shape[1:]))
+
+
+def _trig_factors(freqs, fibers, grid_size: int):
+    """(E_0, E_1 (x) ... (x) F) of ``_trig_polynomial``, whose matmul is its samples."""
     freqs = np.asarray(freqs, dtype=int)
     fibers = np.asarray(fibers, dtype=complex)
     n_terms, d_torus = freqs.shape
@@ -123,8 +131,7 @@ def _trig_polynomial(freqs, fibers, grid_size: int) -> TorusSignal:
     for axis in range(d_torus - 1, 0, -1):  # (J, N^(D-1) n^2), the last axis innermost
         right = (phases[:, :, axis].T[:, :, np.newaxis] * right[:, np.newaxis]).reshape(
             n_terms, -1)
-    samples = phases[:, :, 0] @ right
-    return TorusSignal(samples.reshape((grid_size,) * d_torus + fibers.shape[1:]))
+    return phases[:, :, 0], right
 
 
 def smoothing_eval(u):
@@ -248,29 +255,61 @@ def fejer(w: TorusSignal, n: int) -> TorusSignal:
     return fourier_multiplier_apply(damp, w)
 
 
-def _square_moduli(z: np.ndarray) -> np.ndarray:
-    """re^2 + im^2 of a complex array, read through its float view (strided parts are slow)."""
-    parts = np.square(np.ascontiguousarray(z).view(float))
-    return parts[..., 0::2] + parts[..., 1::2]
+def _square_moduli(z: np.ndarray, out=None, parts=None) -> np.ndarray:
+    """re^2 + im^2 of a complex array, read through its float view (strided parts are slow).
+
+    ``parts`` (the squared float view, twice z's length) and ``out`` may be given.
+    """
+    parts = np.square(np.ascontiguousarray(z).view(float), out=parts)
+    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
 
 
-def _gram_closed_form(x):
-    """s1, s2 and ||M||_F^2 of the 2 x 2 fibers [[a, b], [c, d]] in the rows a, b, c, d of x."""
-    sq = _square_moduli(x)
-    p = sq[0] + sq[2]
-    r = sq[1] + sq[3]
-    frob2 = p + r
-    z = x[0].conj() * x[1]
-    z += x[2].conj() * x[3]
-    h = 0.5 * (p - r)
-    s1 = np.sqrt(0.5 * frob2 + np.sqrt(h * h + _square_moduli(z)))
-    s2 = np.abs(x[0] * x[3] - x[1] * x[2])
+class _GramWork:
+    """Rows for the 2 x 2 closed form on up to ``size`` fibers, reused block to block.
+
+    A pass of the closed form writes every temporary and result into these
+    rows, so it allocates nothing; a caller that keeps one between calls
+    faults no pages in after its first.
+    """
+
+    def __init__(self, size):
+        self.x = np.empty((4, size), dtype=complex)  # rows a, b, c, d
+        self.parts = np.empty((4, 2 * size))
+        self.sq = np.empty((4, size))
+        self.real = np.empty((6, size))
+        self.complex = np.empty((2, size), dtype=complex)
+
+
+def _gram_closed_form(x, work=None):
+    """s1, s2 and ||M||_F^2 of the 2 x 2 fibers [[a, b], [c, d]] in the rows a, b, c, d of x.
+
+    All three are rows of ``work`` (a fresh ``_GramWork`` by default).
+    """
+    m = x.shape[1]
+    work = _GramWork(m) if work is None else work
+    sq = _square_moduli(x, out=work.sq[:, :m], parts=work.parts[:, :2 * m])
+    p, r, frob2, h, s1, s2 = work.real[:, :m]
+    z, t = work.complex[:, :m]
+    np.add(sq[0], sq[2], out=p)
+    np.add(sq[1], sq[3], out=r)
+    np.add(p, r, out=frob2)
+    np.multiply(np.conjugate(x[0], out=z), x[1], out=z)
+    z += np.multiply(np.conjugate(x[2], out=t), x[3], out=t)
+    np.subtract(p, r, out=h)
+    h *= 0.5
+    np.multiply(h, h, out=s1)
+    s1 += _square_moduli(z, out=s2, parts=work.parts[0, :2 * m])
+    np.sqrt(s1, out=s1)
+    s1 += np.multiply(frob2, 0.5, out=s2)
+    np.sqrt(s1, out=s1)
+    np.subtract(np.multiply(x[0], x[3], out=z), np.multiply(x[1], x[2], out=t), out=z)
+    np.abs(z, out=s2)
     np.divide(s2, s1, out=s2, where=s1 > 0.0)
     np.minimum(s2, s1, out=s2)
     return s1, s2, frob2
 
 
-def _fiber_singular_values(samples: np.ndarray) -> np.ndarray:
+def _fiber_singular_values(samples: np.ndarray, out=None, work=None) -> np.ndarray:
     """Singular values (F, n) of the F fibers of a (..., n, n) stack.
 
     The method depends on the fiber size n:
@@ -291,11 +330,12 @@ def _fiber_singular_values(samples: np.ndarray) -> np.ndarray:
       textbook s2^2 = (||M||_F^2 - sqrt(||M||_F^4 - 4 |det M|^2)) / 2 is not
       used: it cancels when s1 ~ s2 and loses about half the digits there.
       The Gram form is a few array passes over ``FIBER_BLOCK`` fibers at a
-      time, where a batched LAPACK SVD makes one call per fiber.  The blocks
-      bound its temporaries at a few times one block, whatever F is, and are
-      small enough that the allocator reuses those temporaries from block to
-      block and call to call instead of faulting fresh pages in each time.
+      time, where a batched LAPACK SVD makes one call per fiber.  Every pass
+      writes into the rows of one ``_GramWork`` (``work``, or a fresh one of
+      at most a block), whatever F is.
     - n >= 3: ``np.linalg.svd``.
+
+    The n = 2 values are written into ``out`` when it is given.
     """
     n = samples.shape[-1]
     stack = samples.reshape(-1, n, n)
@@ -303,12 +343,15 @@ def _fiber_singular_values(samples: np.ndarray) -> np.ndarray:
         return np.abs(stack[:, :, 0])
     if n > 2:
         return np.linalg.svd(stack, compute_uv=False)
-    out = np.empty((stack.shape[0], 2))
-    for start in range(0, stack.shape[0], FIBER_BLOCK):
+    n_fibers = stack.shape[0]
+    out = np.empty((n_fibers, 2)) if out is None else out
+    work = _GramWork(min(n_fibers, FIBER_BLOCK)) if work is None else work
+    for start in range(0, n_fibers, FIBER_BLOCK):
         block = slice(start, start + FIBER_BLOCK)
-        x = stack[block].reshape(-1, 4).T.copy()  # rows a, b, c, d of [[a, b], [c, d]]
+        x = work.x[:, :min(FIBER_BLOCK, n_fibers - start)]
+        np.copyto(x, stack[block].reshape(-1, 4).T)  # rows a, b, c, d of [[a, b], [c, d]]
         with np.errstate(all="ignore"):
-            s1, s2, frob2 = _gram_closed_form(x)
+            s1, s2, frob2 = _gram_closed_form(x, work)
         odd = np.flatnonzero(~((frob2 >= _FIBER_NORM_LO) & (frob2 <= _FIBER_NORM_HI)))
         if odd.size:
             wild = x[:, odd]

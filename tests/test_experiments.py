@@ -11,7 +11,13 @@ import pytest
 import oplip
 from oplip import experiments, suite
 from oplip.cli import build_parser, main
-from oplip.errors import BadExponentError, GuardViolationError, NoConvergenceError
+from oplip import spectral
+from oplip.errors import (
+    BadExponentError,
+    DomainError,
+    GuardViolationError,
+    NoConvergenceError,
+)
 from oplip.experiments import (
     ExperimentConfig,
     commutator_ratio,
@@ -21,7 +27,12 @@ from oplip.experiments import (
     normal_ratio,
 )
 from oplip.rng import generator
-from oplip.spectral import apply_function, joint_diagonalize, planted_commuting_tuple
+from oplip.spectral import (
+    apply_function,
+    commutator,
+    joint_diagonalize,
+    planted_commuting_tuple,
+)
 from oplip.suite import deleeuw_stability_factor
 
 
@@ -41,6 +52,20 @@ def test_config_validation():
         ExperimentConfig(lipschitz_bound=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(f_name="poly:0,1").resolve_function()  # needs --lipschitz
+
+
+@pytest.mark.parametrize("field", ["seed", "n", "d", "trials"])
+def test_config_refuses_non_integral_counts(field):
+    # numpy's draws would raise a bare TypeError at the first trial
+    with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+        ExperimentConfig(**{field: 2.5})
+
+
+def test_config_takes_numpy_integers():
+    cfg = ExperimentConfig(seed=np.int64(3), n=np.int32(4), d=np.uint8(2),
+                           trials=np.int64(2))
+    assert commutator_ratio(cfg) == commutator_ratio(
+        ExperimentConfig(seed=3, n=4, d=2, trials=2))
 
 
 def test_commutator_ratio_summary_dominates():
@@ -120,6 +145,68 @@ def test_ratio_streams_match_the_diagonalized_svd_route(seed):
         denom = bound * max(_svd_trace_norm(xa - ya)
                             for xa, ya in zip(x.arrays(), y.arrays()))
         np.testing.assert_allclose(r.ratio, num / denom, rtol=1e-12)
+
+
+def _original_basis_trial(cfg, t):
+    """(numerator, denominator) of commutator trial t built literally: the
+    planted tuple, f(A) through the planted basis, `commutator` and SVD norms."""
+    f, bound = cfg.resolve_function()
+    rng = generator(cfg.seed, 1, t)
+    tup, basis, lambdas = planted_commuting_tuple(cfg.n, cfg.d, "uniform",
+                                                  seed=int(rng.integers(2**63)))
+    z = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
+    b = (z + z.conj().T) / 2.0
+    fa = (basis * f(lambdas)) @ basis.conj().T
+    denom = bound * max(_svd_trace_norm(commutator(a, b)) for a in tup.arrays())
+    return _svd_weak_l1(commutator(fa, b)), denom
+
+
+@pytest.mark.parametrize("f_name", ["identity", "euclid-norm", "max-abs"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_commutator_ratio_matches_the_original_basis(n, d, f_name):
+    # the stream measures Schur products in the plant's basis; the reference
+    # forms every commutator in the basis the tuple is drawn in
+    cfg = ExperimentConfig(seed=10 * n + d, n=n, d=d, trials=3, f_name=f_name)
+    records = commutator_ratio(cfg)
+    for r in records[:-1]:
+        num, denom = _original_basis_trial(cfg, r.instance)
+        if n == 1:  # scalars commute: every trial is skipped
+            assert denom == 0.0 and r.kind == "skipped"
+            continue
+        assert r.kind == "trial"
+        np.testing.assert_allclose([r.numerator, r.denominator, r.ratio],
+                                   [num, denom, num / denom], rtol=1e-12)
+    assert summary(records).skipped == (3 if n == 1 else 0)
+
+
+def test_commutator_ratio_schur_products_are_bitwise_skew_hermitian(monkeypatch):
+    # so every norm of the stream takes the eigvalsh route of singular_values
+    seen = []
+    for name in ("matrix_trace_norm", "matrix_weak_l1"):
+        norm = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda x, norm=norm: seen.append(x) or norm(x))
+    commutator_ratio(ExperimentConfig(seed=2, n=9, d=3, trials=2, f_name="crease"))
+    assert len(seen) == 2 * (3 + 1)
+    for x in seen:
+        assert np.array_equal(x, -x.conj().T)
+
+
+def test_commutator_ratio_builds_no_tuple(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the commutator stream built a CommutingTuple")
+
+    monkeypatch.setattr(spectral.CommutingTuple, "__post_init__", refuse)
+    records = commutator_ratio(ExperimentConfig(seed=4, n=6, d=2, trials=2))
+    assert summary(records).skipped == 0
+
+
+def test_commutator_ratio_refuses_a_non_unitary_basis(monkeypatch):
+    haar = spectral.haar_unitary
+    monkeypatch.setattr(spectral, "haar_unitary", lambda n, rng: 1.001 * haar(n, rng))
+    with pytest.raises(DomainError, match="not unitary"):
+        commutator_ratio(ExperimentConfig(seed=4, n=6, d=2, trials=1))
 
 
 def test_doi_ratio_per_k0_and_bound():
@@ -254,6 +341,16 @@ def test_cli_unknown_function_exits_2(capsys):
     ["ratio-commutator", "--seed", "-1"],
     ["deleeuw-sweep", "--seed", "-1"],
     ["transference-check", "--seed", "-1"],
+    # a trial that is not finite: an overflowing denominator would write "inf",
+    # an overflowing f_i - f_j would warn from numpy first
+    ["ratio-commutator", "--f", "identity", "--lipschitz", "1e308", "--n", "8",
+     "--trials", "1"],
+    ["ratio-commutator", "--f", "poly:0,1.5e308", "--lipschitz", "1.5e308", "--n", "8",
+     "--trials", "1"],
+    ["ratio-difference", "--lipschitz", "1e308", "--trials", "1"],
+    ["ratio-doi", "--lipschitz", "1e308", "--trials", "1"],
+    ["ratio-lp", "--lipschitz", "1e308", "--trials", "1"],
+    ["ratio-normal", "--lipschitz", "1e308", "--trials", "1"],
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
 def test_cli_domain_errors_exit_2(argv, capsys):

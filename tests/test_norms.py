@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplip.errors import BadExponentError, DomainError, NonFiniteError
+from oplip.errors import BadExponentError, DimMismatchError, DomainError, NonFiniteError
 from oplip.norms import (
     SingularValueProfile,
     matrix_trace_norm,
@@ -31,6 +31,14 @@ def test_singular_values_antisymmetric():
     # X*X = 4I, so both singular values are 2
     p = singular_values(np.array([[0.0, 2.0], [-2.0, 0.0]]))
     np.testing.assert_allclose(p.values, [2.0, 2.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3,), ()])
+def test_singular_values_refuse_a_non_matrix(shape):
+    # the SVD would batch over a leading axis and the profile flatten the batch
+    for norm in (singular_values, matrix_trace_norm, matrix_weak_l1):
+        with pytest.raises(DimMismatchError, match="expected a matrix"):
+            norm(np.ones(shape))
 
 
 def _normal_and_general_matrices():

@@ -410,8 +410,17 @@ def test_planted_tuple_refuses_a_negative_seed_and_takes_numpy_integers():
     a = planted_commuting_tuple(4, 2, seed=np.int64(7))[0]
     b = planted_commuting_tuple(4, 2, seed=np.uint32(7))[0]
     c = planted_commuting_tuple(4, 2, seed=7)[0]
-    for ma, mb, mc in zip(a.arrays(), b.arrays(), c.arrays()):
-        assert np.array_equal(ma, mc) and np.array_equal(mb, mc)
+    e = planted_commuting_tuple(np.int64(4), np.uint8(2), seed=7)[0]
+    for ma, mb, mc, me in zip(a.arrays(), b.arrays(), c.arrays(), e.arrays()):
+        assert np.array_equal(ma, mc) and np.array_equal(mb, mc) and np.array_equal(me, mc)
+
+
+@pytest.mark.parametrize("n, d", [(2.5, 1), (4, 1.5), (0, 1), (4, 0)])
+def test_planted_tuple_refuses_bad_sizes_before_any_draw(n, d, monkeypatch):
+    # a float n or d would reach numpy's draws as a bare TypeError
+    monkeypatch.setattr(spectral, "generator", lambda *a: pytest.fail("drew"))
+    with pytest.raises(DomainError, match="^[nd] must be"):
+        planted_commuting_tuple(n, d)
 
 
 def test_random_tuple_determinism_and_laws():

@@ -2,6 +2,7 @@ import importlib
 import math
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,64 @@ def test_deleeuw_nested_grids_match_the_per_grid_route(d, sizes):
                 assert g_ratios == w_ratios
             np.testing.assert_allclose(list(g_ratios.values()), list(w_ratios.values()),
                                        rtol=1e-14, atol=0.0)
+
+
+def test_root_grid_work_weak_l1_is_the_profile_weak_l1_bitwise():
+    rng = np.random.default_rng(7)
+    work = suite._RootGridWork(64)
+    for size in (1, 2, 37, 128):
+        values = np.abs(rng.standard_normal(size))
+        values[::5] = 0.0
+        values[1::7] = values[0]  # ties
+        cell = rng.uniform(0.01, 2.0)
+        assert work.weak_l1(values, cell) == weak_l1(SingularValueProfile(values, cell))
+    for bad in (np.array([1.0, -0.5]), np.array([np.nan, 1.0])):
+        with pytest.raises(DomainError):
+            work.weak_l1(bad, 1.0)
+
+
+def test_deleeuw_calls_reuse_the_kept_root_grid_work():
+    # one signal at N = 128, D = 2 samples 1 MB of complex values; a later call
+    # on the same root grid samples and reduces it in the kept rows, so it
+    # traces no more than the small per-size copies (the fresh route: 2.2 MB)
+    vars(suite._kept).clear()
+    first = deleeuw_ratios(5, sizes=(32, 64, 128), signals=1)
+    kept = suite._kept.work
+    tracemalloc.start()
+    try:
+        again = deleeuw_ratios(5, sizes=(32, 64, 128), signals=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert suite._kept.work is kept
+    assert peak < 512 * 2**10
+
+
+def test_deleeuw_threads_keep_their_own_root_grid_work():
+    want = {seed: deleeuw_ratios(seed, sizes=(32, 64), signals=1) for seed in range(4)}
+    got, works = {}, {}
+
+    def run(seed):
+        got[seed] = [deleeuw_ratios(seed, sizes=(32, 64), signals=1) for _ in range(5)]
+        works[seed] = suite._kept.work
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert got == {seed: [ratios] * 5 for seed, ratios in want.items()}
+    assert len({id(work) for work in works.values()} | {id(suite._kept.work)}) == 5
+
+
+def test_deleeuw_root_grid_past_the_kept_size_is_not_kept(monkeypatch):
+    want = deleeuw_ratios(2, sizes=(16, 32), signals=2)
+    vars(suite._kept).clear()
+    monkeypatch.setattr(suite, "KEPT_ROOT_FIBERS", 32**2 - 1)
+    assert deleeuw_ratios(2, sizes=(16, 32), signals=2) == want
+    assert not hasattr(suite._kept, "work")
 
 
 def test_deleeuw_ratios_refuse_d_below_one_by_name():

@@ -15,6 +15,7 @@ from oplip.torus import (
     HomogeneousSymbol,
     TorusSignal,
     _fiber_singular_values,
+    _GramWork,
     _trig_polynomial,
     coefficients,
     fejer,
@@ -398,6 +399,23 @@ def test_fiber_singular_values_memory_bounded():
     assert peak < 8 * 2**20
     edge = slice(FIBER_BLOCK - 3, FIBER_BLOCK + 3)  # across a block boundary
     np.testing.assert_array_equal(got[edge], _fiber_singular_values(stack[edge]))
+
+
+def test_fiber_singular_values_write_into_given_rows():
+    # across a block boundary, with fibers that take the scaled route: the values
+    # land in ``out``, bitwise the fresh-buffer ones, and a reused work row set
+    # carries nothing from one call to the next
+    rng = np.random.default_rng(46)
+    shape = (FIBER_BLOCK + 5, 2, 2)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[[0, FIBER_BLOCK + 1]] *= 2.0**600
+    stack[FIBER_BLOCK - 1] = 0.0
+    want = _fiber_singular_values(stack)
+    out, work = np.empty((len(stack), 2)), _GramWork(FIBER_BLOCK)
+    for _ in range(2):
+        assert _fiber_singular_values(stack, out=out, work=work) is out
+        np.testing.assert_array_equal(out, want)
+    assert not np.shares_memory(_fiber_singular_values(stack[:3], work=work), work.real)
 
 
 def test_plancherel():
