@@ -98,12 +98,21 @@ def symbol_product(a: Symbol, b: Symbol) -> Symbol:
 
 def symbol_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
     """out[i, j] = xi(l_i, l_j); a symmetric symbol must give a Hermitian matrix."""
-    if xi.d != js.d:
+    return _symbol_table(js.eigenvalues, xi)
+
+
+def _symbol_table(rows: np.ndarray, xi: Symbol) -> np.ndarray:
+    """:func:`symbol_matrix` on an n x d eigenvalue table ``rows``.
+
+    In the basis U of the table, T_xi(V) is U (out o U*VU) U*, so a caller
+    that holds (U, rows) measures any unitarily invariant norm of it on
+    out o U*VU; with U = I that is the Schur product out o V.
+    """
+    n, d = rows.shape
+    if xi.d != d:
         raise DimMismatchError(
-            f"symbol dimension {xi.d} does not match spectrum dimension {js.d}"
+            f"symbol dimension {xi.d} does not match spectrum dimension {d}"
         )
-    rows = js.eigenvalues
-    n = rows.shape[0]
     out = np.empty((n, n), dtype=complex)
     out[...] = xi.func(rows[:, None, :], rows[None, :, :])
     if xi.symmetric:

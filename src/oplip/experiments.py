@@ -6,12 +6,15 @@ holding the maximum observed ratio (an empirical lower bound on the unknown
 dimensional constant -- never an asserted upper bound).  Degenerate trials
 (zero denominator) are emitted as ``skipped`` records and counted in the
 summary.  A trial whose numerator, denominator or ratio is not finite raises
-NonFiniteError.  Every stream takes its joint spectra from the plant's
-draws, with no joint diagonalization; only the difference stream's
-cross-check recovers one with ``joint_diagonalize``.  The commutator stream
-builds no tuple at all: both of its norms are unitarily invariant, so it
-measures in the plant's basis U, where [A_k, B] and [f(A), B] are the Schur
-products of the eigenvalue differences with U*BU.
+NonFiniteError.
+
+Every stream measures from the plant: the basis U and eigenvalue table
+Lambda it draws, U within the unitarity gate of a joint spectrum.  Both
+sides of each inequality are unitarily invariant, so the commutator, doi and
+Schatten-p streams measure Schur products on U*BU or U*VU and build no
+tuple, and f(X) is U diag(f(Lambda)) U*.  Tuples are built only where
+X_k - Y_k is measured (the difference and normal streams), and
+``joint_diagonalize`` runs only in the difference stream's cross-check.
 """
 
 import math
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doi import block_difference_embed, divided_difference_symbol, doi_apply
+from .doi import _symbol_table, block_difference_embed, divided_difference_symbol
 from .errors import (
     BadExponentError,
     DomainError,
@@ -32,8 +35,8 @@ from .norms import matrix_trace_norm, matrix_weak_l1, schatten_norm, singular_va
 from .rng import generator
 from .spectral import (
     HermitianMatrix,
-    JointSpectrum,
     _check_unitary,
+    _frob,
     _plant,
     apply_function,
     commutator,
@@ -130,12 +133,20 @@ def _stream(config, substream, trial):
     return records
 
 
-def _planted(config, rng):
-    """A planted tuple and its joint spectrum, taken from the plant itself."""
+def _gated_plant(config, rng):
+    """The plant's basis U and n x d eigenvalue table, U within the unitarity gate."""
+    basis, lambdas = _plant(config.n, config.d, "uniform", int(rng.integers(2**63)))
+    _check_unitary(basis)
+    return basis, lambdas
+
+
+def _planted_tuple(config, f, rng):
+    """A planted tuple X and f(X) = U diag(f(lambda_i)) U*, U within the unitarity gate."""
     tup, basis, lambdas = planted_commuting_tuple(
         config.n, config.d, "uniform", seed=int(rng.integers(2**63))
     )
-    return tup, JointSpectrum(basis=basis, eigenvalues=lambdas, provenance=tup)
+    _check_unitary(basis)
+    return tup, HermitianMatrix((basis * evaluate_rows(f, lambdas)) @ basis.conj().T).data
 
 
 def _random_matrix(n, rng):
@@ -145,10 +156,6 @@ def _random_matrix(n, rng):
 def _random_hermitian(n, rng):
     z = _random_matrix(n, rng)
     return (z + z.conj().T) / 2.0
-
-
-def _function_difference(x_js, y_js, f):
-    return apply_function(x_js, f).data - apply_function(y_js, f).data
 
 
 def _schur_commutator(values, b):
@@ -174,8 +181,7 @@ def commutator_ratio(config: ExperimentConfig):
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        basis, lambdas = _plant(config.n, config.d, "uniform", int(rng.integers(2**63)))
-        _check_unitary(basis)
+        basis, lambdas = _gated_plant(config, rng)
         b = HermitianMatrix(basis.conj().T @ _random_hermitian(config.n, rng) @ basis).data
         denom = bound * max(
             matrix_trace_norm(_schur_commutator(column, b)) for column in lambdas.T
@@ -189,7 +195,7 @@ def commutator_ratio(config: ExperimentConfig):
 def difference_ratio(config: ExperimentConfig):
     """weak-L1(f(X) - f(Y)) / (L * max_k ||X_k - Y_k||_1), cross-checked.
 
-    f(X) - f(Y) comes from the planted spectra and is checked against the
+    f(X) - f(Y) comes from the plants' (U, Lambda) and is checked against the
     corner block of [f(A), B] for the block embedding, whose spectrum
     ``joint_diagonalize`` recovers independently; a relative residual above
     ``CROSSCHECK_TOL`` raises GuardViolationError.
@@ -197,16 +203,14 @@ def difference_ratio(config: ExperimentConfig):
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        x, x_js = _planted(config, rng)
-        y, y_js = _planted(config, rng)
-        direct = _function_difference(x_js, y_js, f)
+        x, fx = _planted_tuple(config, f, rng)
+        y, fy = _planted_tuple(config, f, rng)
+        direct = fx - fy
         embedded, b = block_difference_embed(x, y)
         corner = commutator(apply_function(joint_diagonalize(embedded), f), b)[
             : config.n, config.n :
         ]
-        crosscheck = float(
-            np.linalg.norm(direct - corner, "fro") / (1.0 + np.linalg.norm(direct, "fro"))
-        )
+        crosscheck = _frob(direct - corner) / (1.0 + _frob(direct))
         if crosscheck > CROSSCHECK_TOL:
             raise GuardViolationError(
                 f"block-embedding cross-check failed at trial {t}: {crosscheck:.3e}"
@@ -220,15 +224,20 @@ def difference_ratio(config: ExperimentConfig):
 
 
 def _symbol_trial(config, f, numerator, denominator):
-    """Trial giving ``(k0, numerator(T_{f_k0}(V)), denominator(V))`` per k0."""
+    """Trial giving ``(k0, numerator(T_{f_k0}(V)), denominator(V))`` per k0.
+
+    The numerator is unitarily invariant, so it is measured on
+    f_k0 o U*VU in the plant's basis U, with no tuple.
+    """
 
     def trial(t, rng):
-        _, js = _planted(config, rng)
+        basis, lambdas = _gated_plant(config, rng)
         v = _random_matrix(config.n, rng)
         denom = denominator(v)
+        w = basis.conj().T @ v @ basis
         return [
-            (k0, numerator(doi_apply(js, divided_difference_symbol(f, k0, config.d), v)),
-             denom)
+            (k0, numerator(_symbol_table(lambdas, divided_difference_symbol(f, k0, config.d))
+                           * w), denom)
             for k0 in range(1, config.d + 1)
         ]
 
@@ -266,12 +275,12 @@ def normal_ratio(config: ExperimentConfig):
     f, bound = config.resolve_function()
 
     def trial(t, rng):
-        x, x_js = _planted(config, rng)
-        y, y_js = _planted(config, rng)
+        x, fx = _planted_tuple(config, f, rng)
+        y, fy = _planted_tuple(config, f, rng)
         normal_diff = (x.arrays()[0] - y.arrays()[0]) + 1j * (
             x.arrays()[1] - y.arrays()[1]
         )
         denom = bound * matrix_trace_norm(normal_diff)
-        return [(0, matrix_weak_l1(_function_difference(x_js, y_js, f)), denom)]
+        return [(0, matrix_weak_l1(fx - fy), denom)]
 
     return _stream(config, 5, trial)

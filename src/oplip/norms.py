@@ -101,11 +101,15 @@ def schatten_norm(profile: SingularValueProfile, q) -> float:
 
 
 def weak_l1(profile: SingularValueProfile) -> float:
-    """sup_t t*mu(t) = cell * max_k k*s_k, attained at a step's right end."""
+    """sup_t t*mu(t) = cell * max_k k*s_k, attained at a step's right end.
+
+    A k*s_k past the float range reads inf, with no warning.
+    """
     if profile.values.size == 0:
         return 0.0
     steps = np.arange(1.0, profile.values.size + 1.0)
-    steps *= profile.values
+    with np.errstate(over="ignore"):
+        steps *= profile.values
     return profile.cell * float(np.max(steps))
 
 

