@@ -32,12 +32,14 @@ from .doi import (
     Symbol,
     block_difference_embed,
     divided_difference_symbol,
+    divided_differences,
     doi_apply,
     doi_l2_norm,
     doi_operator_matrix,
     perturbation_residual,
     symbol_product,
     symbol_product_check,
+    symbol_table,
 )
 from .norms import (
     SingularValueProfile,

@@ -7,10 +7,10 @@ For a commuting tuple with joint spectrum (U, Lambda), the map
 multiplies matrix entries of V, expressed in the joint eigenbasis, by the
 symbol evaluated at eigenvalue row pairs, all n^2 of them in one broadcasting
 call on rows[:, None] and rows[None, :].  f takes a float table (..., d) (see
-:func:`~oplip.spectral.evaluate_rows`), so a divided-difference symbol calls f
-once per side.  Its 0/0 is 0 on equal rows (-0.0 against 0.0 included) and
-nowhere else; close rows are never merged here (degenerate spectra are the
-joint diagonalization's job).
+:func:`~oplip.spectral.evaluate_rows`), so the divided differences of all d
+coordinates call f once per table.  Their 0/0 is 0 on equal rows (-0.0
+against 0.0 included) and nowhere else; close rows are never merged here
+(degenerate spectra are the joint diagonalization's job).
 """
 
 from dataclasses import dataclass
@@ -54,36 +54,63 @@ def _moderate(*tables) -> bool:
             and np.maximum.reduce(np.abs(c), initial=0.0) < 2.0**501)
 
 
-def _quotient(df, diff, k: int):
+def _quotient(df, diff, k=None):
+    """df (lam_k - mu_k) / |lam - mu|^2 from diff = lam - mu, exactly 0 where
+    lam == mu: at coordinate k, or for every k stacked on a new leading axis."""
     denom = np.sum(diff * diff, axis=-1)
     zero = denom == 0.0
-    return np.where(zero, 0.0, df * diff[..., k - 1] / np.where(zero, 1.0, denom))
+    num = np.ascontiguousarray(np.moveaxis(diff, -1, 0)) if k is None else diff[..., k - 1]
+    return np.where(zero, 0.0, df * num / np.where(zero, 1.0, denom))
+
+
+def _divided(fl, fm, lam, mu, k=None):
+    """:func:`_quotient` of fl - fm over the broadcast pairs (lam, mu).
+
+    Unless all rows and f values are :func:`_moderate`, each pair is first
+    scaled by the power of two s with max |diff/s| in [1/2, 1), which is
+    exact and serves every k; a value that is not finite then raises
+    NonFiniteError.
+    """
+    if _moderate(lam, mu, fl, fm):
+        return _quotient(fl - fm, lam - mu, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = lam - mu
+        e = _binary_exponents(diff)
+        out = _quotient(np.ldexp(fl - fm, -e), np.ldexp(diff, -e[..., np.newaxis]), k)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("divided difference is not finite")
+    return out
 
 
 def divided_difference_symbol(f, k: int, d: int) -> Symbol:
     """The symbol f_k(lambda, mu) = (f(lambda)-f(mu)) (lambda_k-mu_k) / |lambda-mu|^2.
 
-    f is called once on each argument's table; exactly 0 where lambda == mu.
-    Unless all rows and f values are :func:`_moderate`, each pair is first
-    scaled by the power of two s with max |diff/s| in [1/2, 1), which is
-    exact; a value that is not finite then raises NonFiniteError.
+    f is called once on each argument's table; exactly 0 where lambda == mu,
+    and scale-safe as :func:`_divided` describes.
     """
     if not 1 <= k <= d:
         raise DomainError(f"coordinate index {k} outside 1..{d}")
 
     def fk(lam, mu):
-        fl, fm = evaluate_rows(f, lam), evaluate_rows(f, mu)
-        if _moderate(lam, mu, fl, fm):
-            return _quotient(fl - fm, lam - mu, k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = lam - mu
-            e = _binary_exponents(diff)
-            out = _quotient(np.ldexp(fl - fm, -e), np.ldexp(diff, -e[..., np.newaxis]), k)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError("divided difference is not finite")
-        return out
+        return _divided(evaluate_rows(f, lam), evaluate_rows(f, mu), lam, mu, k)
 
     return Symbol(d=d, func=fk, symmetric=True)
+
+
+def divided_differences(rows, f) -> np.ndarray:
+    """The real (d, n, n) stack T[k-1, i, j] = f_k(l_i, l_j) on an n x d table ``rows``.
+
+    One call of f, one difference table and one scale decision serve every
+    k, with the arithmetic of :func:`divided_difference_symbol`, so each
+    T[k-1] equals that symbol's table bitwise.  T[k-1] is symmetric, bitwise
+    up to the sign of a zero: swapping i and j negates both differences, and
+    negation is exact.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise DimMismatchError(f"expected an n x d table, got shape {rows.shape}")
+    values = evaluate_rows(f, rows)
+    return _divided(values[:, None], values[None, :], rows[:, None, :], rows[None, :, :])
 
 
 def symbol_product(a: Symbol, b: Symbol) -> Symbol:
@@ -98,23 +125,26 @@ def symbol_product(a: Symbol, b: Symbol) -> Symbol:
 
 def symbol_matrix(js: JointSpectrum, xi: Symbol) -> np.ndarray:
     """out[i, j] = xi(l_i, l_j); a symmetric symbol must give a Hermitian matrix."""
-    return _symbol_table(js.eigenvalues, xi)
+    return symbol_table(js.eigenvalues, xi)
 
 
-def _symbol_table(rows: np.ndarray, xi: Symbol) -> np.ndarray:
+def symbol_table(rows: np.ndarray, xi: Symbol) -> np.ndarray:
     """:func:`symbol_matrix` on an n x d eigenvalue table ``rows``.
 
     In the basis U of the table, T_xi(V) is U (out o U*VU) U*, so a caller
     that holds (U, rows) measures any unitarily invariant norm of it on
-    out o U*VU; with U = I that is the Schur product out o V.
+    out o U*VU; with U = I that is the Schur product out o V.  A real-valued
+    symbol gives a real table.
     """
+    rows = np.asarray(rows, dtype=float)
     n, d = rows.shape
     if xi.d != d:
         raise DimMismatchError(
             f"symbol dimension {xi.d} does not match spectrum dimension {d}"
         )
-    out = np.empty((n, n), dtype=complex)
-    out[...] = xi.func(rows[:, None, :], rows[None, :, :])
+    vals = np.asarray(xi.func(rows[:, None, :], rows[None, :, :]))
+    out = np.empty((n, n), dtype=complex if np.iscomplexobj(vals) else float)
+    out[...] = vals
     if xi.symmetric:
         dev = np.abs(out - out.conj().T)
         bad = np.argwhere(~(dev <= SYMMETRY_TOL * (1.0 + np.abs(out))))
@@ -170,21 +200,20 @@ def perturbation_residual(js: JointSpectrum, f, grad_bound: float, b):
     """Residual of sum_k T_{f_k}([A_k, B]) against [f(A), B].
 
     Returns (lhs, rhs, residual) with residual = ||lhs - rhs||_F / (1 + ||lhs||_F).
-    The realized divided-difference values are checked against the supplied
-    gradient bound; exceeding it means the caller's Lipschitz constant is wrong.
+    One stack of :func:`divided_differences` serves every k.  The realized
+    divided-difference values are checked against the supplied gradient
+    bound; exceeding it means the caller's Lipschitz constant is wrong.
     """
     b = as_matrix(b)
-    n, d = js.dim, js.d
+    n = js.dim
     if b.shape != (n, n):
         raise DimMismatchError(f"expected a {n}x{n} matrix, got {b.shape}")
     lhs = commutator(apply_function(js, f), b)
     rhs = np.zeros_like(lhs)
-    arrays = js.provenance.arrays()
-    worst = 0.0
-    for k in range(1, d + 1):
-        xi_mat = symbol_matrix(js, divided_difference_symbol(f, k, d))
-        worst = max(worst, float(np.max(np.abs(xi_mat))))
-        rhs += _schur_step(js, xi_mat, commutator(arrays[k - 1], b))
+    table = divided_differences(js.eigenvalues, f)
+    for tk, ak in zip(table, js.provenance.arrays()):
+        rhs += _schur_step(js, tk, commutator(ak, b))
+    worst = float(np.max(np.abs(table)))
     if grad_bound is not None and worst > grad_bound * (1.0 + 1e-6):
         raise GuardViolationError(
             f"divided difference reached {worst:.6g}, above the supplied "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doi import _symbol_table, block_difference_embed, divided_difference_symbol
+from .doi import block_difference_embed, divided_differences
 from .errors import (
     BadExponentError,
     DomainError,
@@ -227,7 +227,8 @@ def _symbol_trial(config, f, numerator, denominator):
     """Trial giving ``(k0, numerator(T_{f_k0}(V)), denominator(V))`` per k0.
 
     The numerator is unitarily invariant, so it is measured on
-    f_k0 o U*VU in the plant's basis U, with no tuple.
+    f_k0 o U*VU in the plant's basis U, with no tuple; one stack of
+    divided differences serves every k0.
     """
 
     def trial(t, rng):
@@ -235,11 +236,8 @@ def _symbol_trial(config, f, numerator, denominator):
         v = _random_matrix(config.n, rng)
         denom = denominator(v)
         w = basis.conj().T @ v @ basis
-        return [
-            (k0, numerator(_symbol_table(lambdas, divided_difference_symbol(f, k0, config.d))
-                           * w), denom)
-            for k0 in range(1, config.d + 1)
-        ]
+        table = divided_differences(lambdas, f)
+        return [(k0, numerator(tk * w), denom) for k0, tk in enumerate(table, 1)]
 
     return trial
 

@@ -6,6 +6,7 @@ Plain matrices have cell 1; grid signals have the grid's cell volume, so the
 same profile arithmetic serves both.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +92,23 @@ def mu_at(profile: SingularValueProfile, t: float) -> float:
 
 
 def schatten_norm(profile: SingularValueProfile, q) -> float:
-    """(cell * sum_k s_k^q)^(1/q); max value for q = inf."""
+    """(cell * sum_k s_k^q)^(1/q); max value for q = inf.
+
+    The values are divided by s_1 first unless s_1 is 0 or s_1^q lies in
+    [2^-900, 2^960]: there no power overflows and none that matters
+    underflows, so the plain sum serves.  A norm past the float range reads
+    inf, with no warning.
+    """
+    top = float(profile.values[0]) if profile.values.size else 0.0
     if q == np.inf:
-        return float(profile.values[0]) if profile.values.size else 0.0
+        return top
     q = float(q)
     if not q >= 1:
         raise BadExponentError(f"exponent must be >= 1 or inf, got {q}")
-    return float((profile.cell * np.sum(profile.values**q)) ** (1.0 / q))
+    e = math.frexp(top)[1]  # top in [2^(e-1), 2^e)
+    if top == 0.0 or (-900 <= q * (e - 1) and q * e <= 960):
+        return float((profile.cell * np.sum(profile.values**q)) ** (1.0 / q))
+    return top * float((profile.cell * np.sum((profile.values / top) ** q)) ** (1.0 / q))
 
 
 def weak_l1(profile: SingularValueProfile) -> float:

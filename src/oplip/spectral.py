@@ -34,8 +34,10 @@ _FROB_LO = 2.0**-450  # a smaller plain root of the sum of squares may have lost
 MAX_TUPLE_ENTRIES = 2**21
 MAX_TUPLE_D = 256
 
-# Fixed substream for the generic linear combination inside joint_diagonalize.
+# Fixed substream for the generic linear combination inside joint_diagonalize;
+# a d-tuple takes the first d coefficients, which equal standard_normal(d) bitwise.
 _COMBO_STREAM = 0x6F704C4A
+_COMBO = generator(_COMBO_STREAM).standard_normal(MAX_TUPLE_D)
 
 
 def as_matrix(x) -> np.ndarray:
@@ -111,7 +113,7 @@ class HermitianMatrix:
 
 @dataclass
 class CommutingTuple:
-    """d Hermitian matrices of equal dimension, pairwise commuting."""
+    """d Hermitian matrices of equal dimension, pairwise commuting, 1 <= d <= ``MAX_TUPLE_D``."""
 
     matrices: list
 
@@ -120,8 +122,9 @@ class CommutingTuple:
             m if isinstance(m, HermitianMatrix) else HermitianMatrix(m)
             for m in self.matrices
         ]
-        if not self.matrices:
-            raise DomainError("tuple must contain at least one matrix")
+        if not 1 <= len(self.matrices) <= MAX_TUPLE_D:
+            raise DomainError(f"tuple must contain 1..{MAX_TUPLE_D} matrices, "
+                              f"got {len(self.matrices)}")
         dims = {m.dim for m in self.matrices}
         if len(dims) != 1:
             raise DimMismatchError(f"matrices have mixed dimensions {sorted(dims)}")
@@ -246,9 +249,7 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     arrays, norms, scales = zip(*(_unit_scaled(a) for a in tup.arrays()))
     n, d = tup.dim, tup.d
 
-    rng = generator(_COMBO_STREAM)
-    coeffs = rng.standard_normal(d)
-    combo = sum(c * a for c, a in zip(coeffs, arrays))
+    combo = sum(c * a for c, a in zip(_COMBO, arrays))
     vals, U = np.linalg.eigh(combo)
     rotated = [U.conj().T @ a @ U for a in arrays]
 

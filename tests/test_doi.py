@@ -3,18 +3,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oplip import doi
 from oplip.doi import (
     Symbol,
     block_difference_embed,
     divided_difference_symbol,
+    divided_differences,
     doi_apply,
     doi_l2_norm,
     doi_operator_matrix,
     perturbation_residual,
     symbol_matrix,
     symbol_product_check,
+    symbol_table,
 )
 from oplip.errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
 from oplip.functions import builtin_function, experiment_function_names
@@ -22,6 +27,7 @@ from oplip.norms import singular_values
 from oplip.spectral import (
     CommutingTuple,
     JointSpectrum,
+    apply_function,
     commutator,
     joint_diagonalize,
     planted_commuting_tuple,
@@ -273,8 +279,6 @@ def test_block_embed_scalar_identity_case():
     y = CommutingTuple([np.array([[0.0]])])
     embedded, b = block_difference_embed(x, y)
     js = joint_diagonalize(embedded)
-    from oplip.spectral import apply_function
-
     fa = apply_function(js, lambda lam: lam[..., 0]).data
     np.testing.assert_allclose(commutator(fa, b), [[0.0, 2.0], [-2.0, 0.0]],
                                atol=1e-12)
@@ -417,3 +421,125 @@ def test_symbol_product_check():
     # float-exact here
     assert symbol_product_check(js, one, fk, v) <= 1e-13
     assert symbol_product_check(js, fk, fk, v) <= 1e-12
+
+
+def _symbol_tables(rows, f):
+    """Every f_k table through its own divided-difference symbol."""
+    d = rows.shape[1]
+    return [divided_difference_symbol(f, k, d).func(rows[:, None], rows[None])
+            for k in range(1, d + 1)]
+
+
+def _scale_safe_rows():
+    # the rows of test_divided_difference_scale_safe
+    for s in (1e-170, 1.0, 1e150, 1e160):
+        yield [[3.0 * s], [s]]
+        yield [[s], [-s]]
+
+
+_STACK_CASES = [
+    ("moderate", np.random.default_rng(65).uniform(-3.0, 3.0, (9, 2)), "crease"),
+    ("moderate-d3", np.random.default_rng(66).uniform(-1.0, 1.0, (7, 3)), "euclid-norm"),
+    ("beside-an-extreme-row",
+     np.vstack([np.random.default_rng(65).uniform(-3.0, 3.0, (9, 2)), [[1e-300, 1e-300]]]),
+     "max-abs"),
+    *((f"scaled-{i}", np.array(r), "identity") for i, r in enumerate(_scale_safe_rows())),
+    ("integer-1", planted_commuting_tuple(12, 2, "integer:1", seed=64)[2], "crease"),
+    ("signed-zeros", np.array([[-0.0, 1.0], [0.0, 1.0], [2.0, 1.0], [0.0, 1.0]]), "abs"),
+]
+
+
+@pytest.mark.parametrize("rows, name", [c[1:] for c in _STACK_CASES],
+                         ids=[c[0] for c in _STACK_CASES])
+def test_divided_differences_equal_the_symbols_bitwise(rows, name):
+    f = builtin_function(name, rows.shape[1])
+    stack = divided_differences(rows, f)
+    assert stack.shape == (rows.shape[1], len(rows), len(rows)) and stack.dtype == float
+    for tk, want in zip(stack, _symbol_tables(rows, f)):
+        assert tk.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_divided_differences_on_signed_zeros_and_huge_jumps():
+    # 0/0 is 0 on equal rows, -0.0 against 0.0 included, in the scaled path
+    jump = lambda lam: np.copysign(1e200, lam[..., 0])
+    rows = np.array([[-0.0, 1.0], [0.0, 1.0], [2.0, 1.0]])
+    stack = divided_differences(rows, jump)
+    for tk, want in zip(stack, _symbol_tables(rows, jump)):
+        assert tk.tobytes() == want.tobytes()
+    assert np.all(stack[:, :2, :2] == 0.0) and stack[0, 2, 0] == 1e200
+    # rows 1e-200 apart with a jump of 2e200 give 2e400: refused on both routes
+    rows = np.array([[1e-200, 0.0], [-0.0, 0.0]])
+    with pytest.raises(NonFiniteError):
+        divided_differences(rows, jump)
+    with pytest.raises(NonFiniteError):
+        _symbol_tables(rows, jump)
+
+
+@pytest.mark.parametrize("rows", [np.random.default_rng(67).uniform(-1.0, 1.0, (8, 3)),
+                                  np.array([[1e300, 0.0], [-1e300, 1.0], [0.0, 0.0]])],
+                         ids=["moderate", "scaled"])
+def test_divided_differences_call_f_once(rows):
+    calls = []
+
+    def counting(lam):
+        calls.append(lam.shape)
+        return lam[..., 0]
+
+    divided_differences(rows, counting)
+    assert calls == [rows.shape]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(lambda d: hnp.arrays(
+           float, st.tuples(st.integers(1, 8), st.just(d)),
+           elements=st.floats(-1e300, 1e300, allow_subnormal=True))),
+       name=st.sampled_from(["identity", "abs", "max-abs", "crease"]))
+def test_divided_differences_are_symmetric(rows, name):
+    try:
+        stack = divided_differences(rows, builtin_function(name, rows.shape[1]))
+    except NonFiniteError:
+        return  # a quotient past the float range is refused on every route
+    swapped = stack.transpose(0, 2, 1)
+    assert np.array_equal(stack, swapped)
+    assert np.abs(stack).tobytes() == np.abs(np.ascontiguousarray(swapped)).tobytes()
+
+
+def _perturbation_by_symbols(js, f, b):
+    """perturbation_residual's lhs, rhs, worst and residual, one complex symbol matrix per k."""
+    U = js.basis
+    lhs = commutator(apply_function(js, f), b)
+    rhs = np.zeros_like(lhs)
+    worst = 0.0
+    for k, a in enumerate(js.provenance.arrays(), 1):
+        xi = symbol_matrix(js, divided_difference_symbol(f, k, js.d)).astype(complex)
+        worst = max(worst, float(np.max(np.abs(xi))))
+        rhs += U @ (xi * (U.conj().T @ commutator(a, b) @ U)) @ U.conj().T
+    residual = float(np.linalg.norm(lhs - rhs, "fro") / (1.0 + np.linalg.norm(lhs, "fro")))
+    return lhs, rhs, worst, residual
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_perturbation_residual_matches_the_per_k_symbols_bitwise(seed):
+    rng = np.random.default_rng(300 + seed)
+    n, d = int(rng.integers(2, 17)), int(rng.integers(1, 4))
+    js = joint_diagonalize(planted_commuting_tuple(
+        n, d, "integer:2" if seed % 2 else "uniform", seed=300 + seed)[0])
+    b = _hermitian(n, rng)
+    for name in experiment_function_names(d):
+        f = builtin_function(name, d)
+        lhs, rhs, worst, residual = _perturbation_by_symbols(js, f, b)
+        got = perturbation_residual(js, f, worst, b)
+        assert got[0].tobytes() == lhs.tobytes() and got[1].tobytes() == rhs.tobytes()
+        assert got[2] == residual
+        with pytest.raises(GuardViolationError):  # the bound reads the largest |f_k|
+            perturbation_residual(js, f, worst / 1.01, b)
+
+
+def test_symbol_table_keeps_a_real_symbol_real():
+    rows = np.array([[0.0], [1.0], [3.0]])
+    fk = divided_difference_symbol(lambda lam: lam[..., 0] ** 2, 1, 1)
+    table = symbol_table(rows, fk)
+    assert table.dtype == float and np.array_equal(table, [[0, 1, 3], [1, 0, 4], [3, 4, 0]])
+    phase = Symbol(d=1, func=lambda lam, mu: np.exp(1j * (lam[..., 0] - mu[..., 0])),
+                   symmetric=True)
+    assert symbol_table(rows, phase).dtype == complex

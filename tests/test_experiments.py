@@ -313,6 +313,18 @@ def test_cli_ratio_lp_runs_poly_with_lipschitz(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3  # 2 trials + summary
 
 
+def test_cli_ratio_lp_at_scale_1e300_matches_the_unit_scale(capsys):
+    # s^2.5 overflows for the singular values near 1e300 of f_k0 o U*VU
+    assert _run_cli(["ratio-lp", "--f", "poly:0,1e300", "--lipschitz", "1e300", "--n", "4",
+                     "--trials", "1", "--p", "2.5"]) == 0
+    scaled = capsys.readouterr().out
+    assert _run_cli(["ratio-lp", "--f", "identity", "--n", "4", "--trials", "1",
+                     "--p", "2.5"]) == 0
+    unit = capsys.readouterr().out
+    got, want = (re.search(r'"ratio": ([^,]+)', out).group(1) for out in (scaled, unit))
+    np.testing.assert_allclose(float(got), float(want), rtol=1e-12)
+
+
 def test_normal_ratio():
     records = normal_ratio(ExperimentConfig(seed=9, n=4, trials=10,
                                             f_name="euclid-norm"))

@@ -131,6 +131,21 @@ def test_schatten_norms():
         schatten_norm(p, 0.5)
 
 
+@pytest.mark.parametrize("q", [1, 2, 2.5, 10])
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e-20, 1e20, 1e130, 1e300])
+def test_schatten_norm_is_scale_safe(c, q):
+    # s^q under- or overflows at these scales although the norm is in range
+    p = SingularValueProfile([3.0, 1.0, 0.5, 0.0], 0.5)
+    np.testing.assert_allclose(schatten_norm(p.scaled(c), q), c * schatten_norm(p, q),
+                               rtol=1e-14)
+
+
+def test_schatten_norm_past_the_float_range_reads_inf():
+    assert schatten_norm(SingularValueProfile([1.5e308, 1.5e308]), 1) == np.inf
+    assert schatten_norm(SingularValueProfile([1.5e308, 1.5e308]), 2.5) == np.inf
+    assert schatten_norm(SingularValueProfile([0.0, 0.0]), 2.5) == 0.0
+
+
 def test_weak_l1_examples():
     assert weak_l1(SingularValueProfile([3.0, 1.0, 0.5])) == 3.0
     assert weak_l1(singular_values(np.eye(2))) == 2.0

@@ -446,8 +446,9 @@ def test_random_tuple_determinism_and_laws():
     lambda: planted_commuting_tuple(1449, 1, "uniform", seed=0),
     lambda: planted_commuting_tuple(1, 257, "uniform", seed=0),
     lambda: discretize_tuple(joint_diagonalize(CommutingTuple([np.diag([0.5])])), 0),
+    lambda: CommutingTuple([np.eye(2)] * 257),
 ], ids=["non-hermitian", "empty-tuple", "n-zero", "d-zero", "n-too-large", "d-too-large",
-        "refinement-zero"])
+        "refinement-zero", "tuple-too-long"])
 def test_input_checks_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()
@@ -472,3 +473,14 @@ def test_discretize_integer_spectra_scale():
         out = discretize_tuple(js, n)
         np.testing.assert_allclose(out.arrays()[0], n * np.diag([2.0, -3.0, 0.0]),
                                    atol=1e-9 * n)
+
+
+def test_joint_diagonalize_draws_no_generator(monkeypatch):
+    # the generic combination is the prefix of one fixed draw, taken at import
+    tup = planted_commuting_tuple(6, 3, "integer:1", seed=8)[0]
+    want = joint_diagonalize(tup)
+    assert np.array_equal(spectral._COMBO[:3], generator(spectral._COMBO_STREAM).standard_normal(3))
+    monkeypatch.setattr(spectral, "generator", lambda *a: pytest.fail("drew"))
+    got = joint_diagonalize(tup)
+    assert np.array_equal(got.basis, want.basis)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
