@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -293,8 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except OplipError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # As the Python docs advise: stdout goes to devnull, so the flush at exit is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed before all output was written",
+              file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ double as CLI identifiers:
 import numpy as np
 
 from .errors import DomainError
-from .spectral import MAX_TUPLE_D
+from .spectral import MAX_TUPLE_D, row_max_abs
 
 
 class BuiltinFunction:
@@ -57,11 +57,11 @@ def builtin_function(name: str, d: int) -> BuiltinFunction:
     if name == "euclid-norm":
         return BuiltinFunction(name, lambda lam: np.sqrt(_dot(lam, lam)), 1.0)
     if name == "max-abs":
-        return BuiltinFunction(name, lambda lam: np.max(np.abs(lam), axis=-1), 1.0)
+        return BuiltinFunction(name, row_max_abs, 1.0)
     if name == "max-abs-scaled":
         root = float(np.sqrt(d))
         return BuiltinFunction(
-            name, lambda lam: np.max(np.abs(lam), axis=-1) / root, 1.0 / root
+            name, lambda lam: row_max_abs(lam) / root, 1.0 / root
         )
     if name.startswith("coordinate:"):
         k = name.split(":", 1)[1]

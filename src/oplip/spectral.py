@@ -9,6 +9,7 @@ common float so that equal rows of the eigenvalue table compare bitwise equal
 downstream.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,10 +35,16 @@ _FROB_LO = 2.0**-450  # a smaller plain root of the sum of squares may have lost
 MAX_TUPLE_ENTRIES = 2**21
 MAX_TUPLE_D = 256
 
-# Fixed substream for the generic linear combination inside joint_diagonalize;
-# a d-tuple takes the first d coefficients, which equal standard_normal(d) bitwise.
+# Fixed substream for the generic linear combination inside joint_diagonalize.
 _COMBO_STREAM = 0x6F704C4A
-_COMBO = generator(_COMBO_STREAM).standard_normal(MAX_TUPLE_D)
+
+
+@functools.cache
+def _combo() -> np.ndarray:
+    """The generic combination's ``MAX_TUPLE_D`` coefficients, drawn on first use
+    (so ``import oplip`` loads no ``numpy.random``); a d-tuple takes the first d,
+    which equal ``standard_normal(d)`` of the substream bitwise."""
+    return generator(_COMBO_STREAM).standard_normal(MAX_TUPLE_D)
 
 
 def as_matrix(x) -> np.ndarray:
@@ -249,7 +256,7 @@ def joint_diagonalize(tup: CommutingTuple) -> JointSpectrum:
     arrays, norms, scales = zip(*(_unit_scaled(a) for a in tup.arrays()))
     n, d = tup.dim, tup.d
 
-    combo = sum(c * a for c, a in zip(_COMBO, arrays))
+    combo = sum(c * a for c, a in zip(_combo(), arrays))
     vals, U = np.linalg.eigh(combo)
     rotated = [U.conj().T @ a @ U for a in arrays]
 
@@ -309,12 +316,29 @@ def evaluate_rows(f, rows) -> np.ndarray:
     return vals
 
 
+def row_max_abs(x) -> np.ndarray:
+    """max_k |x[..., k]| over the last axis of a (..., d) table, d >= 1, shape (...).
+
+    Taken as ``np.maximum`` of the d columns, as ``torus._square_norms`` adds
+    squares: a numpy reduction over a short last axis runs one inner loop per
+    row, about 150 us against 5 us on a (3721, 2) table (2-core x86-64 host).
+    Max is exact and propagates NaN as ``np.max(np.abs(x), axis=-1)`` does, so
+    the two agree bitwise.  Each column costs one numpy call, so the helper
+    serves short rows, not wide ones.
+    """
+    x = np.asarray(x)
+    out = np.abs(x[..., 0])
+    for k in range(1, x.shape[-1]):
+        out = np.maximum(out, np.abs(x[..., k]))
+    return out
+
+
 def _binary_exponents(rows) -> np.ndarray:
     """Per row of a (..., m) table, e with max |entry| in [2^(e-1), 2^e) (0 on zero rows),
     so ldexp(rows, -e[..., None]) lies in [-1, 1]; NaN or inf raises NonFiniteError."""
     if not np.all(np.isfinite(rows)):
         raise NonFiniteError("symbol arguments must be finite")
-    return np.frexp(np.max(np.abs(rows), axis=-1))[1]
+    return np.frexp(row_max_abs(rows))[1]
 
 
 def apply_function(js: JointSpectrum, f) -> HermitianMatrix:

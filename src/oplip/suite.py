@@ -8,6 +8,7 @@ so the acceptance tests can run them at full size while the suite runs
 leaner versions of the same code.
 """
 
+import bisect
 import math
 import threading
 
@@ -55,6 +56,7 @@ from .torus import (
     _GramWork,
     _multiplied,
     _multiplier_tensor,
+    _square_norms,
     _trig_factors,
     _trig_polynomial,
     coefficients,
@@ -678,38 +680,42 @@ def _cone_deviation(radius, d):
 
     The delta table is sorted once by |delta|^2 (stably), so the cells of
     one m are the contiguous suffix from the first |delta|^2 >= max(m^2, 1).
-    Consecutive m-suffixes are copied into one float (``_CONE_BATCH``, d+1)
-    buffer, split where it fills, and each full buffer (and the last partial
-    one) takes one symbol evaluation per k0; the divided difference reads
-    delta_k0 and m from it (integers, so delta_k0 m is exact).  Every orthant
-    cell is evaluated once for every k0, and memory follows the delta table.
+    In cell order the m-suffixes follow each other, m ascending, and each
+    run of ``_CONE_BATCH`` cells (the last one shorter) takes one symbol
+    evaluation per k0.  A run is assembled from the suffix slices it covers,
+    found by bisection on the cumulative suffix ends, with one
+    ``np.concatenate`` into a float (``_CONE_BATCH``, d+1) buffer reused by
+    every run, and one ``np.repeat`` for the m column; three slice copies per
+    m cost more than the symbol evaluation at d = 1.  The divided difference
+    reads delta_k0 and m from the buffer (integers, so delta_k0 m is exact).
+    Every orthant cell is evaluated once for every k0, and memory follows the
+    delta table.
+    |delta|^2 is summed over the integer columns, exact in ``int64``.
     """
     deltas = _box_points(radius, d) + radius  # [0, 2r]^d
-    dist2 = np.sum(deltas * deltas, axis=-1)
+    dist2 = _square_norms(deltas)
     order = np.argsort(dist2, kind="stable")
     deltas, dist2 = deltas[order], dist2[order]
-    mmax = math.isqrt(int(dist2[-1]))
-    cells = np.empty((_CONE_BATCH, d + 1))
-    denom = np.empty(_CONE_BATCH)
-    worst, fill = 0.0, 0
-
-    def deviation(cells, denom):
-        return max(float(np.max(np.abs(symbol_eval(HomogeneousSymbol(d=d, k0=k0), cells)
-                                       - cells[:, k0 - 1] * cells[:, d] / denom)))
-                   for k0 in range(1, d + 1))
-
-    for m in range(mmax + 1):
-        start = int(np.searchsorted(dist2, max(m * m, 1)))
-        while start < len(dist2):
-            take = min(len(dist2) - start, _CONE_BATCH - fill)
-            cells[fill:fill + take, :d] = deltas[start:start + take]
-            cells[fill:fill + take, d] = m
-            denom[fill:fill + take] = dist2[start:start + take]
-            fill, start = fill + take, start + take
-            if fill == _CONE_BATCH:
-                worst, fill = max(worst, deviation(cells, denom)), 0
-    if fill:
-        worst = max(worst, deviation(cells[:fill], denom[:fill]))
+    ms = np.arange(math.isqrt(int(dist2[-1])) + 1)
+    starts = np.searchsorted(dist2, np.maximum(ms * ms, 1))
+    bounds = [0, *np.cumsum(len(dist2) - starts).tolist()]  # cell positions of the m-suffixes
+    shift = (starts - bounds[:-1]).tolist()  # cell position -> sorted delta index, per m
+    cells = np.empty((min(_CONE_BATCH, bounds[-1]), d + 1))
+    denoms = np.empty(len(cells))
+    worst = 0.0
+    for lo in range(0, bounds[-1], _CONE_BATCH):
+        hi = min(lo + _CONE_BATCH, bounds[-1])
+        covered = range(bisect.bisect_right(bounds, lo) - 1, bisect.bisect_left(bounds, hi))
+        cuts = [slice(max(lo, bounds[m]) + shift[m], min(hi, bounds[m + 1]) + shift[m])
+                for m in covered]
+        batch, denom = cells[:hi - lo], denoms[:hi - lo]
+        np.concatenate([deltas[cut] for cut in cuts], out=batch[:, :d])
+        batch[:, d] = np.repeat(covered, [cut.stop - cut.start for cut in cuts])
+        np.concatenate([dist2[cut] for cut in cuts], out=denom)
+        worst = max(worst, *(
+            float(np.max(np.abs(symbol_eval(HomogeneousSymbol(d=d, k0=k0), batch)
+                                - batch[:, k0 - 1] * batch[:, d] / denom)))
+            for k0 in range(1, d + 1)))
     return worst
 
 

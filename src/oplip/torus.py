@@ -178,7 +178,10 @@ class HomogeneousSymbol:
 
 
 def _square_norms(rows: np.ndarray) -> np.ndarray:
-    """c_0^2 + c_1^2 + ... added left to right over the columns of a (K, d+1) table."""
+    """c_0^2 + c_1^2 + ... added left to right over the columns of a (K, m) table.
+
+    Column by column, not ``np.sum(rows * rows, axis=-1)``: a numpy reduction
+    over a short last axis runs one inner loop per row."""
     cols = rows.T
     n2 = cols[0] * cols[0]
     for c in cols[1:]:

@@ -38,7 +38,13 @@ from .spectral import (
     evaluate_rows,
     joint_diagonalize,
 )
-from .torus import TWO_PI, HomogeneousSymbol, TorusSignal, signal_from_coefficients
+from .torus import (
+    TWO_PI,
+    HomogeneousSymbol,
+    TorusSignal,
+    _square_norms,
+    signal_from_coefficients,
+)
 
 INTEGER_GATE = 1e-9
 SCAN_BUDGET = 1 << 30  # pair comparisons one contraction_check may make
@@ -114,12 +120,21 @@ def _box_points(radius: int, d: int) -> np.ndarray:
 
 
 def _integer_values(h, points) -> np.ndarray:
+    """h on a table of lattice points as ``int64``, or DomainError.
+
+    h must be finite (else NonFiniteError), below ``VALUE_LIMIT`` in modulus
+    and within ``INTEGER_GATE`` of an integer everywhere.  The bound on |h|
+    comes from ``raw.min()`` and ``raw.max()``, and the deviation from the
+    integers is computed only when rounding moves some value: each numpy pass
+    over the table is a visible share of a certificate-settled contraction
+    check.
+    """
     raw = evaluate_rows(h, points)
-    top = float(np.max(np.abs(raw)))
+    top = max(-float(raw.min()), float(raw.max()))
     if top >= VALUE_LIMIT:
         raise DomainError(f"|h| reaches {top:.3e}, at or past 2^62")
     rounded = np.round(raw)
-    if np.max(np.abs(raw - rounded)) > 1e-9:
+    if not np.array_equal(rounded, raw) and np.max(np.abs(raw - rounded)) > INTEGER_GATE:
         raise DomainError("h must be integer-valued on the lattice")
     return rounded.astype(np.int64)
 
@@ -196,7 +211,7 @@ def contraction_check(h, box_radius: int, d: int,
     cut = cuts(reach)
     deltas = _box_points(reach, d)
     deltas = deltas[deltas.shape[0] // 2 + 1:]  # lexicographically positive
-    dist2 = np.sum(deltas * deltas, axis=-1)
+    dist2 = _square_norms(deltas)  # by integer columns, exact in int64
     deltas, dist2 = deltas[dist2 <= reach2], dist2[dist2 <= reach2]
     jump = np.array([step(cut, delta)[1].max() for delta in deltas.tolist()], dtype=np.int64)
     ok = bool(np.all(jump <= [math.isqrt(q) for q in dist2.tolist()]))

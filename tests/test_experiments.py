@@ -538,6 +538,26 @@ def test_python_dash_m_runs_cli():
     assert "ratio-commutator" in done.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["ratio-lp", "--f", "identity", "--n", "4", "--trials", "3", "--p", "2.5"],
+    ["contraction-test", "--d", "1", "--radius", "3"],
+])
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # a pipe whose reader is gone, as after `| head -1`: no traceback
+    src = os.path.dirname(os.path.dirname(oplip.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "oplip", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: standard output"), done.stderr
+
+
 @pytest.mark.parametrize("command", [
     "ratio-commutator", "ratio-difference", "ratio-doi", "ratio-lp", "ratio-normal",
 ])

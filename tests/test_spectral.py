@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oplip import spectral
 from oplip.errors import (
@@ -22,6 +28,7 @@ from oplip.spectral import (
     haar_unitary,
     joint_diagonalize,
     planted_commuting_tuple,
+    row_max_abs,
 )
 from oplip.rng import generator
 
@@ -476,11 +483,37 @@ def test_discretize_integer_spectra_scale():
 
 
 def test_joint_diagonalize_draws_no_generator(monkeypatch):
-    # the generic combination is the prefix of one fixed draw, taken at import
+    # the generic combination is the prefix of one fixed draw, taken on first use
     tup = planted_commuting_tuple(6, 3, "integer:1", seed=8)[0]
     want = joint_diagonalize(tup)
-    assert np.array_equal(spectral._COMBO[:3], generator(spectral._COMBO_STREAM).standard_normal(3))
+    assert np.array_equal(spectral._combo()[:3], generator(spectral._COMBO_STREAM).standard_normal(3))
     monkeypatch.setattr(spectral, "generator", lambda *a: pytest.fail("drew"))
     got = joint_diagonalize(tup)
     assert np.array_equal(got.basis, want.basis)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, np.inf, -np.inf, np.nan, 1.8e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.one_of(st.integers(1, 8), st.just(spectral.MAX_TUPLE_D)),
+       rows=st.lists(st.integers(0, 5), max_size=2))
+def test_row_max_abs_equals_the_row_reduction_bytewise(data, d, rows):
+    # signed zeros, subnormals, infinities and NaN included; max is exact, so
+    # the column maxima must be the row reduction's bytes, shape and type
+    elements = st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGE_FLOATS))
+    x = data.draw(hnp.arrays(np.float64, (*rows, d), elements=elements))
+    got, want = row_max_abs(x), np.max(np.abs(x), axis=-1)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_import_draws_nothing():
+    # the generic combination is drawn on the first joint_diagonalize call,
+    # so importing the package loads no numpy.random
+    src = os.path.dirname(os.path.dirname(spectral.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, oplip; print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() == "False", done.stderr

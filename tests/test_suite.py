@@ -284,6 +284,19 @@ def test_cone_deviation_evaluates_every_orthant_cell(monkeypatch, radius, d):
         assert worst == _mask_cone_deviation(radius, d)
 
 
+def test_cone_deviation_makes_one_symbol_call_per_k0_at_d1(monkeypatch):
+    # the 1890 orthant cells at d = 1, radius 30 fit one _CONE_BATCH buffer
+    calls = []
+
+    def recording(g, points):
+        calls.append(g.k0)
+        return symbol_eval(g, points)
+
+    monkeypatch.setattr(suite, "symbol_eval", recording)
+    assert suite._cone_deviation(30, 1) == _mask_cone_deviation(30, 1)
+    assert calls == [1]
+
+
 def test_cone_deviation_memory_bounded():
     tracemalloc.start()
     try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oplip import spectral, transference
 from oplip.doi import divided_difference_symbol, doi_apply
-from oplip.errors import AliasRiskError, DomainError
+from oplip.errors import AliasRiskError, DomainError, NonFiniteError
 from oplip.functions import builtin_function
 from oplip.norms import matrix_trace_norm, matrix_weak_l1
 from oplip.spectral import CommutingTuple, JointSpectrum, planted_commuting_tuple
@@ -67,6 +67,30 @@ def test_rounded_tables_match_per_row_dot(d, radius):
             want = [math.floor(0.5 * n * f_row(p / n)) for p in points]
             got = transference._integer_values(round_contraction(f, n), points)
             assert got.tolist() == want, (name, n)
+
+
+def _off_at_one(base, off):
+    """h = base on the lattice, moved by ``off`` at the point 1."""
+    return lambda iv: np.where(iv[..., 0] == 1, base(iv) + off, base(iv))
+
+
+@pytest.mark.parametrize("off", [5e-10, -5e-10])
+def test_integer_values_pass_values_within_the_gate(off):
+    points = transference._box_points(2, 1)
+    got = transference._integer_values(_off_at_one(lambda iv: 3.0 * iv[..., 0], off), points)
+    assert got.dtype == np.int64 and got.tolist() == [-6, -3, 0, 3, 6]
+
+
+@pytest.mark.parametrize("h, error, match", [
+    (_off_at_one(lambda iv: 3.0 * iv[..., 0], 2e-9), DomainError, "integer-valued"),
+    (_off_at_one(lambda iv: 3.0 * iv[..., 0], -2e-9), DomainError, "integer-valued"),
+    (_off_at_one(lambda iv: 0.0 * iv[..., 0], 2.0**62), DomainError, "2\\^62"),
+    (_off_at_one(lambda iv: 0.0 * iv[..., 0], -2.0**62), DomainError, "2\\^62"),
+    (_off_at_one(lambda iv: 0.0 * iv[..., 0], np.nan), NonFiniteError, "not finite"),
+])
+def test_integer_values_refusals(h, error, match):
+    with pytest.raises(error, match=match):
+        transference._integer_values(h, transference._box_points(2, 1))
 
 
 def test_round_contraction_values():
