@@ -103,7 +103,9 @@ class HermitianMatrix:
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
             raise DimMismatchError(f"expected a square matrix, got {self.data.shape}")
-        scale = 1.0 + float(np.max(np.abs(self.data))) if self.data.size else 1.0
+        if self.data.size == 0:
+            raise DomainError("matrix dimension n = 0 must be >= 1")
+        scale = 1.0 + float(np.max(np.abs(self.data)))
         if not math.isfinite(scale):  # NaN or inf when an entry is
             raise NonFiniteError("matrix has a NaN or infinite entry")
         half = self.data / 2.0  # exact, and no sum of halves overflows
@@ -189,12 +191,11 @@ def validate_joint_spectrum(js):
     the copy of A from ``_unit_scaled`` against the eigenvalue column scaled by
     the same power of two, so no norm overflows.
     """
-    U = js.basis
-    n = U.shape[0]
+    U, n, d = js.basis, js.provenance.dim, js.provenance.d
     if U.shape != (n, n):
-        raise DimMismatchError("basis must be square")
-    if js.eigenvalues.shape[0] != n:
-        raise DimMismatchError("eigenvalue table has wrong row count")
+        raise DimMismatchError(f"basis must be {n} x {n} like the tuple, got {U.shape}")
+    if js.eigenvalues.shape != (n, d):
+        raise DimMismatchError(f"eigenvalue table must be {n} x {d}, got {js.eigenvalues.shape}")
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(js.eigenvalues))):
         raise NonFiniteError("joint spectrum has a NaN or infinite entry")
     _check_unitary(U)

@@ -58,7 +58,6 @@ from .torus import (
     _multiplier_tensor,
     _square_norms,
     _trig_factors,
-    _trig_polynomial,
     coefficients,
     fejer,
     fourier_multiplier_apply,
@@ -78,10 +77,11 @@ from .transference import (
 )
 
 _CONE_BATCH = 1 << 14  # cone cells per symbol evaluation in _cone_deviation
-# N^(d+1) fiber^2 entries.  d = 2 at N = 128 fits; the largest grid at d = 1, 2 or 3
-# (N = 1448, 128, 38) peaks at 197 MB RSS on x86-64 (numpy 2.4).
+# N^(d+1) fiber^2 entries.  d = 2 at N = 128 fits; one signal on the largest grid at
+# d = 1, 2 or 3 (N = 1448, 128, 38) peaks at 70, 77 and 100 MB RSS on x86-64 (numpy 2.4).
 DELEEUW_MAX_ENTRIES = 1 << 23
-KEPT_ROOT_FIBERS = 1 << 16  # largest de Leeuw root grid whose buffers (8 MB) stay held
+KEPT_ROOT_FIBERS = 1 << 16  # largest de Leeuw root grid whose work (3.9 MB) stays held
+_WEAK_BLOCK = 1 << 13  # sorted values per step multiply in _sorted_weak_l1
 
 
 def _rel(diff, ref) -> float:
@@ -435,80 +435,88 @@ def fejer_convergence_profile(d_torus=1):
 
 
 class _RootGridWork:
-    """Samples, values, closed-form rows and a sort row for one root grid of 2 x 2 fibers."""
+    """One root grid of 2 x 2 fibers (N^D) of a four-term signal, sampled in row strips.
 
-    def __init__(self, n_fibers):
-        self.samples = np.empty((n_fibers, 2, 2), dtype=complex)
-        self.values = np.empty((n_fibers, 2))
-        self.gram = _GramWork(min(n_fibers, FIBER_BLOCK))
-        self.ascending = np.empty(2 * n_fibers)
-        self.steps = np.arange(2.0 * n_fibers, 0.0, -1.0)  # its last m entries are m, ..., 1
-
-    def weak_l1(self, values, cell):
-        """``weak_l1(SingularValueProfile(values, cell))``, bitwise, sorted in the sort row.
-
-        Ascending, the k-th largest value s_k sits where ``steps`` reads k.
-        """
-        ascending = self.ascending[:values.size]
-        np.copyto(ascending, values.reshape(-1))
-        ascending.sort()
-        if not ascending[0] >= 0.0 or np.isnan(ascending[-1]):
-            raise DomainError("values must be nonnegative (NaN is refused)")
-        ascending *= self.steps[self.steps.size - ascending.size:]
-        return float(cell) * float(np.max(ascending))
-
-
-_kept = threading.local()  # .work: this thread's last _RootGridWork
-
-
-def _kept_root_grid_work(n_fibers):
-    """This thread's ``_RootGridWork`` of ``n_fibers`` fibers, kept while grids keep the size.
-
-    Fresh arrays of 0.03-1 MB per call (N = 128, D = 2) made the cost hinge
-    on the allocator: whether it handed them out from freed heap or faulted
-    new pages in (about 950 minor faults per call) depended on how earlier
-    work in the process had left its thresholds, so one process ran the same
-    de Leeuw call in 2.6 ms and the next in 4-6 ms (2-core x86-64 host,
-    numpy 2.4).  Kept, a run of calls allocates nothing large after its first.
-    Each thread keeps its own, so concurrent calls never share buffers.
+    One allocation holds the (N^D, 2) fiber values of the whole grid, one
+    strip of whole grid rows (``samples``) and the right factor of
+    ``_trig_factors`` (``right``): freed as the largest block, it keeps
+    glibc's trim threshold above the rest of a call (separate arrays faulted
+    800-2,600 pages per call past the kept size at d = 2, N = 48 and d = 3,
+    N = 20-24).  The strips split the N rows evenly, each about FIBER_BLOCK
+    fibers and at least four rows (or all N): each product repacks the whole
+    right factor, four rows of samples in size, and a one-row product goes
+    through BLAS's matrix-vector routine, which rounds differently (D = 4,
+    N = 15 on OpenBLAS 0.3.31) where two rows or more match the whole grid.
     """
-    work = getattr(_kept, "work", None)
-    if work is None or work.values.shape[0] != n_fibers:
-        work = _kept.work = None  # the old buffers go before the new are made
-        work = _kept.work = _RootGridWork(n_fibers)
-    return work
+
+    def __init__(self, root, d_torus):
+        self.grid, row = (root, d_torus), root ** (d_torus - 1)  # fibers per grid row
+        strips = max(1, root // max(4, FIBER_BLOCK // row))
+        self.bounds = [root * i // strips for i in range(strips + 1)]
+        rows, n = -(-root // strips), root**d_torus
+        block = np.empty(n + 4 * row * (rows + 4), dtype=complex)
+        self.values = block[:n].view(float).reshape(n, 2)
+        strip, right = np.split(block[n:], [4 * row * rows])
+        self.samples, self.right = strip.reshape(rows, -1), right.reshape(4, -1)
+        self.gram = _GramWork(min(rows * row, FIBER_BLOCK))
+
+    def sample(self, freqs, fibers):
+        """The fiber values of the 2 x 2 trig polynomial (``_trig_factors``), strip by strip."""
+        left, right = _trig_factors(freqs, fibers, self.grid[0], out=self.right)
+        row = right.shape[1] // 4
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            strip = np.matmul(left[lo:hi], right, out=self.samples[:hi - lo])
+            _fiber_singular_values(strip.reshape(-1, 2, 2), out=self.values[lo * row:hi * row],
+                                   work=self.gram)
+        return self.values
 
 
-def _fiber_value_grids(freqs, fibers, sizes):
-    """(N, fiber singular values on the N^D grid, work) for each distinct size, root by root.
+def _sorted_weak_l1(values, cell):
+    """``weak_l1(SingularValueProfile(values, cell))``, bitwise, overwriting ``values``.
 
-    Only a root, a size that divides no larger one, is sampled.  Every other
-    size N is read off the largest size M it divides, which is a root, at
-    stride M/N: the samples there are the same trig polynomial at the same
-    points, and each fiber's values depend on that fiber alone.  The values
-    come back as contiguous (N^D, 2) arrays, so a sum over them adds in the
-    order a direct sampling would.  The fibers are 2 x 2.  A root of at most
-    ``KEPT_ROOT_FIBERS`` fibers is sampled and reduced in the kept
-    ``_RootGridWork`` (``work``), and its own values are a view of it, valid
-    until the generator resumes; a larger root takes fresh arrays, its
-    samples freed before any value is read, and ``work`` is None.
+    Sorted ascending in place, the k-th largest of m values sits at m - k;
+    each ``_WEAK_BLOCK`` positions are multiplied by their k in one pass.
+    """
+    ascending, m = values.reshape(-1), values.size
+    ascending.sort()
+    if not ascending[0] >= 0.0 or np.isnan(ascending[-1]):
+        raise DomainError("values must be nonnegative (NaN is refused)")
+    for lo in range(0, m, _WEAK_BLOCK):
+        ascending[lo:lo + _WEAK_BLOCK] *= np.arange(m - lo, max(m - lo - _WEAK_BLOCK, 0), -1.0)
+    return float(cell) * float(np.max(ascending))
+
+
+_kept = threading.local()  # .work: this thread's work for roots of at most KEPT_ROOT_FIBERS
+
+
+def _fiber_value_grids(freqs, fibers, sizes, call):
+    """(N, fiber singular values on the N^D grid) for each distinct size, root by root.
+
+    Only a root, a size that divides no larger one, is sampled; every other
+    size N is read off the largest size M it divides (a root) at stride M/N,
+    where the samples are the same trig polynomial at the same points and
+    each fiber's values depend on that fiber alone.  The values come back as
+    contiguous (N^D, 2) arrays, so a sum over them adds in the order a direct
+    sampling would, and none is read again once yielded (the root's own, a
+    view of its work, come last): the caller may sort them.  The work is this
+    thread's ``_kept`` one for roots of at most ``KEPT_ROOT_FIBERS`` fibers,
+    else the ``call``'s, made anew when the grid (N, D) changes (9^4 and 81^2
+    have the same fibers in different strips).  Kept, a run of calls allocates
+    nothing large after its first: fresh, 0.03-1 MB arrays cost about 950
+    faults and 1.5-2x the time per d = 1 call (2-core x86-64 host).
     """
     d_torus = np.shape(freqs)[1]
     descending = sorted(set(sizes), reverse=True)
     root_of = {n: next(m for m in descending if m % n == 0) for n in descending}
     for root in sorted(set(root_of.values()), reverse=True):
-        work = None
-        if root**d_torus <= KEPT_ROOT_FIBERS:
-            work = _kept_root_grid_work(root**d_torus)
-            left, right = _trig_factors(freqs, fibers, root)
-            np.matmul(left, right, out=work.samples.reshape(root, -1))
-            values = _fiber_singular_values(work.samples, out=work.values, work=work.gram)
-        else:
-            values = _fiber_singular_values(_trig_polynomial(freqs, fibers, root).samples)
-        values = values.reshape((root,) * d_torus + (-1,))
-        for n_grid in [n for n in descending if root_of[n] == root]:
+        holder = vars(_kept) if root**d_torus <= KEPT_ROOT_FIBERS else call
+        if getattr(holder.get("work"), "grid", None) != (root, d_torus):
+            holder["work"] = None  # the old buffers go before the new are made
+            holder["work"] = _RootGridWork(root, d_torus)
+        values = holder["work"].sample(freqs, fibers).reshape((root,) * d_torus + (-1,))
+        for n_grid in sorted(n for n in descending if root_of[n] == root):  # the root last
             strided = values[(slice(None, None, root // n_grid),) * d_torus]
-            yield n_grid, np.ascontiguousarray(strided).reshape(n_grid**d_torus, -1), work
+            yield n_grid, np.ascontiguousarray(strided).reshape(n_grid**d_torus, -1)
         del values  # before the next root is sampled
 
 
@@ -516,18 +524,15 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
     """weak-L1(g(grad)W)/L1(W) for a fixed signal family across grid sizes.
 
     A signal is four 2 x 2 fibers at nonzero frequencies in [-4, 4]^(d+1),
-    drawn as coefficients.  W and g(grad)W are sampled straight from their
-    four terms (``torus._trig_polynomial``), with g evaluated at those four
-    frequencies only; L1(W) is the cell times the sum of the fiber singular
-    values, and the weak-L1 of g(grad)W is read off one profile.  Each signal
-    is sampled once per root grid, and a size that divides a larger one is
-    read off it at a stride (:func:`_fiber_value_grids`): bitwise the direct
-    sampling at power-of-two strides, while other strides round the phase
-    arguments differently, by a few eps.  W is reduced to its L1 sums before
-    g(grad)W is sampled, so one sampled grid is held at a time.  Each dict
-    lists the sizes in the caller's order.  d < 1, a frequency outside the
-    balanced range of any size, or a grid past ``DELEEUW_MAX_ENTRIES`` raises
-    DomainError before any grid is sampled (d and the cap before any draw).
+    drawn as coefficients, and W and g(grad)W are sampled straight from those
+    terms (g at the four frequencies only).  L1(W) is the cell times the sum
+    of the fiber singular values, and the weak-L1 of g(grad)W is read off the
+    same values sorted.  A size that divides a larger one is read off it at a
+    stride (:func:`_fiber_value_grids`): bitwise the direct sampling at
+    power-of-two strides, a few eps off otherwise.  Each dict lists the sizes
+    in the caller's order.  d < 1, a frequency outside the balanced range of
+    any size, or a grid past ``DELEEUW_MAX_ENTRIES`` raises DomainError before
+    any grid is sampled (d and the cap before any draw).
     """
     if d < 1:
         raise DomainError(f"de Leeuw ratios need d >= 1, got d={d}")
@@ -550,19 +555,14 @@ def deleeuw_ratios(seed, sizes=(32, 64, 128), signals=10, d=1):
         gains = g(np.array(freqs, dtype=float))
         family.append((freqs, fibers, gains[:, np.newaxis, np.newaxis] * fibers))
     for n_grid in sizes:  # a subsampled size still refuses what it cannot hold
-        for freqs, _, _ in family:
-            for k in freqs:
-                frequency_index(k, n_grid)
-    results = []
+        for k in (k for freqs, _, _ in family for k in freqs):
+            frequency_index(k, n_grid)
+    results, call = [], {}  # call["work"]: this call's work for a root past the kept size
     for freqs, fibers, multiplied in family:
         l1 = {n_grid: (TWO_PI / n_grid) ** d_torus * float(np.sum(values))
-              for n_grid, values, _ in _fiber_value_grids(freqs, fibers, sizes)}
-        ratios = {}
-        for n_grid, values, work in _fiber_value_grids(freqs, multiplied, sizes):
-            cell = (TWO_PI / n_grid) ** d_torus
-            weak = (weak_l1(SingularValueProfile(values, cell)) if work is None
-                    else work.weak_l1(values, cell))
-            ratios[n_grid] = weak / l1[n_grid]
+              for n_grid, values in _fiber_value_grids(freqs, fibers, sizes, call)}
+        ratios = {n_grid: _sorted_weak_l1(values, (TWO_PI / n_grid) ** d_torus) / l1[n_grid]
+                  for n_grid, values in _fiber_value_grids(freqs, multiplied, sizes, call)}
         results.append({n_grid: ratios[n_grid] for n_grid in sizes})
     return results
 

@@ -54,6 +54,8 @@ class TorusSignal:
         grid_shape = self.samples.shape[:-2]
         if len(set(grid_shape)) != 1:
             raise DimMismatchError(f"grid must be uniform, got {grid_shape}")
+        if self.samples.size == 0:
+            raise DimMismatchError(f"grid and fibers must be nonempty, got {self.samples.shape}")
 
     @property
     def torus_dim(self) -> int:
@@ -118,8 +120,8 @@ def _trig_polynomial(freqs, fibers, grid_size: int) -> TorusSignal:
     return TorusSignal(samples.reshape((grid_size,) * np.shape(freqs)[1] + fibers.shape[1:]))
 
 
-def _trig_factors(freqs, fibers, grid_size: int):
-    """(E_0, E_1 (x) ... (x) F) of ``_trig_polynomial``, whose matmul is its samples."""
+def _trig_factors(freqs, fibers, grid_size: int, out=None):
+    """(E_0, E_1 (x) ... (x) F), whose matmul is the samples; ``out`` takes the second."""
     freqs = np.asarray(freqs, dtype=int)
     fibers = np.asarray(fibers, dtype=complex)
     n_terms, d_torus = freqs.shape
@@ -129,8 +131,9 @@ def _trig_factors(freqs, fibers, grid_size: int):
     phases = np.exp((1j * TWO_PI / grid_size) * steps)
     right = fibers.reshape(n_terms, -1)
     for axis in range(d_torus - 1, 0, -1):  # (J, N^(D-1) n^2), the last axis innermost
-        right = (phases[:, :, axis].T[:, :, np.newaxis] * right[:, np.newaxis]).reshape(
-            n_terms, -1)
+        into = None if out is None or axis > 1 else out.reshape(n_terms, grid_size, -1)
+        right = np.multiply(phases[:, :, axis].T[:, :, np.newaxis], right[:, np.newaxis],
+                            out=into).reshape(n_terms, -1)
     return phases[:, :, 0], right
 
 

@@ -67,23 +67,35 @@ class IntegerTuple:
         return self.spectrum.d
 
 
+def _integer_table(raw, subject) -> np.ndarray:
+    """A nonempty float table as ``int64``: below ``VALUE_LIMIT`` and within
+    ``INTEGER_GATE`` of the integers, else DomainError naming ``subject``.
+
+    |raw| is bounded through ``raw.min()`` and ``raw.max()``, and the deviation
+    is taken only when rounding moves a value: each pass over a lattice table
+    is a visible share of a certificate-settled contraction check.
+    """
+    top = max(-float(raw.min()), float(raw.max()))
+    if top >= VALUE_LIMIT:
+        raise DomainError(f"{subject} reach {top:.3e} in modulus, at or past 2^62")
+    rounded = np.round(raw)
+    if not np.array_equal(rounded, raw):
+        dev = float(np.max(np.abs(raw - rounded)))
+        if dev > INTEGER_GATE:
+            raise DomainError(f"{subject} deviate from integers by {dev:.3e} "
+                              f"(gate {INTEGER_GATE:.1e}); they must be integer-valued")
+    return rounded.astype(np.int64)
+
+
 def integer_tuple(source) -> IntegerTuple:
     """Validate integer spectra and keep the rounded table as the spectrum.
 
-    An eigenvalue of modulus ``VALUE_LIMIT`` or more raises DomainError before
-    the ``int64`` table is built, as for lattice values of h.
+    The eigenvalues pass the gate of the lattice values (``_integer_table``),
+    so one of modulus ``VALUE_LIMIT`` or more raises DomainError before the
+    ``int64`` table is built.
     """
     js = joint_diagonalize(source) if isinstance(source, CommutingTuple) else source
-    top = float(np.max(np.abs(js.eigenvalues))) if js.eigenvalues.size else 0.0
-    if top >= VALUE_LIMIT:
-        raise DomainError(f"an eigenvalue reaches {top:.3e}, at or past 2^62")
-    rounded = np.round(js.eigenvalues)
-    dev = float(np.max(np.abs(js.eigenvalues - rounded))) if js.eigenvalues.size else 0.0
-    if dev > INTEGER_GATE:
-        raise DomainError(
-            f"eigenvalues deviate from integers by {dev:.3e} (gate {INTEGER_GATE:.1e})"
-        )
-    table = rounded.astype(np.int64)
+    table = _integer_table(js.eigenvalues, "eigenvalues")
     return IntegerTuple(spectrum=JointSpectrum(js.basis, table.astype(float), js.provenance),
                         table=table)
 
@@ -120,23 +132,8 @@ def _box_points(radius: int, d: int) -> np.ndarray:
 
 
 def _integer_values(h, points) -> np.ndarray:
-    """h on a table of lattice points as ``int64``, or DomainError.
-
-    h must be finite (else NonFiniteError), below ``VALUE_LIMIT`` in modulus
-    and within ``INTEGER_GATE`` of an integer everywhere.  The bound on |h|
-    comes from ``raw.min()`` and ``raw.max()``, and the deviation from the
-    integers is computed only when rounding moves some value: each numpy pass
-    over the table is a visible share of a certificate-settled contraction
-    check.
-    """
-    raw = evaluate_rows(h, points)
-    top = max(-float(raw.min()), float(raw.max()))
-    if top >= VALUE_LIMIT:
-        raise DomainError(f"|h| reaches {top:.3e}, at or past 2^62")
-    rounded = np.round(raw)
-    if not np.array_equal(rounded, raw) and np.max(np.abs(raw - rounded)) > INTEGER_GATE:
-        raise DomainError("h must be integer-valued on the lattice")
-    return rounded.astype(np.int64)
+    """h on lattice points as ``int64`` (``_integer_table``); non-finite h: NonFiniteError."""
+    return _integer_table(evaluate_rows(h, points), "the values of h on the lattice")
 
 
 def _difference_dtype(span: int):

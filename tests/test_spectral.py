@@ -173,6 +173,19 @@ def test_caller_built_spectrum_with_non_unitary_basis_is_refused():
         JointSpectrum(2.0 * U, lambdas, tup)
 
 
+@pytest.mark.parametrize("basis, table, tup", [
+    (np.eye(2), np.ones((2, 1)), [np.eye(2)] * 2),  # one column for d = 2
+    (np.eye(2), np.ones(2), [np.eye(2)] * 2),  # a 1-d table
+    (np.eye(2), np.ones((2, 3)), [np.eye(2)] * 2),  # three columns for d = 2
+    (np.eye(2), np.ones((2, 1)), [np.eye(3)]),  # a 2 x 2 basis for 3 x 3 matrices
+], ids=["too-few-columns", "1-d-table", "too-many-columns", "basis-size"])
+def test_caller_built_spectrum_with_a_wrong_shape_is_refused(basis, table, tup):
+    # these raised IndexError or a broadcast ValueError, or (three columns)
+    # were accepted with d = 3 for a pair of matrices
+    with pytest.raises(DimMismatchError):
+        JointSpectrum(basis, table, CommutingTuple(tup))
+
+
 @pytest.mark.parametrize("where", ["eigenvalues", "basis"])
 def test_caller_built_spectrum_with_nan_is_refused(where):
     # NaN passes both tolerance gates (a NaN comparison is False), so it is
@@ -454,8 +467,9 @@ def test_random_tuple_determinism_and_laws():
     lambda: planted_commuting_tuple(1, 257, "uniform", seed=0),
     lambda: discretize_tuple(joint_diagonalize(CommutingTuple([np.diag([0.5])])), 0),
     lambda: CommutingTuple([np.eye(2)] * 257),
+    lambda: HermitianMatrix(np.zeros((0, 0))),
 ], ids=["non-hermitian", "empty-tuple", "n-zero", "d-zero", "n-too-large", "d-too-large",
-        "refinement-zero", "tuple-too-long"])
+        "refinement-zero", "tuple-too-long", "empty-matrix"])
 def test_input_checks_raise_domain_error(build):
     with pytest.raises(DomainError):
         build()

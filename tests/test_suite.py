@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -99,16 +100,69 @@ def test_deleeuw_nested_grids_match_the_per_grid_route(d, sizes):
 
 def test_root_grid_work_weak_l1_is_the_profile_weak_l1_bitwise():
     rng = np.random.default_rng(7)
-    work = suite._RootGridWork(64)
-    for size in (1, 2, 37, 128):
+    for size in (1, 2, 37, 128, 2 * suite._WEAK_BLOCK + 5):  # the last spans three blocks
         values = np.abs(rng.standard_normal(size))
         values[::5] = 0.0
         values[1::7] = values[0]  # ties
         cell = rng.uniform(0.01, 2.0)
-        assert work.weak_l1(values, cell) == weak_l1(SingularValueProfile(values, cell))
+        want = weak_l1(SingularValueProfile(values, cell))
+        assert suite._sorted_weak_l1(values, cell) == want  # which overwrites values
     for bad in (np.array([1.0, -0.5]), np.array([np.nan, 1.0])):
         with pytest.raises(DomainError):
-            work.weak_l1(bad, 1.0)
+            suite._sorted_weak_l1(bad, 1.0)
+
+
+@pytest.mark.parametrize("root, d_torus", [(128, 2), (90, 2), (45, 3), (15, 4), (9, 4)])
+def test_root_grid_strips_sample_the_whole_grid_bitwise(root, d_torus):
+    # a one-row strip would go through BLAS's matrix-vector product, which
+    # rounds differently at (15, 4) on OpenBLAS 0.3.31
+    rng = np.random.default_rng(root)
+    freqs = rng.integers(-4, 5, size=(4, d_torus))
+    fibers = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    work = suite._RootGridWork(root, d_torus)
+    assert min(np.diff(work.bounds)) >= 2 and work.bounds[-1] == root
+    want = _fiber_singular_values(_trig_polynomial(freqs, fibers, root).samples)
+    assert np.array_equal(work.sample(freqs, fibers), want)
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "per-call"])
+def test_deleeuw_root_grid_never_holds_its_samples(monkeypatch, kept):
+    # d = 2 at N = 64 has 2^18 fibers: 16 MB of complex samples, which the
+    # whole-grid route held (21.7 MiB traced); the strips hold 1 MB of them
+    vars(suite._kept).clear()
+    monkeypatch.setattr(suite, "KEPT_ROOT_FIBERS", 64**3 if kept else 0)
+    tracemalloc.start()
+    try:
+        deleeuw_ratios(11, sizes=(64,), signals=1, d=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
+    assert hasattr(suite._kept, "work") == kept
+
+
+def test_deleeuw_kept_work_follows_the_grid_not_its_fiber_count():
+    # 9^4 and 81^2 grids have 6561 fibers each, in strips of different shapes
+    src = os.path.dirname(os.path.dirname(suite.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from oplip.suite import deleeuw_ratios; "
+         "print(repr(deleeuw_ratios(1, sizes=(81,), signals=1, d=1)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    deleeuw_ratios(1, sizes=(9,), signals=1, d=3)
+    assert repr(deleeuw_ratios(1, sizes=(81,), signals=1, d=1)) == fresh.stdout.strip()
+
+
+def test_deleeuw_call_makes_one_work_per_larger_root(monkeypatch):
+    # a root past the kept size is sampled for W and g(grad)W of every signal
+    # in one work of the call, which goes with the call
+    want = deleeuw_ratios(4, sizes=(16, 32, 48, 96), signals=3)
+    made = []
+    monkeypatch.setattr(suite, "KEPT_ROOT_FIBERS", 0)
+    monkeypatch.setattr(suite, "_RootGridWork",
+                        lambda *grid, _make=suite._RootGridWork: made.append(grid) or _make(*grid))
+    assert deleeuw_ratios(4, sizes=(16, 32, 48, 96), signals=3) == want
+    assert made == [(96, 2)]
 
 
 def test_deleeuw_calls_reuse_the_kept_root_grid_work():

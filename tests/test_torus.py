@@ -509,6 +509,9 @@ def test_torus_signal_validation():
         TorusSignal(np.zeros((4, 2, 3)))
     with pytest.raises(DimMismatchError):
         TorusSignal(np.zeros((4, 5, 2, 2)))
+    for empty in ((0, 1, 1), (0, 0, 2, 2), (4, 0, 0)):  # no grid point, or 0 x 0 fibers
+        with pytest.raises(DimMismatchError):
+            TorusSignal(np.zeros(empty))
 
 
 def _criterion_9_signal():
