@@ -90,7 +90,12 @@ def frequency_index(k, n: int):
 
 
 def coefficients(w: TorusSignal) -> np.ndarray:
-    """Fourier coefficient tensor: index m holds the coefficient of e_{k(m)}."""
+    """Fourier coefficient tensor: index m holds the coefficient of e_{k(m)}.
+
+    A NaN or infinite sample raises NonFiniteError before the FFT.
+    """
+    if not np.all(np.isfinite(w.samples)):
+        raise NonFiniteError("signal samples must be finite")
     n_grid = w.grid_size
     return np.fft.fftn(w.samples, axes=w.grid_axes) / n_grid**w.torus_dim
 
@@ -404,32 +409,30 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     More than ``PROBE_MAX_POINTS`` midpoints per axis raise
     ``GuardViolationError`` before any grid is built.
 
-    The nonzero coefficients form an a x b table C over the frequencies
-    k_x, k_y in use (b = 1 and k_y = 0 for D = 1, whose y axis is the single
-    point 0 with weight 1).  With the per-axis phase tables
-    E_x = e^{i x k_x} (m x a) and E_y = e^{i k_y y} (b x m^{D-1}), the m^D
-    weighted samples are built in blocks of whole grid rows, about
-    ``PROBE_BLOCK_SAMPLES`` samples each (at least one row; for D = 1, whose
-    rows are single samples, the whole grid is one block), each block as
-    |E_x[rows] (C E_y)| G_l(x_rows) G_l(y), and only the samples that can
-    attain the weak-L1 maximum step^D max_k k v_(k) are kept:
+    The coefficients above 1e-13 max |c| form an a x b table C over the
+    frequencies k_x, k_y in use (b = 1 and k_y = 0 for D = 1, whose y axis
+    is the single point 0 with weight 1).  Each weighted sample is one
+    product of phase tables with the Gaussians folded in, |left @ right| for
+    left = e^{i x k_x} G_l(x) and right = C e^{i k_y y} G_l(y); as G_l > 0,
+    this is |E_x C E_y| G_l(x) G_l(y) up to rounding.  The torus norms are
+    those of |E_x C E_y| on 512 points (D = 1) or 256^2.  The m^D samples
+    are built in blocks of whole grid rows, about ``PROBE_BLOCK_SAMPLES``
+    each (the whole grid for D = 1, whose rows are single samples), and
+    only the samples that can attain the weak-L1 maximum step^D max_k k v_(k)
+    are kept:
 
     - The centre block (the one holding row m//2, where the Gaussian peaks)
       comes first.  After its sum is taken, it is partitioned in place so
-      that its largest eighth sits at the end; those values are a subset of
-      all values, so their weak-L1 is a lower bound L on the pooled one.
+      its largest eighth sits at the end; their weak-L1 is a lower bound L.
     - Every block keeps only its values v >= tau = L / (m^D step^D (1 + 1e-6)).
       A dropped value has step^D k v < L for every k <= m^D (the 1e-6 slack
-      covers rounding), so the maximum is attained among the kept values.
-      Those outrank every dropped one, so their descending order is v_(1..K)
-      with the same step indices k: the weak-L1 is bitwise the full-pool
-      value.  L = 0 keeps everything, so exactness never depends on how
-      tight L is.
-    - The same argument runs again on the pool: a kept value's rank in the
-      full pool is at most K = the pool's size, so values below
-      L / (K step^D (1 + 1e-6)) are dropped before the sort, and the
-      survivors still outrank every dropped value.  This repeats three
-      times, each with the shrunken K.
+      covers rounding), so the maximum is attained among the kept values,
+      which outrank every dropped one and keep their step indices k: the
+      weak-L1 is bitwise the full-pool value, however loose L is (L = 0
+      keeps everything).
+    - The same argument runs again on the pool: a kept value ranks at most
+      K = the pool's size, so values below L / (K step^D (1 + 1e-6)) are
+      dropped before the sort, three times, each with the shrunken K.
     - Each block's sum is stored and the sums are added in row order, so the
       integral is bitwise independent of the visiting order; it does depend
       on the block shape, because ``np.sum`` is pairwise within a block.
@@ -452,18 +455,20 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         )
 
     flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
-    flat[np.abs(flat) <= 1e-13 * max(float(np.max(np.abs(flat))), 1.0)] = 0.0
+    flat[np.abs(flat) <= 1e-13 * float(np.max(np.abs(flat)))] = 0.0
     used_x, used_y = np.any(flat, axis=1), np.any(flat, axis=0)
     table = flat[np.ix_(used_x, used_y)]
     k_x = frequencies(flat.shape[0])[used_x]
     k_y = frequencies(flat.shape[1])[used_y]
+    phases = lambda t, k: np.exp(1j * np.multiply.outer(t, k))
 
-    # Reference torus norms from a refined resampling of the same coefficients.
+    # Reference torus norms from the same product on a refined grid.
     n_ref = 512 if d_torus == 1 else 256
-    ref = np.zeros((n_ref, n_ref ** (d_torus - 1)), dtype=complex)
-    ref[np.ix_(frequency_index(k_x, n_ref), frequency_index(k_y, ref.shape[1]))] = table
-    ref_l1, _, ref_weak = signal_norms(signal_from_coefficients(
-        ref.reshape((n_ref,) * d_torus + (1, 1))))
+    t = np.arange(n_ref) * (TWO_PI / n_ref)
+    t_y = t if d_torus == 2 else np.zeros(1)
+    ref = SingularValueProfile(np.abs(phases(t, k_x) @ (table @ phases(k_y, t_y))),
+                               (TWO_PI / n_ref) ** d_torus)
+    ref_l1, ref_weak = schatten_norm(ref, 1), weak_l1(ref)
     if ref_l1 == 0.0:
         raise DomainError("probe requires a nonzero signal")
 
@@ -473,8 +478,8 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     x = -r + (np.arange(m) + 0.5) * step
     gauss_x = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
     y, gauss_y = (x, gauss_x) if d_torus == 2 else (np.zeros(1), np.ones(1))
-    left = np.exp(1j * np.multiply.outer(x, k_x))
-    right = table @ np.exp(1j * np.multiply.outer(k_y, y))
+    left = phases(x, k_x) * gauss_x[:, np.newaxis]
+    right = (table @ phases(k_y, y)) * gauss_y
 
     block_rows = max(1, PROBE_BLOCK_SAMPLES // y.size)
     starts = range(0, m, block_rows)
@@ -485,7 +490,6 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     for index in [centre] + [i for i in range(len(starts)) if i != centre]:
         rows = slice(starts[index], starts[index] + block_rows)
         ablock = np.abs(left[rows] @ right)
-        ablock *= np.multiply.outer(gauss_x[rows], gauss_y)
         sums[index] = float(np.sum(ablock))
         if tau is None:  # the centre block: L from its top eighth, partitioned in place
             ablock = ablock.reshape(-1)

@@ -533,10 +533,15 @@ def _three_term_signal(seed, d_torus=2):
     return signal_from_coefficients(coeffs)
 
 
-def _full_pool_probe(w, l):
+def _full_pool_probe(w, l, folded=True):
     """(ratio, weak_ratio) of the probe with every one of the m^D values kept.
 
-    For D = 1 the y axis is the single point 0 with weight 1, as in the probe.
+    ``folded`` builds them as the probe does: each sample is |left @ right|
+    with the Gaussians folded into the phase tables, and the reference norms
+    are |E_x (C E_y)| on the refined grid.  Otherwise the samples are
+    |E_x (C E_y)| G(x) G(y) and the reference norms come from the
+    coefficients zero-padded to the refined grid and resampled by the
+    inverse FFT.  For D = 1 the y axis is the single point 0 with weight 1.
     """
     d_torus = w.torus_dim
     r, h = 8.0 * l, TWO_PI / 64
@@ -546,40 +551,61 @@ def _full_pool_probe(w, l):
     gauss = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
     y, gauss_y = (x, gauss) if d_torus == 2 else (np.zeros(1), np.ones(1))
     flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
-    top = max(float(np.max(np.abs(flat))), 1.0)
     freqs, freqs_y = frequencies(w.grid_size), frequencies(flat.shape[1])
-    used = np.abs(flat) > 1e-13 * top
+    used = np.abs(flat) > 1e-13 * float(np.max(np.abs(flat)))
     terms = [((freqs[i], freqs_y[j])[:d_torus], flat[i, j]) for i, j in zip(*np.nonzero(used))]
     rows_in_use, cols_in_use = np.any(used, axis=1), np.any(used, axis=0)
     table = np.where(used, flat, 0.0)[np.ix_(rows_in_use, cols_in_use)]
-    left = np.exp(1j * np.multiply.outer(x, freqs[rows_in_use]))
-    right = table @ np.exp(1j * np.multiply.outer(freqs_y[cols_in_use], y))
+    k_x, k_y = freqs[rows_in_use], freqs_y[cols_in_use]
+    left = np.exp(1j * np.multiply.outer(x, k_x))
+    right = table @ np.exp(1j * np.multiply.outer(k_y, y))
+    if folded:
+        left, right = left * gauss[:, np.newaxis], right * gauss_y
     integral, blocks = 0.0, []
     block_rows = max(1, PROBE_BLOCK_SAMPLES // y.size)
     for start in range(0, m, block_rows):
         rows = slice(start, min(start + block_rows, m))
-        ablock = np.abs(left[rows] @ right) * np.outer(gauss[rows], gauss_y)
+        ablock = np.abs(left[rows] @ right)
+        if not folded:
+            ablock *= np.outer(gauss[rows], gauss_y)
         integral += float(np.sum(ablock))
         blocks.append(ablock.ravel())
     values = np.sort(np.concatenate(blocks))[::-1]
     cell = step**d_torus
     weak = cell * float(np.max(np.arange(1, values.size + 1) * values))
     n_ref = 512 if d_torus == 1 else 256
-    ref_coeffs = np.zeros((n_ref,) * d_torus + (1, 1), dtype=complex)
-    for k, c in terms:
-        ref_coeffs[frequency_index(k, n_ref)] = c
-    ref_l1, _, ref_weak = signal_norms(signal_from_coefficients(ref_coeffs))
+    if folded:
+        t = TWO_PI / n_ref * np.arange(n_ref)
+        t_y = t if d_torus == 2 else np.zeros(1)
+        ref_samples = np.exp(1j * np.multiply.outer(t, k_x)) @ (
+            table @ np.exp(1j * np.multiply.outer(k_y, t_y)))
+        ref = SingularValueProfile(np.abs(ref_samples), (TWO_PI / n_ref) ** d_torus)
+        ref_l1, ref_weak = schatten_norm(ref, 1), weak_l1(ref)
+    else:
+        ref_coeffs = np.zeros((n_ref,) * d_torus + (1, 1), dtype=complex)
+        for k, c in terms:
+            ref_coeffs[frequency_index(k, n_ref)] = c
+        ref_l1, _, ref_weak = signal_norms(signal_from_coefficients(ref_coeffs))
     return (integral * cell / (ref_l1 / TWO_PI**d_torus),
             weak / (ref_weak / TWO_PI**d_torus))
 
 
-@pytest.mark.parametrize("l", [4.0, 8.0])
-@pytest.mark.parametrize("signal", [
+_D2_SIGNALS = [
     _criterion_9_signal,
     lambda: character_signal(2, 16, [1, -2]),
     lambda: _three_term_signal(1),
     lambda: _three_term_signal(2),
-])
+]
+_D1_SIGNALS = [
+    lambda: _probe_signal(1),
+    lambda: character_signal(1, 8, [-2]),
+    lambda: _three_term_signal(1, 1),
+    lambda: _three_term_signal(2, 1),
+]
+
+
+@pytest.mark.parametrize("l", [4.0, 8.0])
+@pytest.mark.parametrize("signal", _D2_SIGNALS)
 def test_periodization_d2_matches_full_pool(signal, l):
     w = signal()
     result = periodization_probe(w, l, 8.0 * l, TWO_PI / 64)
@@ -587,16 +613,56 @@ def test_periodization_d2_matches_full_pool(signal, l):
 
 
 @pytest.mark.parametrize("l", [8.0, 32.0])
-@pytest.mark.parametrize("signal", [
-    lambda: _probe_signal(1),
-    lambda: character_signal(1, 8, [-2]),
-    lambda: _three_term_signal(1, 1),
-    lambda: _three_term_signal(2, 1),
-])
+@pytest.mark.parametrize("signal", _D1_SIGNALS)
 def test_periodization_d1_matches_full_pool(signal, l):
     w = signal()
     result = periodization_probe(w, l, 8.0 * l, TWO_PI / 64)
     assert (result.ratio, result.weak_ratio) == _full_pool_probe(w, l)
+
+
+@pytest.mark.parametrize("signal, l", [
+    pytest.param(signal, l, id=f"d{d}-{i}-{l}")
+    for d, signals, widths in ((2, _D2_SIGNALS, (4.0, 8.0)), (1, _D1_SIGNALS, (8.0, 32.0)))
+    for i, signal in enumerate(signals)
+    for l in widths
+])
+def test_periodization_matches_unfolded_fft_reference(signal, l):
+    """Gaussians applied after the modulus and FFT-resampled reference norms agree to rounding."""
+    w = signal()
+    result = periodization_probe(w, l, 8.0 * l, TWO_PI / 64)
+    np.testing.assert_allclose((result.ratio, result.weak_ratio),
+                               _full_pool_probe(w, l, folded=False), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("scale, rtol", [  # a power of two scales every step exactly
+    (2.0**-600, 0.0), (2.0**-50, 0.0), (2.0**600, 0.0), (1e-14, 1e-14),
+])
+def test_periodization_is_scale_free(scale, rtol):
+    """The coefficient floor is relative to max |c|, so a small signal keeps its terms."""
+    w = _criterion_9_signal()
+    want = periodization_probe(w, 8.0, 64.0, TWO_PI / 64)
+    got = periodization_probe(TorusSignal(w.samples * scale), 8.0, 64.0, TWO_PI / 64)
+    np.testing.assert_allclose((got.ratio, got.weak_ratio), (want.ratio, want.weak_ratio),
+                               rtol=rtol, atol=0.0)
+
+
+_FFT_CALLS = {
+    "coefficients": coefficients,
+    "fejer": lambda w: fejer(w, 2),
+    "multiplier": lambda w: fourier_multiplier_apply(lambda k: np.cos(k[..., 0]), w),
+    "probe": lambda w: periodization_probe(w, 8.0, 64.0, TWO_PI / 64),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+@pytest.mark.parametrize("d_torus", [1, 2])
+@pytest.mark.parametrize("call", sorted(_FFT_CALLS))
+def test_non_finite_samples_are_refused_before_the_fft(call, d_torus, bad):
+    w = _probe_signal(1) if d_torus == 1 else _criterion_9_signal()
+    samples = w.samples.copy()
+    samples[(3,) * d_torus] = bad
+    with pytest.raises(NonFiniteError):  # a numpy warning would fail the test first
+        _FFT_CALLS[call](TorusSignal(samples))
 
 
 def test_periodization_d2_memory_bound():
