@@ -32,6 +32,7 @@ from .experiments import (
 from .functions import builtin_function, contraction_names, experiment_function_names
 from .norms import (
     SingularValueProfile,
+    _sorted_weak_l1,
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
@@ -81,7 +82,6 @@ _CONE_BATCH = 1 << 14  # cone cells per symbol evaluation in _cone_deviation
 # d = 1, 2 or 3 (N = 1448, 128, 38) peaks at 70, 77 and 100 MB RSS on x86-64 (numpy 2.4).
 DELEEUW_MAX_ENTRIES = 1 << 23
 KEPT_ROOT_FIBERS = 1 << 16  # largest de Leeuw root grid whose work (3.9 MB) stays held
-_WEAK_BLOCK = 1 << 13  # sorted values per step multiply in _sorted_weak_l1
 
 
 def _rel(diff, ref) -> float:
@@ -469,21 +469,6 @@ class _RootGridWork:
             _fiber_singular_values(strip.reshape(-1, 2, 2), out=self.values[lo * row:hi * row],
                                    work=self.gram)
         return self.values
-
-
-def _sorted_weak_l1(values, cell):
-    """``weak_l1(SingularValueProfile(values, cell))``, bitwise, overwriting ``values``.
-
-    Sorted ascending in place, the k-th largest of m values sits at m - k;
-    each ``_WEAK_BLOCK`` positions are multiplied by their k in one pass.
-    """
-    ascending, m = values.reshape(-1), values.size
-    ascending.sort()
-    if not ascending[0] >= 0.0 or np.isnan(ascending[-1]):
-        raise DomainError("values must be nonnegative (NaN is refused)")
-    for lo in range(0, m, _WEAK_BLOCK):
-        ascending[lo:lo + _WEAK_BLOCK] *= np.arange(m - lo, max(m - lo - _WEAK_BLOCK, 0), -1.0)
-    return float(cell) * float(np.max(ascending))
 
 
 _kept = threading.local()  # .work: this thread's work for roots of at most KEPT_ROOT_FIBERS

@@ -13,18 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, DomainError, GuardViolationError, NonFiniteError
-from .norms import SingularValueProfile, schatten_norm, weak_l1
+from .norms import SingularValueProfile, _sorted_weak_l1, schatten_norm, weak_l1
 from .spectral import _binary_exponents, evaluate_rows
 
 TWO_PI = 2.0 * np.pi
-# Samples per block of the periodization probe: whole rows, about 2 MB of
-# complex products.  At D = 2, l = 16 (m = 2608) a block is 50 rows, where 512
-# rows made a 21 MB slab; that operation's first call in a fresh process took
-# 96 ms against 112 ms (medians of ten alternated process pairs, 2-core x86-64
-# host).  The narrower centre block gives a weaker lower bound, so about 2.6x
-# more values reach the final sort there.  D = 1 has at most PROBE_MAX_POINTS
-# rows, so it is always one block.
+# Samples per block of the periodization probe: whole rows, 1 MB of real
+# squares.  At D = 2, l = 16 (m = 2608) a block is 50 rows; the narrower centre
+# block gives a weaker lower bound than a 512-row slab, so about 2.6x more
+# values reach the final sort there, yet 2^14 or 2^15 samples per block were
+# slower.  D = 1 has at most PROBE_MAX_POINTS rows, so it is always one block.
 PROBE_BLOCK_SAMPLES = 2**17
+# Floor on a probe sample's square, relative to the square of its term-modulus
+# sum: a square at or above it keeps its root's relative error below
+# (K + a + 5) 2^-53 / PROBE_THETA (see periodization_probe), a lower one is
+# retaken from the complex product.  At most about 1e-2: the lattice probe
+# signals certify (margin 0.2 against sum |c| = 1.8) only while
+# sqrt(PROBE_THETA) <= 0.11.
+PROBE_THETA = 1e-2
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 _SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
 _FIBER_NORM_LO, _FIBER_NORM_HI = 2.0**-500, 2.0**500  # 2 x 2 fibers outside are rescaled
@@ -400,39 +405,135 @@ class PeriodizationResult:
     points_per_axis: int
 
 
+def _cancellation_free(table) -> bool:
+    """True when one coefficient outweighs the rest by sqrt(PROBE_THETA) * sum |c|.
+
+    Then |W| >= |c_max| - sum_others |c| >= sqrt(PROBE_THETA) * sum |c| at
+    every point, so no weighted sample's square falls below the probe's floor.
+    """
+    moduli = np.abs(table)
+    total = float(np.sum(moduli))
+    return 2.0 * float(np.max(moduli)) - total >= math.sqrt(PROBE_THETA) * total
+
+
+def _reference_norms(table, k_x, k_y, d_torus):
+    """(L1, weak-L1) of |E_x C E_y|, the complex product, on 512 points (D = 1) or 256^2."""
+    n_ref = 512 if d_torus == 1 else 256
+    t = np.arange(n_ref) * (TWO_PI / n_ref)
+    t_y = t if d_torus == 2 else np.zeros(1)
+    samples = np.exp(1j * np.multiply.outer(t, k_x)) @ (
+        table @ np.exp(1j * np.multiply.outer(k_y, t_y)))
+    ref = SingularValueProfile(np.abs(samples), (TWO_PI / n_ref) ** d_torus)
+    return schatten_norm(ref, 1), weak_l1(ref)
+
+
+def _probe_sampler(table, k_x, k_y, l, r, m, d_torus):
+    """rows -> the weighted samples |W(x, y)| w(x) w(y) on those rows of the probe's grid.
+
+    The grid is the m midpoints x = -R + (i + 1/2) step per axis, step = 2R/m
+    (y = 0 with weight 1 for D = 1), and w is G_l times step in units of l:
+    u = (i + 1/2)(step/l) - R/l and w = e^{-u^2/2} (step/l) / sqrt(2 pi).
+    With R_a(y) = w(y) sum_b C_ab e^{i k_b y}, the sample's square is
+    w(x)^2 (sum_a |R_a|^2 + 2 Re sum_{delta > 0} e^{i delta x} Q_delta), where
+    Q_delta sums R_a conj(R_b) over k_a - k_b = delta: one real product of an
+    (m, K) table of w^2, w^2 cos(delta x), -w^2 sin(delta x) and a (K, m)
+    table of sum |R_a|^2, 2 Re Q_delta, 2 Im Q_delta, K = 1 + 2 (number of
+    deltas), whose root is taken in place.  Unless ``_cancellation_free``
+    holds, a square below PROBE_THETA (w(x) sum_a |R_a(y)|)^2 is replaced by
+    the modulus of the complex product sum_a w(x) e^{i k_a x} R_a(y).
+    """
+    step = 2.0 * r / m
+    s = step / l
+    u = (np.arange(m) + 0.5) * s - r / l
+    weight = np.exp(-0.5 * u * u) * (s / math.sqrt(TWO_PI))
+    x = -r + (np.arange(m) + 0.5) * step
+    y, weight_y = (x, weight) if d_torus == 2 else (np.zeros(1), np.ones(1))
+    right = (table @ np.exp(1j * np.multiply.outer(k_y, y))) * weight_y  # rows R_a(y)
+    index = {int(k): a for a, k in enumerate(k_x)}
+    deltas = sorted({p - q for p in index for q in index if p > q})  # np.unique imports numpy.ma
+    right_sq = np.empty((1 + 2 * len(deltas), y.size))
+    right_sq[0] = np.sum(_square_moduli(right), axis=0)
+    for t, delta in enumerate(deltas):
+        pairs = [(a, index[p - delta]) for p, a in index.items() if p - delta in index]
+        ia, ib = np.array(pairs).T
+        q = np.sum(right[ia] * np.conjugate(right[ib]), axis=0)
+        np.multiply(q.real, 2.0, out=right_sq[1 + 2 * t])
+        np.multiply(q.imag, 2.0, out=right_sq[2 + 2 * t])
+    w2 = weight * weight
+    phase = np.multiply.outer(x, deltas)
+    left_sq = np.ones((m, right_sq.shape[0]))  # columns 1, cos(delta x), -sin(delta x)
+    np.cos(phase, out=left_sq[:, 1::2])
+    np.negative(np.sin(phase, out=left_sq[:, 2::2]), out=left_sq[:, 2::2])
+    left_sq *= w2[:, np.newaxis]
+
+    if _cancellation_free(table):  # this closure holds the two real tables only
+        def sample(rows):
+            block = left_sq[rows] @ right_sq
+            return np.sqrt(block, out=block)
+        return sample
+
+    left = np.exp(1j * np.multiply.outer(x, k_x)) * weight[:, np.newaxis]
+    floor_x, floor_y = PROBE_THETA * w2, np.square(np.sum(np.abs(right), axis=0))
+
+    def sample(rows):
+        block = left_sq[rows] @ right_sq
+        low = block < np.multiply.outer(floor_x[rows], floor_y)
+        np.sqrt(block, out=block, where=~low)
+        redo = np.flatnonzero(np.any(low, axis=1))
+        if redo.size:
+            cut, part = low[redo], block[redo]
+            part[cut] = np.abs(left[rows][redo] @ right)[cut]
+            block[redo] = part
+        return block
+    return sample
+
+
 def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> PeriodizationResult:
     """Gaussian-weighted periodization of a scalar trig polynomial.
 
     Integrates |per(W)(t)| G_l(t) over [-R, R]^D by the midpoint rule and
     returns the ratio against (2*pi)^{-D} ||W||_{L1(T^D)}, together with the
     analogous weak-L1 ratio (reported as data; no constant is asserted).
-    More than ``PROBE_MAX_POINTS`` midpoints per axis raise
+    More than ``PROBE_MAX_POINTS`` midpoints per axis, or a step wider than
+    16l (one midpoint across the narrowest window 2R = 16l), raise
     ``GuardViolationError`` before any grid is built.
 
     The coefficients above 1e-13 max |c| form an a x b table C over the
     frequencies k_x, k_y in use (b = 1 and k_y = 0 for D = 1, whose y axis
-    is the single point 0 with weight 1).  Each weighted sample is one
-    product of phase tables with the Gaussians folded in, |left @ right| for
-    left = e^{i x k_x} G_l(x) and right = C e^{i k_y y} G_l(y); as G_l > 0,
-    this is |E_x C E_y| G_l(x) G_l(y) up to rounding.  The torus norms are
-    those of |E_x C E_y| on 512 points (D = 1) or 256^2.  The m^D samples
-    are built in blocks of whole grid rows, about ``PROBE_BLOCK_SAMPLES``
-    each (the whole grid for D = 1, whose rows are single samples), and
-    only the samples that can attain the weak-L1 maximum step^D max_k k v_(k)
-    are kept:
+    is the single point 0 with weight 1), divided by the power of two just
+    above max |c|: that is exact, keeps every |W| below sum |c| < a b (so
+    no square overflows at any scale), and cancels in both ratios.  The
+    torus norms are those of |E_x C E_y| on 512 points (D = 1) or 256^2, a
+    complex product (``_reference_norms``).  The m^D weighted
+    samples |W| w(x) w(y), with w = G_l step taken in units of l (so no cell
+    is formed and the sums use cell 1), come from ``_probe_sampler``: the
+    square of each is one real product over K <= 2a - 1 columns and its root
+    is taken in place.  The product's terms add up in modulus to at most
+    sqrt(2) S^2, S = w(x) sum_a |R_a(y)| (R_a as in ``_probe_sampler``), so
+    a computed square is off by at most about (K + a + 5) u sqrt(2) S^2,
+    u = 2^-53, and where the true square is at least PROBE_THETA S^2 its
+    root's relative error is below (K + a + 5) u / PROBE_THETA: 1.7e-13 for
+    a three-term signal (K <= 7, a <= 3).  Near a zero of W the square
+    cancels, so one below PROBE_THETA S^2 is taken again as the modulus of
+    the complex product (absolute error a few u S), unless one coefficient
+    certifies that no sample can fall there (``_cancellation_free``).  The
+    samples are built in blocks of whole grid rows, about
+    ``PROBE_BLOCK_SAMPLES`` each (the whole grid for D = 1, whose rows are
+    single samples), and only those that can attain the weak-L1 maximum
+    max_k k v_(k) are kept:
 
     - The centre block (the one holding row m//2, where the Gaussian peaks)
       comes first.  After its sum is taken, it is partitioned in place so
       its largest eighth sits at the end; their weak-L1 is a lower bound L.
-    - Every block keeps only its values v >= tau = L / (m^D step^D (1 + 1e-6)).
-      A dropped value has step^D k v < L for every k <= m^D (the 1e-6 slack
-      covers rounding), so the maximum is attained among the kept values,
-      which outrank every dropped one and keep their step indices k: the
-      weak-L1 is bitwise the full-pool value, however loose L is (L = 0
-      keeps everything).
+    - Every block keeps only its values v >= tau = L / (m^D (1 + 1e-6)).
+      A dropped value has k v < L for every k <= m^D (the 1e-6 slack covers
+      rounding), so the maximum is attained among the kept values, which
+      outrank every dropped one and keep their step indices k: the weak-L1
+      is bitwise the full-pool value, however loose L is (L = 0 keeps
+      everything).
     - The same argument runs again on the pool: a kept value ranks at most
-      K = the pool's size, so values below L / (K step^D (1 + 1e-6)) are
-      dropped before the sort, three times, each with the shrunken K.
+      P = the pool's size, so values below L / (P (1 + 1e-6)) are dropped
+      before the in-place sort, three times, each with the shrunken P.
     - Each block's sum is stored and the sums are added in row order, so the
       integral is bitwise independent of the visiting order; it does depend
       on the block shape, because ``np.sum`` is pairwise within a block.
@@ -453,63 +554,53 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
         raise GuardViolationError(
             f"2R/h = {points:.6g} midpoints per axis exceed the cap {PROBE_MAX_POINTS}"
         )
-
-    flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
-    flat[np.abs(flat) <= 1e-13 * float(np.max(np.abs(flat)))] = 0.0
-    used_x, used_y = np.any(flat, axis=1), np.any(flat, axis=0)
-    table = flat[np.ix_(used_x, used_y)]
-    k_x = frequencies(flat.shape[0])[used_x]
-    k_y = frequencies(flat.shape[1])[used_y]
-    phases = lambda t, k: np.exp(1j * np.multiply.outer(t, k))
-
-    # Reference torus norms from the same product on a refined grid.
-    n_ref = 512 if d_torus == 1 else 256
-    t = np.arange(n_ref) * (TWO_PI / n_ref)
-    t_y = t if d_torus == 2 else np.zeros(1)
-    ref = SingularValueProfile(np.abs(phases(t, k_x) @ (table @ phases(k_y, t_y))),
-                               (TWO_PI / n_ref) ** d_torus)
-    ref_l1, ref_weak = schatten_norm(ref, 1), weak_l1(ref)
-    if ref_l1 == 0.0:
-        raise DomainError("probe requires a nonzero signal")
-
     m = int(math.ceil(points))
     step = 2.0 * r / m
-    cell = step**d_torus
-    x = -r + (np.arange(m) + 0.5) * step
-    gauss_x = np.exp(-(x**2) / (2.0 * l * l)) / (l * math.sqrt(TWO_PI))
-    y, gauss_y = (x, gauss_x) if d_torus == 2 else (np.zeros(1), np.ones(1))
-    left = phases(x, k_x) * gauss_x[:, np.newaxis]
-    right = (table @ phases(k_y, y)) * gauss_y
+    if not step <= 16.0 * l:
+        raise GuardViolationError(f"step 2R/m = {step:.6g} must not exceed 16l = {16.0 * l:.6g}")
 
-    block_rows = max(1, PROBE_BLOCK_SAMPLES // y.size)
+    flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
+    c_max = float(np.max(np.abs(flat)))
+    if c_max == 0.0:
+        raise DomainError("probe requires a nonzero signal")
+    flat[np.abs(flat) <= 1e-13 * c_max] = 0.0
+    used_x, used_y = np.any(flat, axis=1), np.any(flat, axis=0)
+    k_x = frequencies(flat.shape[0])[used_x]
+    k_y = frequencies(flat.shape[1])[used_y]
+    table = flat[np.ix_(used_x, used_y)]
+    sup = max(float(np.sum(np.abs(table))), 1e-300)
+    table = np.ldexp(table.view(float), -math.frexp(c_max)[1]).view(complex)
+
+    ref_l1, ref_weak = _reference_norms(table, k_x, k_y, d_torus)
+    sample = _probe_sampler(table, k_x, k_y, l, r, m, d_torus)
+    columns = m if d_torus == 2 else 1
+    block_rows = max(1, PROBE_BLOCK_SAMPLES // columns)
     starts = range(0, m, block_rows)
     centre = (m // 2) // block_rows
     sums = [0.0] * len(starts)
     kept = []
     tau = None
     for index in [centre] + [i for i in range(len(starts)) if i != centre]:
-        rows = slice(starts[index], starts[index] + block_rows)
-        ablock = np.abs(left[rows] @ right)
-        sums[index] = float(np.sum(ablock))
+        block = sample(slice(starts[index], starts[index] + block_rows))
+        sums[index] = float(np.sum(block))
         if tau is None:  # the centre block: L from its top eighth, partitioned in place
-            ablock = ablock.reshape(-1)
-            top = ablock.size - max(ablock.size // 8, 1)
-            ablock.partition(top)
-            lower = weak_l1(SingularValueProfile(ablock[top:], cell))
-            tau = lower / (m**d_torus * cell * (1.0 + 1e-6))
-        kept.append(ablock[ablock >= tau])
-        del ablock
+            block = block.reshape(-1)
+            top = block.size - max(block.size // 8, 1)
+            block.partition(top)
+            lower = weak_l1(SingularValueProfile(block[top:]))
+            tau = lower / (m**d_torus * (1.0 + 1e-6))
+        kept.append(block[block >= tau])
+        del block
+    del sample  # its tables go before the pool is concatenated
     integral = 0.0
     for block_sum in sums:  # not sum(): it is compensated from Python 3.12
         integral += block_sum
-    integral *= cell
     pooled = np.concatenate(kept)
     del kept
     for _ in range(3):  # each kept value ranks at most pooled.size in the full pool
-        pooled = pooled[pooled >= lower / (pooled.size * cell * (1.0 + 1e-6))]
-    weak = weak_l1(SingularValueProfile(pooled, cell))
+        pooled = pooled[pooled >= lower / (pooled.size * (1.0 + 1e-6))]
+    weak = _sorted_weak_l1(pooled, 1.0)
 
-    sup = max(float(np.sum(np.abs(table))), 1e-300)
     tail = d_torus * math.erfc(r / (l * math.sqrt(2.0)))
     return PeriodizationResult(
         ratio=integral / (ref_l1 / TWO_PI**d_torus),

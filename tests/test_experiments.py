@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import shlex
@@ -377,6 +378,7 @@ def test_cli_unknown_function_exits_2(capsys):
     ["periodization", "--d", "-1"],  # torus dimension d + 1 = 0
     ["periodization", "--d", "0", "--l", "nan", "--radius", "100"],  # l named, not a profile
     ["periodization", "--d", "1", "--l", "nan"],  # l named, not the point cap
+    ["periodization", "--d", "0", "--l", "0.001", "--radius", "1"],  # step 2/21 > 16l
     ["deleeuw-sweep", "--d", "0"],  # d named, not HomogeneousSymbol's k0
     ["ratio-commutator", "--trials", "0"],
     ["ratio-commutator", "--lipschitz", "0"],
@@ -429,6 +431,20 @@ def test_cli_domain_errors_exit_2(argv, capsys):
     assert _run_cli(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodization", "--d", "1", "--l", "1e-160", "--step", "1e-162"],
+    ["periodization", "--d", "0", "--l", "1e-170", "--step", "1e-172"],
+])
+def test_cli_periodization_at_tiny_widths_prints_a_record(argv, capsys):
+    # G_l and the cell in absolute units overflowed here; a numpy warning fails the test
+    assert _run_cli(argv) == 1  # the grid sees W near 0 only, so the ratio is far from 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    fields = dict(line.split("=") for line in out.out.splitlines())
+    assert list(fields) == ["ratio", "weak-ratio", "truncation-bound", "step", "points-per-axis"]
+    assert all(math.isfinite(float(value)) for value in fields.values())
 
 
 @pytest.mark.parametrize("argv", [

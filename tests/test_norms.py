@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from oplip.errors import BadExponentError, DimMismatchError, DomainError, NonFiniteError
 from oplip.norms import (
+    _WEAK_BLOCK,
     SingularValueProfile,
+    _sorted_weak_l1,
     matrix_trace_norm,
     matrix_weak_l1,
     mu_at,
@@ -251,3 +253,17 @@ def test_mu_subadditive(seed, t, s):
     lhs = mu_at(singular_values(x + y), t + s)
     rhs = mu_at(singular_values(x), t) + mu_at(singular_values(y), s)
     assert lhs <= rhs + 1e-10
+
+
+def test_sorted_weak_l1_is_the_profile_weak_l1_bitwise():
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 37, 128, 2 * _WEAK_BLOCK + 5):  # the last spans three blocks
+        values = np.abs(rng.standard_normal(size))
+        values[::5] = 0.0
+        values[1::7] = values[0]  # ties
+        cell = rng.uniform(0.01, 2.0)
+        want = weak_l1(SingularValueProfile(values, cell))
+        assert _sorted_weak_l1(values, cell) == want  # which overwrites values
+    for bad in (np.array([1.0, -0.5]), np.array([np.nan, 1.0])):
+        with pytest.raises(DomainError):
+            _sorted_weak_l1(bad, 1.0)

@@ -98,20 +98,6 @@ def test_deleeuw_nested_grids_match_the_per_grid_route(d, sizes):
                                        rtol=1e-14, atol=0.0)
 
 
-def test_root_grid_work_weak_l1_is_the_profile_weak_l1_bitwise():
-    rng = np.random.default_rng(7)
-    for size in (1, 2, 37, 128, 2 * suite._WEAK_BLOCK + 5):  # the last spans three blocks
-        values = np.abs(rng.standard_normal(size))
-        values[::5] = 0.0
-        values[1::7] = values[0]  # ties
-        cell = rng.uniform(0.01, 2.0)
-        want = weak_l1(SingularValueProfile(values, cell))
-        assert suite._sorted_weak_l1(values, cell) == want  # which overwrites values
-    for bad in (np.array([1.0, -0.5]), np.array([np.nan, 1.0])):
-        with pytest.raises(DomainError):
-            suite._sorted_weak_l1(bad, 1.0)
-
-
 @pytest.mark.parametrize("root, d_torus", [(128, 2), (90, 2), (45, 3), (15, 4), (9, 4)])
 def test_root_grid_strips_sample_the_whole_grid_bitwise(root, d_torus):
     # a one-row strip would go through BLAS's matrix-vector product, which

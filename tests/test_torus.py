@@ -15,7 +15,10 @@ from oplip.torus import (
     HomogeneousSymbol,
     TorusSignal,
     _fiber_singular_values,
+    _cancellation_free,
     _GramWork,
+    _probe_sampler,
+    _reference_norms,
     _trig_polynomial,
     coefficients,
     fejer,
@@ -444,6 +447,9 @@ def test_periodization_guards():
         periodization_probe(w, 4.0, 32.0, 0.2)  # step too coarse
     with pytest.raises(DimMismatchError):
         periodization_probe(_random_signal(1, 8, 2, seed=1), 4.0, 32.0, TWO_PI / 64)
+    with pytest.raises(GuardViolationError, match="16l"):  # m = 21 midpoints over R = 1000l
+        periodization_probe(w, 1e-3, 1.0, TWO_PI / 64)
+    assert periodization_probe(w, 1e-3, 8e-3, TWO_PI / 64).step == 16e-3  # one midpoint
 
 
 @pytest.mark.parametrize("l, r, name", [
@@ -536,12 +542,14 @@ def _three_term_signal(seed, d_torus=2):
 def _full_pool_probe(w, l, folded=True):
     """(ratio, weak_ratio) of the probe with every one of the m^D values kept.
 
-    ``folded`` builds them as the probe does: each sample is |left @ right|
-    with the Gaussians folded into the phase tables, and the reference norms
-    are |E_x (C E_y)| on the refined grid.  Otherwise the samples are
-    |E_x (C E_y)| G(x) G(y) and the reference norms come from the
-    coefficients zero-padded to the refined grid and resampled by the
-    inverse FFT.  For D = 1 the y axis is the single point 0 with weight 1.
+    ``folded`` builds them as the probe does: the weighted samples come from
+    the probe's own ``_probe_sampler`` in its blocks of whole rows (step
+    folded into the Gaussian weights, cell 1), and the reference norms from
+    its ``_reference_norms``.  Otherwise the samples are the moduli
+    of the complex product |E_x (C E_y)| times G(x) G(y), with cell step^D,
+    and the reference norms come from the coefficients zero-padded to the
+    refined grid and resampled by the inverse FFT.  For D = 1 the y axis is
+    the single point 0 with weight 1.
     """
     d_torus = w.torus_dim
     r, h = 8.0 * l, TWO_PI / 64
@@ -557,31 +565,25 @@ def _full_pool_probe(w, l, folded=True):
     rows_in_use, cols_in_use = np.any(used, axis=1), np.any(used, axis=0)
     table = np.where(used, flat, 0.0)[np.ix_(rows_in_use, cols_in_use)]
     k_x, k_y = freqs[rows_in_use], freqs_y[cols_in_use]
-    left = np.exp(1j * np.multiply.outer(x, k_x))
-    right = table @ np.exp(1j * np.multiply.outer(k_y, y))
     if folded:
-        left, right = left * gauss[:, np.newaxis], right * gauss_y
+        sample, cell = _probe_sampler(table, k_x, k_y, l, r, m, d_torus), 1.0
+    else:
+        left = np.exp(1j * np.multiply.outer(x, k_x))
+        right = table @ np.exp(1j * np.multiply.outer(k_y, y))
+        sample = lambda rows: np.abs(left[rows] @ right) * np.outer(gauss[rows], gauss_y)
+        cell = step**d_torus
     integral, blocks = 0.0, []
     block_rows = max(1, PROBE_BLOCK_SAMPLES // y.size)
     for start in range(0, m, block_rows):
-        rows = slice(start, min(start + block_rows, m))
-        ablock = np.abs(left[rows] @ right)
-        if not folded:
-            ablock *= np.outer(gauss[rows], gauss_y)
+        ablock = sample(slice(start, min(start + block_rows, m)))
         integral += float(np.sum(ablock))
         blocks.append(ablock.ravel())
     values = np.sort(np.concatenate(blocks))[::-1]
-    cell = step**d_torus
     weak = cell * float(np.max(np.arange(1, values.size + 1) * values))
-    n_ref = 512 if d_torus == 1 else 256
     if folded:
-        t = TWO_PI / n_ref * np.arange(n_ref)
-        t_y = t if d_torus == 2 else np.zeros(1)
-        ref_samples = np.exp(1j * np.multiply.outer(t, k_x)) @ (
-            table @ np.exp(1j * np.multiply.outer(k_y, t_y)))
-        ref = SingularValueProfile(np.abs(ref_samples), (TWO_PI / n_ref) ** d_torus)
-        ref_l1, ref_weak = schatten_norm(ref, 1), weak_l1(ref)
+        ref_l1, ref_weak = _reference_norms(table, k_x, k_y, d_torus)
     else:
+        n_ref = 512 if d_torus == 1 else 256
         ref_coeffs = np.zeros((n_ref,) * d_torus + (1, 1), dtype=complex)
         for k, c in terms:
             ref_coeffs[frequency_index(k, n_ref)] = c
@@ -590,17 +592,36 @@ def _full_pool_probe(w, l, folded=True):
             weak / (ref_weak / TWO_PI**d_torus))
 
 
+def _terms_signal(terms, d_torus, grid=16):
+    """The signal sum of c e_k over the (k, c) terms."""
+    coeffs = np.zeros((grid,) * d_torus + (1, 1), dtype=complex)
+    for k, c in terms:
+        coeffs[frequency_index(k, grid)] = c
+    return signal_from_coefficients(coeffs)
+
+
+def _dense_signal(seed=3, grid=16):
+    """Every one of the grid^2 coefficients drawn: no term dominates."""
+    rng = np.random.default_rng(seed)
+    shape = (grid, grid, 1, 1)
+    return signal_from_coefficients(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 _D2_SIGNALS = [
     _criterion_9_signal,
     lambda: character_signal(2, 16, [1, -2]),
     lambda: _three_term_signal(1),
     lambda: _three_term_signal(2),
+    lambda: _terms_signal([([0, 0], 1.0), ([1, 1], -1.0)], 2),  # zero on the line x + y = 0
+    lambda: _terms_signal([([0, 0], 1.0), ([1, 0], -1.0), ([0, 1], -1.0), ([1, 1], 1.0)], 2),
+    _dense_signal,
 ]
 _D1_SIGNALS = [
     lambda: _probe_signal(1),
     lambda: character_signal(1, 8, [-2]),
     lambda: _three_term_signal(1, 1),
     lambda: _three_term_signal(2, 1),
+    lambda: _terms_signal([([0], 1.0), ([1], -1.0)], 1),  # zero at x = 0
 ]
 
 
@@ -644,6 +665,30 @@ def test_periodization_is_scale_free(scale, rtol):
     got = periodization_probe(TorusSignal(w.samples * scale), 8.0, 64.0, TWO_PI / 64)
     np.testing.assert_allclose((got.ratio, got.weak_ratio), (want.ratio, want.weak_ratio),
                                rtol=rtol, atol=0.0)
+
+
+def test_periodization_at_tiny_widths_is_scale_free():
+    """Weights in units of l: no G_l or cell leaves the float range, however small l is."""
+    w = _criterion_9_signal()
+    a, b = (periodization_probe(w, l, 8.0 * l, 8.0 * l / 800) for l in (2.0**-600, 2.0**-1000))
+    assert (a.ratio, a.weak_ratio) == (b.ratio, b.weak_ratio)
+    assert math.isfinite(a.ratio) and a.weak_ratio > 0.0
+
+
+@pytest.mark.parametrize("signal, free", [
+    (_criterion_9_signal, True),  # margin 1 - 0.7 against sum |c| = 1.7
+    (lambda: _three_term_signal(1), True),
+    (lambda: character_signal(2, 16, [1, -2]), True),
+    (_D2_SIGNALS[4], False),  # 1 - e^{i(x+y)}
+    (_D2_SIGNALS[5], False),
+    (_dense_signal, False),
+    (_D1_SIGNALS[4], False),
+])
+def test_cancellation_certificate(signal, free):
+    """One dominant term certifies the squares route; the probe's zero-line cases need the guard."""
+    w = signal()
+    flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
+    assert _cancellation_free(flat[np.abs(flat) > 1e-13]) is free
 
 
 _FFT_CALLS = {
