@@ -23,12 +23,13 @@ TWO_PI = 2.0 * np.pi
 # values reach the final sort there, yet 2^14 or 2^15 samples per block were
 # slower.  D = 1 has at most PROBE_MAX_POINTS rows, so it is always one block.
 PROBE_BLOCK_SAMPLES = 2**17
-# Floor on a probe sample's square, relative to the square of its term-modulus
-# sum: a square at or above it keeps its root's relative error below
-# (K + a + 5) 2^-53 / PROBE_THETA (see periodization_probe), a lower one is
-# retaken from the complex product.  At most about 1e-2: the lattice probe
-# signals certify (margin 0.2 against sum |c| = 1.8) only while
-# sqrt(PROBE_THETA) <= 0.11.
+# Certificate margin of the probe's squares route: when the largest
+# coefficient outweighs the rest by sqrt(PROBE_THETA) sum |c|, every sample's
+# square is at least PROBE_THETA times the square of its term-modulus sum, so
+# its root's relative error stays below (K + a + 5) 2^-53 / PROBE_THETA (see
+# periodization_probe); any other signal is sampled by the complex product.
+# At most about 1e-2: the lattice probe signals certify (margin 0.2 against
+# sum |c| = 1.8) only while sqrt(PROBE_THETA) <= 0.11.
 PROBE_THETA = 1e-2
 PROBE_MAX_POINTS = 12288  # cap on the probe's midpoints per axis
 _SQUARE_NORM_LO, _SQUARE_NORM_HI = 2.0**-960, 2.0**960  # symbol rows outside are rescaled
@@ -409,7 +410,8 @@ def _cancellation_free(table) -> bool:
     """True when one coefficient outweighs the rest by sqrt(PROBE_THETA) * sum |c|.
 
     Then |W| >= |c_max| - sum_others |c| >= sqrt(PROBE_THETA) * sum |c| at
-    every point, so no weighted sample's square falls below the probe's floor.
+    every point, so no weighted sample's square falls below PROBE_THETA times
+    the square of its term-modulus sum, and the probe may take the squares.
     """
     moduli = np.abs(table)
     total = float(np.sum(moduli))
@@ -439,8 +441,8 @@ def _probe_sampler(table, k_x, k_y, l, r, m, d_torus):
     (m, K) table of w^2, w^2 cos(delta x), -w^2 sin(delta x) and a (K, m)
     table of sum |R_a|^2, 2 Re Q_delta, 2 Im Q_delta, K = 1 + 2 (number of
     deltas), whose root is taken in place.  Unless ``_cancellation_free``
-    holds, a square below PROBE_THETA (w(x) sum_a |R_a(y)|)^2 is replaced by
-    the modulus of the complex product sum_a w(x) e^{i k_a x} R_a(y).
+    holds, the samples are instead the moduli of the complex product
+    sum_a w(x) e^{i k_a x} R_a(y), which keep their accuracy near zeros of W.
     """
     step = 2.0 * r / m
     s = step / l
@@ -449,6 +451,9 @@ def _probe_sampler(table, k_x, k_y, l, r, m, d_torus):
     x = -r + (np.arange(m) + 0.5) * step
     y, weight_y = (x, weight) if d_torus == 2 else (np.zeros(1), np.ones(1))
     right = (table @ np.exp(1j * np.multiply.outer(k_y, y))) * weight_y  # rows R_a(y)
+    if not _cancellation_free(table):
+        left = np.exp(1j * np.multiply.outer(x, k_x)) * weight[:, np.newaxis]
+        return lambda rows: np.abs(left[rows] @ right)
     index = {int(k): a for a, k in enumerate(k_x)}
     deltas = sorted({p - q for p in index for q in index if p > q})  # np.unique imports numpy.ma
     right_sq = np.empty((1 + 2 * len(deltas), y.size))
@@ -466,25 +471,9 @@ def _probe_sampler(table, k_x, k_y, l, r, m, d_torus):
     np.negative(np.sin(phase, out=left_sq[:, 2::2]), out=left_sq[:, 2::2])
     left_sq *= w2[:, np.newaxis]
 
-    if _cancellation_free(table):  # this closure holds the two real tables only
-        def sample(rows):
-            block = left_sq[rows] @ right_sq
-            return np.sqrt(block, out=block)
-        return sample
-
-    left = np.exp(1j * np.multiply.outer(x, k_x)) * weight[:, np.newaxis]
-    floor_x, floor_y = PROBE_THETA * w2, np.square(np.sum(np.abs(right), axis=0))
-
     def sample(rows):
         block = left_sq[rows] @ right_sq
-        low = block < np.multiply.outer(floor_x[rows], floor_y)
-        np.sqrt(block, out=block, where=~low)
-        redo = np.flatnonzero(np.any(low, axis=1))
-        if redo.size:
-            cut, part = low[redo], block[redo]
-            part[cut] = np.abs(left[rows][redo] @ right)[cut]
-            block[redo] = part
-        return block
+        return np.sqrt(block, out=block)
     return sample
 
 
@@ -514,9 +503,10 @@ def periodization_probe(w: TorusSignal, l: float, r: float, h: float) -> Periodi
     u = 2^-53, and where the true square is at least PROBE_THETA S^2 its
     root's relative error is below (K + a + 5) u / PROBE_THETA: 1.7e-13 for
     a three-term signal (K <= 7, a <= 3).  Near a zero of W the square
-    cancels, so one below PROBE_THETA S^2 is taken again as the modulus of
-    the complex product (absolute error a few u S), unless one coefficient
-    certifies that no sample can fall there (``_cancellation_free``).  The
+    cancels, so this route is taken only when one coefficient certifies
+    that every square is at least PROBE_THETA S^2 (``_cancellation_free``);
+    any other signal's samples are the moduli of the complex product of
+    the weighted x phases with the rows R_a (absolute error a few u S).  The
     samples are built in blocks of whole grid rows, about
     ``PROBE_BLOCK_SAMPLES`` each (the whole grid for D = 1, whose rows are
     single samples), and only those that can attain the weak-L1 maximum

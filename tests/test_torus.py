@@ -685,7 +685,7 @@ def test_periodization_at_tiny_widths_is_scale_free():
     (_D1_SIGNALS[4], False),
 ])
 def test_cancellation_certificate(signal, free):
-    """One dominant term certifies the squares route; the probe's zero-line cases need the guard."""
+    """One dominant term certifies the squares route; the zero-line cases take the complex product."""
     w = signal()
     flat = coefficients(w)[..., 0, 0].reshape(w.grid_size, -1)
     assert _cancellation_free(flat[np.abs(flat) > 1e-13]) is free
